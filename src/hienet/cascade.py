@@ -94,10 +94,6 @@ class CascadeGraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def out_degree(self, user: str) -> int:
         return len(self.out_adj[user])
 
@@ -126,9 +122,6 @@ class GlobalSocialGraph:
 
     def has_user(self, user: str) -> bool:
         return user in self.index
-
-    def neighbors(self, user_idx: int) -> list[int]:
-        return self.adj[user_idx]
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade import (
-    build_cascade_graph,
-    build_global_graph,
-    compute_label,
-    load_cascades,
-    load_manifest,
-)
+from .cascade import build_cascade_graph, build_global_graph, compute_label
 from .diagnostics import PASS_THRESHOLD, worst_over_seeds
 from .errors import CascadeParseError, ConfigError, DataError, HienetError, UsageError
 from .model import FUSION_MODES
 from .synth import SyntheticSpec, generate_synthetic, write_corpus
-from .train import TrainConfig, evaluate, predict, resolve_config, train
+from .train import TrainConfig, evaluate, load_corpus, predict, resolve_config, train
 
 BRANCHES = ("cs", "sg", "cg")
 
@@ -86,7 +80,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ingest", help="parse and summarize a cascade file")
     p.add_argument("--data", required=True)
-    p.add_argument("--window", type=int, default=21600)
+    p.add_argument("--window", type=int, default=TrainConfig.window)
 
     p = sub.add_parser("train", help="train a model")
     _add_train_flags(p)
@@ -131,12 +125,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    records = load_cascades(args.data)
-    manifest = load_manifest(args.data)
-    if args.window >= manifest.label_horizon:
-        raise DataError(
-            f"window {args.window} must be below the label horizon {manifest.label_horizon}"
-        )
+    records, manifest = load_corpus(args.data, args.window)
     ggraph = build_global_graph(records)
     labels = []
     observed = []

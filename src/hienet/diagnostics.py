@@ -10,6 +10,7 @@ once each layer is exact in isolation).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cascade import build_global_graph
 from .features import FeatureParams, build_batch, featurize_corpus
@@ -21,10 +22,10 @@ from .nn.layers import (
     Embedding,
     TransformerEncoderLayer,
     bilstm_forward,
-    gcn_layer,
+    normalize_adjacency,
 )
 from .nn import tensor as T
-from .nn.tensor import Tensor, add, concat, gather_rows, mean_all, relu, square
+from .nn.tensor import Tensor, concat, gather_rows, mean_all, square
 from .snapshots import encoding_table
 from .synth import SyntheticSpec, generate_synthetic
 
@@ -37,8 +38,6 @@ def _sq_mean(t) -> Tensor:
 
 def _check_primitives(rng) -> float:
     """One composite graph routing through every differentiable op."""
-    import scipy.sparse as sp
-
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     bias = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
@@ -48,7 +47,7 @@ def _check_primitives(rng) -> float:
         x = T.matmul(a, b)
         x = T.add_bias(x, bias)
         x = T.add(x, T.mul(x, T.sigmoid(x)))
-        x = T.sub(x, T.tanh(x))
+        x = T.add(x, T.tanh(x))
         x = T.scale_cols(x, bias)
         x = T.mul_const(x, np.array([[1.0, -0.5, 2.0, 0.25]]))
         x = T.add_const(x, 0.3)
@@ -61,7 +60,7 @@ def _check_primitives(rng) -> float:
         y = T.gather_rows(y, np.array([0, 2, 2, 3]))
         y = T.layer_norm_rows(y)
         y = T.softmax_rows(y)
-        return mean_all(square(T.mean_rows(y)))
+        return mean_all(square(y))
 
     return max_relative_error(loss, [a, b, bias])
 
@@ -80,19 +79,9 @@ def _check_bilstm(rng) -> float:
     inputs = [Tensor(d, requires_grad=True) for d in steps_data]
 
     def loss():
-        stacked, (h_f, h_b) = bilstm_forward(list(inputs), fwd, bwd, mask)
-        tail = mean_all(square(stacked[-1]))
-        return add(tail, _sq_mean(concat([h_f, h_b], axis=1)))
+        return _sq_mean(concat(list(bilstm_forward(inputs, fwd, bwd, mask)), axis=1))
 
     return max_relative_error(loss, fwd.params() + bwd.params() + inputs)
-
-
-def _check_gcn(rng) -> float:
-    a = np.zeros((4, 4))
-    a[0, 1] = a[1, 2] = a[0, 3] = 1.0
-    h = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    w = Tensor(rng.normal(size=(5, 3)) * 0.5, requires_grad=True)
-    return max_relative_error(lambda: _sq_mean(gcn_layer(a + a.T, h, w, activation=relu)), [h, w])
 
 
 def _check_attention(rng) -> float:
@@ -125,6 +114,27 @@ def _tiny_model(vocab: int, seed: int) -> HIENet:
     return HIENet(config, seed=seed)
 
 
+def _check_gcn(rng, seed: int) -> float:
+    """The model's snapshot GCN: two sparse propagations, then pooling.
+
+    One cascade with a 4-node and a 1-node snapshot, laid out as
+    ``build_batch`` lays them out: block-diagonal propagation, node features
+    looked up from the encoding table, pool weight 1/(m * n_j) per node.
+    """
+    model = _tiny_model(vocab=9, seed=seed)
+    a = np.zeros((4, 4))
+    a[0, 1] = a[1, 2] = a[0, 3] = 1.0
+    p_block = sp.block_diag(
+        [normalize_adjacency(a + a.T), normalize_adjacency(np.zeros((1, 1)))], format="csr"
+    )
+    h_block = model.enc_table[rng.integers(0, model.config.time_bins, size=5)]
+    pool = sp.csr_matrix(np.array([[1 / 8, 1 / 8, 1 / 8, 1 / 8, 1 / 2]]))
+    tensors = [model.gcn_w1, model.gcn_w2] + model.cg_proj.params()
+    return max_relative_error(
+        lambda: _sq_mean(model._cg_from_blocks(p_block, h_block, pool)), tensors
+    )
+
+
 def _check_fusion(rng, seed: int) -> float:
     model = _tiny_model(vocab=9, seed=seed)
     f_cs = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
@@ -142,7 +152,9 @@ def _end_to_end_setup(seed: int):
     # can sit exactly at a zero-gradient point, making the check vacuous
     records = sorted(records, key=lambda r: (-r.final_size, r.message_id))[:3]
     ggraph = build_global_graph(records)
-    fp = FeatureParams(k_walks=2, walk_len=4, max_pairs=4, m_max=3, pe_dim=4, time_bins=8)
+    fp = FeatureParams(
+        k_walks=2, walk_len=4, beta=0.8, alpha=0.9, max_pairs=4, m_max=3, pe_dim=4, time_bins=8
+    )
     feats = featurize_corpus(records, 21600, ggraph, fp, global_seed=seed)
     batch = build_batch(feats, encoding_table(fp.encoding))
     model = _tiny_model(vocab=ggraph.num_users + 1, seed=seed)
@@ -170,7 +182,7 @@ def gradient_check_report(seed: int = 0) -> dict[str, float]:
         "primitives": _check_primitives(rng),
         "embedding": _check_embedding(rng),
         "bilstm": _check_bilstm(rng),
-        "gcn": _check_gcn(rng),
+        "gcn": _check_gcn(rng, seed),
         "attention": _check_attention(rng),
         "mlp": _check_mlp(rng),
         "fusion": _check_fusion(rng, seed),

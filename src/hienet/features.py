@@ -25,23 +25,26 @@ import scipy.sparse as sp
 
 from .cascade import CascadeGraph, CascadeRecord, GlobalSocialGraph, build_cascade_graph, compute_label
 from .errors import ConfigError
-from .snapshots import TemporalEncoding, build_snapshots, snapshot_feature_matrix, time_bin
+from .snapshots import TemporalEncoding, build_snapshots, snapshot_feature_matrix
 from .social import social_weight_vector
 from .walks import sample_walks, walk_seed
 
 
 @dataclass(frozen=True)
 class FeatureParams:
-    """Everything feature extraction needs; one value set per experiment."""
+    """Everything feature extraction needs; one value set per experiment.
 
-    k_walks: int = 10
-    walk_len: int = 10
-    beta: float = 0.8
-    alpha: float = 0.9
-    max_pairs: int = 64
-    m_max: int = 8
-    pe_dim: int = 16
-    time_bins: int = 64
+    No field has a default here: ``TrainConfig`` holds the defaults.
+    """
+
+    k_walks: int
+    walk_len: int
+    beta: float
+    alpha: float
+    max_pairs: int
+    m_max: int
+    pe_dim: int
+    time_bins: int
 
     def __post_init__(self) -> None:
         for name in ("k_walks", "walk_len", "max_pairs", "m_max", "time_bins"):
@@ -122,11 +125,7 @@ def featurize(
     enc = fp.encoding
     snaps = []
     for snap in build_snapshots(graph, enc, fp.m_max).snapshots:
-        adjacency, _ = snapshot_feature_matrix(snap, enc)
-        bins = np.array(
-            [time_bin(snap.activation[u], snap.window, enc.bins) for u in snap.nodes],
-            dtype=np.int64,
-        )
+        adjacency, bins = snapshot_feature_matrix(snap, enc)
         snaps.append((_normalized_snapshot(adjacency), bins))
 
     return CascadeFeatures(

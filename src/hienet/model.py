@@ -25,13 +25,13 @@ i = j mod B).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError
-from .features import CascadeFeatures, FeatureBatch, build_batch, log2p1
+from .features import FeatureBatch, log2p1
 from .nn.layers import LSTM, MLP, Embedding, Linear, TransformerEncoderLayer, bilstm_forward
 from .nn.tensor import (
     Parameter,
@@ -54,16 +54,18 @@ FUSION_MODES = ("transformer", "concat")
 
 @dataclass
 class ModelConfig:
+    """Model shape; sizes have no defaults here, ``TrainConfig`` supplies them."""
+
     vocab: int
-    embed_dim: int = 64
-    lstm_hidden: int = 256
-    pe_dim: int = 64
-    time_bins: int = 512
-    gcn_hidden: int = 64
-    d_model: int = 64
-    heads: int = 4
-    ff_hidden: int = 256
-    mlp_sizes: tuple[int, ...] = (128, 32)
+    embed_dim: int
+    lstm_hidden: int
+    pe_dim: int
+    time_bins: int
+    gcn_hidden: int
+    d_model: int
+    heads: int
+    ff_hidden: int
+    mlp_sizes: tuple[int, ...]
     use_cs: bool = True
     use_sg: bool = True
     use_cg: bool = True
@@ -89,24 +91,6 @@ class ModelConfig:
             raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
         if self.pe_dim % 2 != 0:
             raise ConfigError(f"pe_dim must be even, got {self.pe_dim}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mlp_sizes"] = list(self.mlp_sizes)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
-
-@dataclass
-class _SnapshotPack:
-    """Single-cascade analogue of the batched snapshot fields."""
-
-    p_block: sp.csr_matrix
-    h_block: np.ndarray
-    pool: sp.csr_matrix
 
 
 class HIENet:
@@ -148,7 +132,8 @@ class HIENet:
             self.encoder = None
 
         self.head = MLP("head", d, c.mlp_sizes, rng)
-        self._enc_table = encoding_table(TemporalEncoding(c.pe_dim, c.time_bins))
+        # the (time_bins, pe_dim) node-feature rows build_batch looks up
+        self.enc_table = encoding_table(TemporalEncoding(c.pe_dim, c.time_bins))
         self._mask_cache: dict[int, np.ndarray] = {}
         self._walk_pool_cache: dict[tuple[int, int], sp.csr_matrix] = {}
 
@@ -188,46 +173,21 @@ class HIENet:
             raise ShapeError(f"walk rows {rows} not divisible by batch {batch_size}")
         k = rows // batch_size
         steps = [gather_rows(self.cs_embed.table, walk_idx[:, t]) for t in range(n)]
-        _, (h_f, h_b) = bilstm_forward(
-            steps, self.inner_f, self.inner_b, walk_mask, collect_steps=False
-        )
+        h_f, h_b = bilstm_forward(steps, self.inner_f, self.inner_b, walk_mask)
         per_walk = concat([h_f, h_b], axis=1)
         if self.config.hierarchical:
             outer_steps = [
                 gather_rows(per_walk, np.arange(batch_size) * k + i) for i in range(k)
             ]
-            _, (o_f, o_b) = bilstm_forward(
-                outer_steps, self.outer_f, self.outer_b, collect_steps=False
-            )
+            o_f, o_b = bilstm_forward(outer_steps, self.outer_f, self.outer_b)
             merged = concat([o_f, o_b], axis=1)
         else:
             merged = sparse_matmul(self._walk_pool(batch_size, k), per_walk)
         return self.cs_proj(merged)
 
-    def encode_social(self, social: sp.spmatrix | np.ndarray) -> Tensor:
-        """(B, vocab) convex weight rows -> (B, d_model) social tokens."""
-        if not sp.issparse(social):
-            social = sp.csr_matrix(np.atleast_2d(social))
+    def encode_social(self, social: sp.csr_matrix) -> Tensor:
+        """(B, vocab) sparse convex weight rows -> (B, d_model) social tokens."""
         return self.sg_proj(sparse_matmul(social, self.sg_embed.table))
-
-    def encode_subcascade(self, snaps: list[tuple[np.ndarray, np.ndarray]]) -> Tensor:
-        """One cascade's snapshot list -> (1, d_model) graph token."""
-        pack = self._pack_snapshots(snaps)
-        return self._cg_from_blocks(pack.p_block, pack.h_block, pack.pool)
-
-    def _pack_snapshots(self, snaps) -> _SnapshotPack:
-        m = len(snaps)
-        if m == 0:
-            raise ShapeError("encode_subcascade: empty snapshot list")
-        bins = np.concatenate([b for _, b in snaps])
-        sizes = [b.shape[0] for _, b in snaps]
-        weights = np.concatenate([np.full(s, 1.0 / (m * s)) for s in sizes])
-        pool = sp.csr_matrix(weights.reshape(1, -1))
-        return _SnapshotPack(
-            p_block=sp.block_diag([p for p, _ in snaps], format="csr"),
-            h_block=self._enc_table[bins],
-            pool=pool,
-        )
 
     def _cg_from_blocks(self, p_block, h_block, pool) -> Tensor:
         hidden = relu(sparse_matmul(p_block, matmul(constant(h_block), self.gcn_w1)))
@@ -275,10 +235,6 @@ class HIENet:
     def predict_logs(self, batch: FeatureBatch) -> np.ndarray:
         """Inference: clamp below at zero (popularity is non-negative)."""
         return np.maximum(self.forward(batch).data[:, 0], 0.0)
-
-    def predict_feature(self, feat: CascadeFeatures) -> float:
-        batch = build_batch([feat], self._enc_table)
-        return float(self.predict_logs(batch)[0])
 
     # ------------------------------------------------------------------
     # constants
@@ -328,19 +284,15 @@ def msle_loss_value(pred_logs, true_sizes) -> float:
     return float(np.mean((pred_logs - log2p1(true_sizes)) ** 2))
 
 
-def squared_log_errors(pred_logs, true_logs) -> np.ndarray:
+def metrics_from_logs(pred_logs, true_logs) -> dict[str, float]:
+    """MSLE = mean squared log-space error; mSLE = its lower median."""
     pred_logs = np.asarray(pred_logs, dtype=np.float64)
     true_logs = np.asarray(true_logs, dtype=np.float64)
     if pred_logs.shape != true_logs.shape:
         raise ShapeError(
-            f"squared_log_errors: {pred_logs.shape} predictions vs {true_logs.shape} targets"
+            f"metrics_from_logs: {pred_logs.shape} predictions vs {true_logs.shape} targets"
         )
-    return (pred_logs - true_logs) ** 2
-
-
-def metrics_from_logs(pred_logs, true_logs) -> dict[str, float]:
-    """MSLE = mean squared log-space error; mSLE = its lower median."""
-    errs = squared_log_errors(pred_logs, true_logs)
+    errs = (pred_logs - true_logs) ** 2
     if errs.size == 0:
         raise ShapeError("metrics_from_logs: empty inputs")
     ranked = np.sort(errs)

@@ -1,89 +1,1 @@
-from .checkpoint import load_checkpoint, pack_params, restore_into, save_checkpoint, unpack_params
-from .gradcheck import max_relative_error
-from .layers import (
-    LSTM,
-    MLP,
-    Embedding,
-    LayerNorm,
-    Linear,
-    TransformerEncoderLayer,
-    bilstm_forward,
-    gcn_layer,
-    normalize_adjacency,
-)
-from .optim import Adam
-from .tensor import (
-    Parameter,
-    Tensor,
-    add,
-    add_bias,
-    add_const,
-    concat,
-    constant,
-    gather_rows,
-    layer_norm_rows,
-    matmul,
-    mean_all,
-    mean_rows,
-    mul,
-    mul_const,
-    relu,
-    scale,
-    scale_cols,
-    set_nan_trace,
-    sigmoid,
-    slice_cols,
-    slice_rows,
-    softmax_rows,
-    sparse_matmul,
-    square,
-    sub,
-    tanh,
-    transpose,
-)
-
-__all__ = [
-    "LSTM",
-    "MLP",
-    "Adam",
-    "Embedding",
-    "LayerNorm",
-    "Linear",
-    "Parameter",
-    "Tensor",
-    "TransformerEncoderLayer",
-    "add",
-    "add_bias",
-    "add_const",
-    "bilstm_forward",
-    "concat",
-    "constant",
-    "gather_rows",
-    "gcn_layer",
-    "layer_norm_rows",
-    "load_checkpoint",
-    "matmul",
-    "max_relative_error",
-    "mean_all",
-    "mean_rows",
-    "mul",
-    "mul_const",
-    "normalize_adjacency",
-    "pack_params",
-    "relu",
-    "restore_into",
-    "save_checkpoint",
-    "scale",
-    "scale_cols",
-    "set_nan_trace",
-    "sigmoid",
-    "slice_cols",
-    "slice_rows",
-    "softmax_rows",
-    "sparse_matmul",
-    "square",
-    "sub",
-    "tanh",
-    "transpose",
-    "unpack_params",
-]
+"""Autodiff tensor, layers, Adam, finite-difference checks and checkpoints."""

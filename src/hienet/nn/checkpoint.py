@@ -38,11 +38,22 @@ def pack_params(params: list[Parameter]) -> tuple[list[dict], bytes]:
 def unpack_params(entries: list[dict], blob: bytes) -> dict[str, np.ndarray]:
     out = {}
     for e in entries:
+        if not isinstance(e, dict) or not {"name", "shape", "offset"} <= e.keys():
+            raise DataError(f"checkpoint param entry {e!r} needs name, shape and offset")
         if e.get("dtype") != "f64":
-            raise DataError(f"unsupported dtype {e.get('dtype')!r} for param {e.get('name')!r}")
-        shape = tuple(e["shape"])
+            raise DataError(f"unsupported dtype {e.get('dtype')!r} for param {e['name']!r}")
+        shape, start = e["shape"], e["offset"]
+        if not isinstance(shape, list) or not all(
+            isinstance(v, int) and v >= 0 for v in [*shape, start]
+        ):
+            raise DataError(f"bad shape {shape!r} or offset {start!r} for param {e['name']!r}")
+        shape = tuple(shape)
         count = int(np.prod(shape)) if shape else 1
-        start = e["offset"]
+        if start + 8 * count > len(blob):
+            raise DataError(
+                f"param {e['name']!r} needs bytes {start}..{start + 8 * count} "
+                f"but {WEIGHTS_NAME} holds {len(blob)}"
+            )
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=start)
         out[e["name"]] = arr.reshape(shape).astype(np.float64)
     return out
@@ -69,9 +80,14 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if not manifest_path.is_file() or not weights_path.is_file():
         raise DataError(f"no checkpoint at {path} (need {MANIFEST_NAME} and {WEIGHTS_NAME})")
     with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise DataError(f"checkpoint manifest {manifest_path} is not valid JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"checkpoint manifest {manifest_path} must hold a JSON object")
     entries = manifest.pop("params", None)
-    if entries is None:
+    if not isinstance(entries, list):
         raise DataError(f"checkpoint manifest {manifest_path} missing 'params'")
     weights = unpack_params(entries, weights_path.read_bytes())
     return manifest, weights

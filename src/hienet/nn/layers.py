@@ -9,7 +9,7 @@ the optimizer and checkpoints. Initialization draws from the caller's
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .tensor import (
     add_const,
     concat,
     constant,
-    gather_rows,
     layer_norm_rows,
     matmul,
     mul,
@@ -59,9 +58,6 @@ class Embedding:
     def __init__(self, name: str, vocab: int, dim: int, rng: np.random.Generator):
         k = 1.0 / math.sqrt(dim)
         self.table = Parameter(f"{name}.table", _uniform(rng, (vocab, dim), k))
-
-    def __call__(self, idx: np.ndarray) -> Tensor:
-        return gather_rows(self.table, idx)
 
     def params(self) -> list[Parameter]:
         return [self.table]
@@ -121,42 +117,29 @@ class LSTM:
 
 
 def bilstm_forward(
-    steps: Sequence[Tensor],
-    fwd: LSTM,
-    bwd: LSTM,
-    mask: np.ndarray | None = None,
-    collect_steps: bool = True,
-) -> tuple[list[Tensor] | None, tuple[Tensor, Tensor]]:
-    """Run both directions over ``steps`` (each (B, in)).
+    steps: Sequence[Tensor], fwd: LSTM, bwd: LSTM, mask: np.ndarray | None = None
+) -> tuple[Tensor, Tensor]:
+    """Run both directions over ``steps`` (each (B, in)); returns the final
+    (h_fwd, h_bwd).
 
     ``mask`` is (B, T) with 1 for real steps, 0 for PAD; masked steps copy
     state, so the final states equal the states at each row's last real
-    step. Returns (per-step [h_fwd | h_bwd] concats if requested, final
-    (h_fwd, h_bwd)).
+    step.
     """
     if len(steps) == 0:
         raise ShapeError("bilstm_forward: empty sequence")
     batch = steps[0].shape[0]
-    cols = None if mask is None else [mask[:, t : t + 1] for t in range(len(steps))]
+    n = len(steps)
+    cols = [None] * n if mask is None else [mask[:, t : t + 1] for t in range(n)]
 
     h_f, c_f = fwd.zero_state(batch)
-    fwd_states = []
-    for t, x in enumerate(steps):
-        h_f, c_f = fwd.step(x, h_f, c_f, None if cols is None else cols[t])
-        if collect_steps:
-            fwd_states.append(h_f)
+    for x, col in zip(steps, cols):
+        h_f, c_f = fwd.step(x, h_f, c_f, col)
 
     h_b, c_b = bwd.zero_state(batch)
-    bwd_states: list[Tensor | None] = [None] * len(steps)
-    for t in range(len(steps) - 1, -1, -1):
-        h_b, c_b = bwd.step(steps[t], h_b, c_b, None if cols is None else cols[t])
-        if collect_steps:
-            bwd_states[t] = h_b
-
-    per_step = None
-    if collect_steps:
-        per_step = [concat([f, b], axis=1) for f, b in zip(fwd_states, bwd_states)]
-    return per_step, (h_f, h_b)
+    for x, col in zip(reversed(steps), reversed(cols)):
+        h_b, c_b = bwd.step(x, h_b, c_b, col)
+    return h_f, h_b
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
@@ -166,17 +149,6 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     a_hat = a + np.eye(a.shape[0])
     inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
     return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
-
-
-def gcn_layer(
-    a: np.ndarray,
-    h: Tensor,
-    w: Tensor,
-    activation: Callable[[Tensor], Tensor] | None = None,
-) -> Tensor:
-    """One graph convolution: activation(norm(A) @ H @ W); A is constant."""
-    out = matmul(matmul(constant(normalize_adjacency(a)), h), w)
-    return out if activation is None else activation(out)
 
 
 class TransformerEncoderLayer:

@@ -76,18 +76,6 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -180,18 +168,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(g)
 
     return _result(a.data + b.data, (a, b), backward, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _need_same_shape("sub", a, b)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g)
-        if b.requires_grad:
-            b.accumulate(-g)
-
-    return _result(a.data - b.data, (a, b), backward, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -396,18 +372,6 @@ def mean_all(t: Tensor) -> Tensor:
             t.accumulate(np.full_like(t.data, float(g) / n))
 
     return _result(np.asarray(t.data.mean()), (t,), backward, "mean_all")
-
-
-def mean_rows(t: Tensor) -> Tensor:
-    """Column means over all rows, kept 2-D: (n, d) -> (1, d)."""
-    _need_2d("mean_rows", t)
-    n = t.shape[0]
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(np.repeat(g / n, n, axis=0))
-
-    return _result(t.data.mean(axis=0, keepdims=True), (t,), backward, "mean_rows")
 
 
 def layer_norm_rows(t: Tensor, eps: float = 1e-12) -> Tensor:

@@ -123,18 +123,19 @@ def build_snapshots(cascade: CascadeGraph, enc: TemporalEncoding, m_max: int) ->
 def snapshot_feature_matrix(
     snapshot: Snapshot, enc: TemporalEncoding
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, H) in snapshot-local indexing (activation order).
+    """(A, bins) in snapshot-local indexing (activation order).
 
-    A[i, j] = 1 for a diffusion edge i -> j; H row i is the encoding of node
-    i's binned activation time. Nodes sharing a bin share a feature row.
+    A[i, j] = 1 for a diffusion edge i -> j; bins[i] is node i's binned
+    activation time, the row of ``encoding_table(enc)`` that serves as its
+    feature. Nodes sharing a bin share a feature row.
     """
     n = len(snapshot.nodes)
     local = {u: i for i, u in enumerate(snapshot.nodes)}
     adjacency = np.zeros((n, n), dtype=np.float64)
     for src, dst in snapshot.edges:
         adjacency[local[src], local[dst]] = 1.0
-    features = np.empty((n, enc.dim), dtype=np.float64)
-    for u, i in local.items():
-        bin_idx = time_bin(snapshot.activation[u], snapshot.window, enc.bins)
-        features[i] = temporal_positional_encoding(bin_idx, enc)
-    return adjacency, features
+    bins = np.array(
+        [time_bin(snapshot.activation[u], snapshot.window, enc.bins) for u in snapshot.nodes],
+        dtype=np.int64,
+    )
+    return adjacency, bins

@@ -36,14 +36,6 @@ class CorrelationPath:
         return len(self.users) - 1
 
 
-@dataclass
-class SocialFeature:
-    """Fixed-width social-graph feature for one cascade."""
-
-    vector: np.ndarray
-    pair_count: int
-
-
 def bfs_distances(graph: GlobalSocialGraph, source_idx: int) -> dict[int, int]:
     """Hop counts from source to every reachable node."""
     dist = {source_idx: 0}
@@ -137,26 +129,3 @@ def social_weight_vector(
             w = 0.5 * (coeffs[i] + coeffs[path.n - i]) * pair_share
             weights[global_graph.embedding_index(user)] += w
     return weights, len(pair_paths)
-
-
-def social_graph_feature(
-    cascade: CascadeGraph,
-    global_graph: GlobalSocialGraph,
-    embedding_table: np.ndarray,
-    alpha: float,
-    max_pairs: int,
-    projection: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SocialFeature:
-    """Assemble the cascade's social feature from an embedding table.
-
-    ``embedding_table`` has one row per vocabulary entry (row 0 = padding);
-    ``projection`` is an optional (W, b) linear map to the configured output
-    width. The trainable version of this computation lives in the model,
-    which shares :func:`social_weight_vector`.
-    """
-    weights, pair_count = social_weight_vector(cascade, global_graph, alpha, max_pairs)
-    pooled = weights @ embedding_table
-    if projection is not None:
-        w, b = projection
-        pooled = pooled @ w + b
-    return SocialFeature(vector=pooled, pair_count=pair_count)

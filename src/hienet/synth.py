@@ -16,7 +16,6 @@ spec maps to a byte-stable corpus file.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,8 +25,8 @@ from .cascade import (
     CascadeEvent,
     CascadeRecord,
     DatasetManifest,
-    manifest_path_for,
-    serialize_cascade_line,
+    save_cascades,
+    save_manifest,
 )
 from .errors import ConfigError
 
@@ -165,10 +164,6 @@ def write_corpus(out_dir, records, manifest) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "cascades.tsv"
-    with open(data_path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(serialize_cascade_line(rec) + "\n")
-    with open(manifest_path_for(data_path), "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_cascades(records, data_path)
+    save_manifest(manifest, data_path)
     return data_path

@@ -29,6 +29,7 @@ import numpy as np
 
 from .cascade import (
     CascadeRecord,
+    DatasetManifest,
     GlobalSocialGraph,
     build_global_graph,
     load_cascades,
@@ -46,7 +47,6 @@ from .model import HIENet, ModelConfig, metrics_from_logs, msle_loss
 from .nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .nn.optim import Adam
 from .nn.tensor import set_nan_trace
-from .snapshots import encoding_table
 
 EVAL_BATCH = 64
 
@@ -96,37 +96,14 @@ class TrainConfig:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         # feature/model field ranges are validated by their own dataclasses
         self.feature_params()
+        self.model_config(vocab=1)
 
     def feature_params(self) -> FeatureParams:
-        return FeatureParams(
-            k_walks=self.k_walks,
-            walk_len=self.walk_len,
-            beta=self.beta,
-            alpha=self.alpha,
-            max_pairs=self.max_pairs,
-            m_max=self.m_max,
-            pe_dim=self.pe_dim,
-            time_bins=self.time_bins,
-        )
+        return FeatureParams(**{f.name: getattr(self, f.name) for f in fields(FeatureParams)})
 
     def model_config(self, vocab: int) -> ModelConfig:
-        return ModelConfig(
-            vocab=vocab,
-            embed_dim=self.embed_dim,
-            lstm_hidden=self.lstm_hidden,
-            pe_dim=self.pe_dim,
-            time_bins=self.time_bins,
-            gcn_hidden=self.gcn_hidden,
-            d_model=self.d_model,
-            heads=self.heads,
-            ff_hidden=self.ff_hidden,
-            mlp_sizes=self.mlp_sizes,
-            use_cs=self.use_cs,
-            use_sg=self.use_sg,
-            use_cg=self.use_cg,
-            fusion_mode=self.fusion_mode,
-            hierarchical=self.hierarchical,
-        )
+        names = [f.name for f in fields(ModelConfig) if f.name != "vocab"]
+        return ModelConfig(vocab=vocab, **{name: getattr(self, name) for name in names})
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -263,17 +240,31 @@ def _training_step(model: HIENet, batch, opt: Adam) -> float:
     return float(loss.data)
 
 
+def load_corpus(
+    data_path: str | Path, window: int, time_unit: str | None = None
+) -> tuple[list[CascadeRecord], DatasetManifest]:
+    """A cascade file and its manifest, checked against the run's settings.
+
+    The observation window must end before the label horizon; ``time_unit``,
+    when given (a checkpoint's), must match the dataset's.
+    """
+    records = load_cascades(data_path)
+    manifest = load_manifest(data_path)
+    if time_unit is not None and manifest.time_unit != time_unit:
+        raise DataError(
+            f"dataset time unit {manifest.time_unit!r} does not match checkpoint {time_unit!r}"
+        )
+    if window >= manifest.label_horizon:
+        raise DataError(f"window {window} must be below the label horizon {manifest.label_horizon}")
+    return records, manifest
+
+
 def train(config: TrainConfig) -> TrainResult:
     if not config.data:
         raise ConfigError("config.data must point at a cascade file")
-    records = load_cascades(config.data)
-    manifest = load_manifest(config.data)
+    records, manifest = load_corpus(config.data, config.window)
     if len(records) < 2:
         raise DataError(f"need at least 2 cascades to train, got {len(records)}")
-    if config.window >= manifest.label_horizon:
-        raise DataError(
-            f"window {config.window} must be below the label horizon {manifest.label_horizon}"
-        )
 
     splits = split_indices(records)
     if not splits["train"]:
@@ -283,11 +274,10 @@ def train(config: TrainConfig) -> TrainResult:
     val_ids = splits["val"] or splits["train"]
 
     ggraph = build_global_graph(records)
-    fp = config.feature_params()
-    table = encoding_table(fp.encoding)
-    feats = featurize_corpus(records, config.window, ggraph, fp, config.seed)
+    feats = featurize_corpus(records, config.window, ggraph, config.feature_params(), config.seed)
 
     model = HIENet(config.model_config(vocab=ggraph.num_users + 1), seed=config.seed)
+    table = model.enc_table
     params = model.params()
     if config.resume:
         _, weights = load_checkpoint(config.resume)
@@ -368,12 +358,24 @@ def train(config: TrainConfig) -> TrainResult:
 # evaluation / prediction
 
 
-def _load_model(checkpoint_dir: str | Path) -> tuple[HIENet, GlobalSocialGraph, TrainConfig, dict]:
+def _score(
+    checkpoint_dir: str | Path, data_path: str | Path, window: int | None, split: str
+) -> tuple[TrainConfig, dict, int, list[CascadeFeatures], np.ndarray]:
+    """Open a checkpoint and predict the cascades of ``split`` in ``data_path``.
+
+    evaluate and predict both load through here, so they check the
+    checkpoint, the time unit and the window the same way. Returns the run
+    config, the checkpoint's extra fields, the window used, the features and
+    the predicted log-popularities.
+    """
     extra, weights = load_checkpoint(checkpoint_dir)
     for key in ("config", "users", "adjacency", "time_unit"):
         if key not in extra:
             raise DataError(f"checkpoint manifest missing {key!r}")
-    config = TrainConfig.from_dict(extra["config"])
+    try:
+        config = TrainConfig.from_dict(extra["config"])
+    except (TypeError, ConfigError) as e:
+        raise DataError(f"checkpoint config is invalid: {e}") from None
     users = list(extra["users"])
     ggraph = GlobalSocialGraph(
         users=users,
@@ -382,7 +384,14 @@ def _load_model(checkpoint_dir: str | Path) -> tuple[HIENet, GlobalSocialGraph, 
     )
     model = HIENet(config.model_config(vocab=ggraph.num_users + 1), seed=config.seed)
     restore_into(model.params(), weights)
-    return model, ggraph, config, extra
+
+    window = config.window if window is None else window
+    records, _ = load_corpus(data_path, window, time_unit=extra["time_unit"])
+    chosen = [r for r in records if split == "all" or split_of(r.message_id) == split]
+    if not chosen:
+        raise DataError(f"no cascades in split {split!r} of {data_path}")
+    feats = featurize_corpus(chosen, window, ggraph, config.feature_params(), config.seed)
+    return config, extra, window, feats, _batched_predict(model, feats, model.enc_table)
 
 
 def evaluate(
@@ -394,28 +403,7 @@ def evaluate(
 ) -> dict:
     if split not in ("train", "val", "test", "all"):
         raise ConfigError(f"split must be train/val/test/all, got {split!r}")
-    model, ggraph, config, extra = _load_model(checkpoint_dir)
-    records = load_cascades(data_path)
-    manifest = load_manifest(data_path)
-    if manifest.time_unit != extra["time_unit"]:
-        raise DataError(
-            f"dataset time unit {manifest.time_unit!r} does not match "
-            f"checkpoint {extra['time_unit']!r}"
-        )
-    window = config.window if window is None else window
-    if window >= manifest.label_horizon:
-        raise DataError(f"window {window} must be below the label horizon {manifest.label_horizon}")
-
-    if split == "all":
-        chosen = records
-    else:
-        chosen = [r for r in records if split_of(r.message_id) == split]
-    if not chosen:
-        raise DataError(f"no cascades in split {split!r} of {data_path}")
-
-    feats = featurize_corpus(chosen, window, ggraph, config.feature_params(), config.seed)
-    table = encoding_table(config.feature_params().encoding)
-    pred_logs = _batched_predict(model, feats, table)
+    config, extra, window, feats, pred_logs = _score(checkpoint_dir, data_path, window, split)
     true_logs = np.array([f.true_log for f in feats])
     metrics = metrics_from_logs(pred_logs, true_logs)
     baseline = metrics_from_logs(np.full_like(true_logs, extra["train_mean_log"]), true_logs)
@@ -448,18 +436,7 @@ def predict(
     window: int | None = None,
     out_dir: str | Path | None = None,
 ) -> list[tuple[str, float, float]]:
-    model, ggraph, config, extra = _load_model(checkpoint_dir)
-    records = load_cascades(data_path)
-    manifest = load_manifest(data_path)
-    if manifest.time_unit != extra["time_unit"]:
-        raise DataError(
-            f"dataset time unit {manifest.time_unit!r} does not match "
-            f"checkpoint {extra['time_unit']!r}"
-        )
-    window = config.window if window is None else window
-    feats = featurize_corpus(records, window, ggraph, config.feature_params(), config.seed)
-    table = encoding_table(config.feature_params().encoding)
-    pred_logs = _batched_predict(model, feats, table)
+    _, _, _, feats, pred_logs = _score(checkpoint_dir, data_path, window, split="all")
     rows = [
         (f.message_id, float(p), float(from_log2p1(p))) for f, p in zip(feats, pred_logs)
     ]

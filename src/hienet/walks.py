@@ -5,7 +5,7 @@ P(v) = (deg+(v) + beta) / sum_w (deg+(w) + beta), and each step moves to an
 out-neighbor u of the current node with probability proportional to
 deg+(u) + beta. A walk that reaches a node without out-neighbors is padded
 to full length. The walk count K and length N are fixed configuration
-(defaults 100 and 20); dead ends pad rather than jump.
+(defaults 10 and 10); dead ends pad rather than jump.
 """
 
 from __future__ import annotations
@@ -95,9 +95,3 @@ def walk_seed(global_seed: int, message_id: str) -> int:
     """Stable per-cascade RNG seed, independent of corpus order."""
     digest = hashlib.sha256(f"{global_seed}:{message_id}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
-
-
-def format_walks(batch: WalkBatch) -> str:
-    """Debug dump: one walk per line, node ids space-separated, '-' for PAD."""
-    lines = [" ".join("-" if node is PAD else node for node in walk) for walk in batch.walks]
-    return "\n".join(lines) + "\n"

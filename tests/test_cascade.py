@@ -69,13 +69,13 @@ def test_parse_errors_name_line_and_field(line, field):
 def test_windowed_graph_counts():
     rec = parse_cascade_line(LINE)
     g_all = build_cascade_graph(rec, 3600)
-    assert g_all.num_nodes == 3 and g_all.num_edges == 2
+    assert g_all.num_nodes == 3 and len(g_all.edges) == 2
     # hand count: only u1 (t=0) and u2 (t=120) fall inside [0, 200)
     g_200 = build_cascade_graph(rec, 200)
     assert set(g_200.nodes) == {"u1", "u2"}
-    assert g_200.num_edges == 1
+    assert len(g_200.edges) == 1
     g_1 = build_cascade_graph(rec, 1)
-    assert g_1.nodes == ["u1"] and g_1.num_edges == 0
+    assert g_1.nodes == ["u1"] and len(g_1.edges) == 0
 
 
 def test_windowing_monotone():

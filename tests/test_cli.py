@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -203,3 +204,42 @@ def test_window_past_horizon_is_data_error(workspace, capsys):
     )
     assert rc == 2
     assert "horizon" in capsys.readouterr().err
+
+
+def corrupt_copy(trained, tmp_path, name, damage):
+    """A copy of the trained checkpoint with ``damage`` applied to file ``name``."""
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(trained, ckpt)
+    path = ckpt / name
+    path.write_bytes(damage(path.read_bytes()))
+    return ckpt
+
+
+def drop_offset(raw):
+    manifest = json.loads(raw)
+    del manifest["params"][0]["offset"]
+    return json.dumps(manifest).encode()
+
+
+def unknown_config_key(raw):
+    manifest = json.loads(raw)
+    manifest["config"]["walks_k"] = 3
+    return json.dumps(manifest).encode()
+
+
+@pytest.mark.parametrize(
+    "command, name, damage",
+    [
+        ("predict", "weights.bin", lambda raw: raw[: len(raw) // 2]),
+        ("eval", "manifest.json", lambda raw: raw[: len(raw) // 2]),
+        ("eval", "manifest.json", drop_offset),
+        ("predict", "manifest.json", unknown_config_key),
+    ],
+    ids=["truncated-weights", "garbled-manifest", "entry-without-offset", "unknown-config-key"],
+)
+def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, command, name, damage):
+    ckpt = corrupt_copy(trained, tmp_path, name, damage)
+    data = workspace / "data" / "cascades.tsv"
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(data)])
+    assert rc == 2
+    assert "data error" in capsys.readouterr().err

@@ -1,24 +1,23 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hienet.nn.tensor as T
 from hienet.errors import ConfigError, DataError, ShapeError
-from hienet.nn import (
+from hienet.model import HIENet, ModelConfig
+from hienet.nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
+from hienet.nn.gradcheck import max_relative_error
+from hienet.nn.layers import (
     LSTM,
     MLP,
-    Adam,
     Embedding,
     LayerNorm,
     Linear,
     TransformerEncoderLayer,
     bilstm_forward,
-    gcn_layer,
-    load_checkpoint,
-    max_relative_error,
     normalize_adjacency,
-    restore_into,
-    save_checkpoint,
 )
+from hienet.nn.optim import Adam
 from hienet.nn.tensor import Parameter
 
 
@@ -32,7 +31,7 @@ def test_linear_matches_manual():
 def test_embedding_grad_sparsity():
     rng = np.random.default_rng(1)
     emb = Embedding("emb", 6, 3, rng)
-    out = emb(np.array([1, 3, 3]))
+    out = T.gather_rows(emb.table, np.array([1, 3, 3]))
     T.mean_all(T.square(out)).backward()
     grad_rows = np.abs(emb.table.grad).sum(axis=1)
     assert grad_rows[1] > 0 and grad_rows[3] > 0
@@ -57,8 +56,8 @@ def test_bilstm_pad_copies_state():
     bwd = LSTM("b", 2, 3, rng)
     xs = [T.constant(rng.normal(size=(2, 2))) for _ in range(3)]
     mask = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    _, (h_f_masked, h_b_masked) = bilstm_forward(xs, fwd, bwd, mask)
-    _, (h_f_short, h_b_short) = bilstm_forward(xs[:1], fwd, bwd)
+    h_f_masked, h_b_masked = bilstm_forward(xs, fwd, bwd, mask)
+    h_f_short, h_b_short = bilstm_forward(xs[:1], fwd, bwd)
     assert np.allclose(h_f_masked.data, h_f_short.data)
     assert np.allclose(h_b_masked.data, h_b_short.data)
 
@@ -70,10 +69,9 @@ def test_bilstm_ragged_mask_rows():
     xs = [T.constant(rng.normal(size=(2, 2))) for _ in range(3)]
     # row 0 sees all 3 steps, row 1 only the first
     mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-    steps, (h_f, h_b) = bilstm_forward(xs, fwd, bwd, mask)
-    assert len(steps) == 3 and steps[0].shape == (2, 6)
+    h_f, h_b = bilstm_forward(xs, fwd, bwd, mask)
     solo = [T.constant(x.data[1:2]) for x in xs[:1]]
-    _, (h_f_solo, h_b_solo) = bilstm_forward(solo, fwd, bwd)
+    h_f_solo, h_b_solo = bilstm_forward(solo, fwd, bwd)
     assert np.allclose(h_f.data[1], h_f_solo.data[0])
     assert np.allclose(h_b.data[1], h_b_solo.data[0])
 
@@ -94,26 +92,46 @@ def test_bilstm_gradcheck(seed):
     mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
 
     def loss():
-        _, (h_f, h_b) = bilstm_forward(xs, fwd, bwd, mask, collect_steps=False)
+        h_f, h_b = bilstm_forward(xs, fwd, bwd, mask)
         return T.mean_all(T.square(T.concat([h_f, h_b], axis=1)))
 
     checked = fwd.params() + bwd.params() + xs
     assert max_relative_error(loss, checked) < 1e-4
 
 
+def gcn_model(width, seed=0, identity=False):
+    """A model whose cg branch maps width-wide node features to width-wide states."""
+    config = ModelConfig(
+        vocab=2, embed_dim=2, lstm_hidden=2, pe_dim=width, time_bins=4, gcn_hidden=width,
+        d_model=width, heads=1, ff_hidden=2, mlp_sizes=(2,),
+    )
+    model = HIENet(config, seed=seed)
+    if identity:
+        for w in (model.gcn_w1, model.gcn_w2, model.cg_proj.w):
+            w.data[...] = np.eye(width)
+        model.cg_proj.b.data[...] = 0.0
+    return model
+
+
+def node_states(model, a, h):
+    """The model's two-layer GCN over adjacency ``a``, one output row per node."""
+    p = sp.csr_matrix(normalize_adjacency(a))
+    return model._cg_from_blocks(p, h, sp.identity(a.shape[0], format="csr"))
+
+
 def test_gcn_two_node_hand_value():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
-    h = T.constant(np.eye(2))
-    w = T.constant(np.eye(2))
-    out = gcn_layer(a, h, w)
+    out = node_states(gcn_model(2, identity=True), a, np.eye(2))
     assert np.abs(out.data - 0.5).max() < 1e-12
 
 
 def test_gcn_single_node_is_hw():
-    h = T.constant(np.array([[0.3, -2.0]]))
-    w = T.constant(np.array([[1.0, 2.0], [0.5, -1.0]]))
-    out = gcn_layer(np.zeros((1, 1)), h, w, activation=T.relu)
-    assert np.allclose(out.data, np.maximum(h.data @ w.data, 0.0))
+    h = np.array([[0.3, -2.0]])
+    w = np.array([[1.0, 2.0], [0.5, -1.0]])
+    model = gcn_model(2, identity=True)
+    model.gcn_w1.data[...] = w
+    out = node_states(model, np.zeros((1, 1)), h)
+    assert np.allclose(out.data, np.maximum(h @ w, 0.0))
 
 
 def test_gcn_regular_graph_identical_rows():
@@ -121,10 +139,8 @@ def test_gcn_regular_graph_identical_rows():
     a = np.zeros((4, 4))
     for i in range(4):
         a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = 1.0
-    h = T.constant(np.tile([[1.0, -0.5, 2.0]], (4, 1)))
-    rng = np.random.default_rng(0)
-    w = T.constant(rng.normal(size=(3, 2)))
-    out = gcn_layer(a, h, w).data
+    h = np.tile([[1.0, -0.5, 2.0, 0.3]], (4, 1))
+    out = node_states(gcn_model(4), a, h).data
     assert np.abs(out - out[0]).max() < 1e-12
 
 
@@ -146,15 +162,14 @@ def test_propagation_symmetric_for_symmetric_adjacency():
 def test_gcn_gradcheck(seed):
     rng = np.random.default_rng(seed)
     a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    h = Parameter("h", rng.normal(size=(3, 2)))
-    w1 = Parameter("w1", rng.normal(size=(2, 2)))
-    w2 = Parameter("w2", rng.normal(size=(2, 2)))
+    h = rng.normal(size=(3, 2))
+    model = gcn_model(2, seed=seed)
 
     def loss():
-        hidden = gcn_layer(a, h, w1, activation=T.relu)
-        return T.mean_all(T.square(gcn_layer(a, hidden, w2)))
+        return T.mean_all(T.square(node_states(model, a, h)))
 
-    assert max_relative_error(loss, [h, w1, w2]) < 1e-4
+    checked = [model.gcn_w1, model.gcn_w2] + model.cg_proj.params()
+    assert max_relative_error(loss, checked) < 1e-4
 
 
 def test_attention_identical_tokens_identical_outputs():

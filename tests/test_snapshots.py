@@ -139,17 +139,20 @@ def test_nesting_and_edge_consistency():
 
 def test_feature_matrix_single_node():
     seq = build_snapshots(make_cascade(0), ENC, m_max=4)
-    adjacency, features = snapshot_feature_matrix(seq.snapshots[0], ENC)
+    adjacency, bins = snapshot_feature_matrix(seq.snapshots[0], ENC)
     assert adjacency.shape == (1, 1) and adjacency[0, 0] == 0.0
-    assert np.array_equal(features[0], temporal_positional_encoding(0, ENC))
+    assert bins.tolist() == [0]
+    assert np.array_equal(encoding_table(ENC)[bins[0]], temporal_positional_encoding(0, ENC))
 
 
 def test_feature_matrix_two_nodes():
     seq = build_snapshots(make_cascade(1), ENC, m_max=4)
-    adjacency, features = snapshot_feature_matrix(seq.snapshots[1], ENC)
+    adjacency, bins = snapshot_feature_matrix(seq.snapshots[1], ENC)
     assert adjacency.shape == (2, 2)
     assert adjacency[0, 1] == 1.0 and adjacency.sum() == 1.0
-    assert features.shape == (2, ENC.dim)
+    # the retweet at t=10 of a 1000-unit window falls in bin 10 * 64 // 1000
+    assert bins.tolist() == [0, 0]
+    assert bins.dtype == np.int64
 
 
 def test_same_bin_nodes_share_rows():
@@ -158,16 +161,17 @@ def test_same_bin_nodes_share_rows():
     line = "m\tr\t0\t5\tr:0 r/a:100 r/b:101"
     cascade = build_cascade_graph(parse_cascade_line(line), 1000)
     seq = build_snapshots(cascade, ENC, m_max=8)
-    _, features = snapshot_feature_matrix(seq.snapshots[-1], ENC)
-    assert np.array_equal(features[1], features[2])
-    assert not np.array_equal(features[0], features[1])
+    _, bins = snapshot_feature_matrix(seq.snapshots[-1], ENC)
+    assert bins[1] == bins[2] == time_bin(100, 1000, ENC.bins)
+    assert bins[0] != bins[1]
 
 
 def test_feature_shapes_all_snapshots():
     cascade = make_cascade(11)
     seq = build_snapshots(cascade, ENC, m_max=5)
     for snap in seq.snapshots:
-        adjacency, features = snapshot_feature_matrix(snap, ENC)
+        adjacency, bins = snapshot_feature_matrix(snap, ENC)
         n = len(snap.nodes)
         assert adjacency.shape == (n, n)
-        assert features.shape == (n, ENC.dim)
+        assert bins.shape == (n,)
+        assert ((bins >= 0) & (bins < ENC.bins)).all()

@@ -8,7 +8,6 @@ from hienet.social import (
     path_aware_representation,
     path_coefficients,
     shortest_correlation_path,
-    social_graph_feature,
     social_weight_vector,
 )
 
@@ -167,13 +166,19 @@ def table_for(graph, dim=2, seed=0):
     return rng.normal(scale=0.1, size=(graph.num_users + 1, dim))
 
 
+def pooled_feature(cas, g, table, alpha=0.9, max_pairs=4):
+    """The social token before projection: the weight vector applied to the table."""
+    weights, pair_count = social_weight_vector(cas, g, alpha=alpha, max_pairs=max_pairs)
+    return weights @ table, pair_count
+
+
 def test_root_only_cascade_feature():
     g = social_graph(["r", "x"], [("r", "x")])
     cas = cascade_graph([], "r")
     table = table_for(g)
-    feat = social_graph_feature(cas, g, table, alpha=0.9, max_pairs=4)
-    assert feat.pair_count == 0
-    assert np.allclose(feat.vector, table[g.embedding_index("r")])
+    vector, pair_count = pooled_feature(cas, g, table)
+    assert pair_count == 0
+    assert np.allclose(vector, table[g.embedding_index("r")])
 
 
 def test_single_pair_over_global_edge():
@@ -182,10 +187,10 @@ def test_single_pair_over_global_edge():
     table = np.zeros((3, 2))
     table[g.embedding_index("u")] = [1.0, 0.0]
     table[g.embedding_index("v")] = [0.0, 1.0]
-    feat = social_graph_feature(cas, g, table, alpha=0.9, max_pairs=4)
-    assert feat.pair_count == 1
+    vector, pair_count = pooled_feature(cas, g, table)
+    assert pair_count == 1
     # mean of the endpoint representations (0.52632, 0.47368) and its mirror
-    assert feat.vector == pytest.approx([0.5, 0.5], abs=1e-9)
+    assert vector == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
 def test_disconnected_pairs_fall_back_to_root():
@@ -193,20 +198,19 @@ def test_disconnected_pairs_fall_back_to_root():
     g = social_graph(["u", "v", "z"], [("u", "z")])
     cas = cascade_graph([("u", "v")], "u")
     table = table_for(g, dim=3, seed=5)
-    feat = social_graph_feature(cas, g, table, alpha=0.9, max_pairs=4)
-    assert feat.pair_count == 0
-    assert np.allclose(feat.vector, table[g.embedding_index("u")])
+    vector, pair_count = pooled_feature(cas, g, table)
+    assert pair_count == 0
+    assert np.allclose(vector, table[g.embedding_index("u")])
 
 
 def test_feature_width_fixed_across_cascade_sizes():
     users = [f"u{i}" for i in range(6)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(5)])
     table = table_for(g, dim=4, seed=1)
-    proj = (np.eye(4)[:, :3], np.zeros(3))
-    small = social_graph_feature(cascade_graph([], "u0"), g, table, 0.9, 8, projection=proj)
+    small, _ = pooled_feature(cascade_graph([], "u0"), g, table, max_pairs=8)
     big_edges = [(users[0], users[1]), (users[1], users[2]), (users[2], users[3])]
-    big = social_graph_feature(cascade_graph(big_edges, "u0"), g, table, 0.9, 8, projection=proj)
-    assert small.vector.shape == big.vector.shape == (3,)
+    big, _ = pooled_feature(cascade_graph(big_edges, "u0"), g, table, max_pairs=8)
+    assert small.shape == big.shape == (4,)
 
 
 def test_weight_vector_sums_to_one():

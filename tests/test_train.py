@@ -89,7 +89,14 @@ def test_config_bad_json_is_data_error(tmp_path):
 
 @pytest.mark.parametrize(
     "kw",
-    [dict(epochs=-1), dict(batch_size=0), dict(lr=-0.1), dict(window=0), dict(alpha=1.5)],
+    [
+        dict(epochs=-1),
+        dict(batch_size=0),
+        dict(lr=-0.1),
+        dict(window=0),
+        dict(alpha=1.5),
+        dict(d_model=30, heads=4),
+    ],
 )
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
@@ -253,6 +260,12 @@ def test_eval_artifacts(corpus, tmp_path):
     lines = (out / "per_cascade.csv").read_text().strip().splitlines()
     assert lines[0] == "message_id,true,predicted"
     assert len(lines) == report["count"] + 1
+
+
+def test_predict_window_must_stay_below_horizon(corpus, tmp_path):
+    result = train(tiny_config(corpus, tmp_path / "run", epochs=0))
+    with pytest.raises(DataError, match="horizon"):
+        predict(result.checkpoint_dir, corpus, window=86400 + 10)
 
 
 def test_predict_covers_every_cascade(corpus, tmp_path):

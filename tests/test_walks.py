@@ -5,7 +5,6 @@ from hienet.cascade import build_global_graph, parse_cascade_line
 from hienet.errors import GraphError
 from hienet.walks import (
     PAD,
-    format_walks,
     sample_walks,
     start_distribution,
     transition_distribution,
@@ -160,7 +159,7 @@ def test_walk_seed_stable():
     assert walk_seed(1, "m1") != walk_seed(1, "m2")
 
 
-def test_index_matrix_and_dump():
+def test_index_matrix():
     g = graph_from_edges([("A", "B")], "A")
     rec = parse_cascade_line("1\tA\t0\t1\tA:0 A/B:10")
     global_graph = build_global_graph([rec])
@@ -168,6 +167,4 @@ def test_index_matrix_and_dump():
     idx, mask = batch.to_index_matrix(global_graph)
     assert idx.shape == (3, 4) and mask.shape == (3, 4)
     assert ((idx == 0) == (mask == 0)).all()
-    dump = format_walks(batch)
-    assert len(dump.strip().splitlines()) == 3
-    assert "-" in dump  # some walk padded
+    assert (mask == 0).any()  # some walk padded
