@@ -259,8 +259,13 @@ class DatasetManifest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetManifest":
+        horizon, unit = d.get("label_horizon"), d.get("time_unit")
+        if not isinstance(horizon, int) or isinstance(horizon, bool):
+            raise DataError(f"manifest label_horizon must be an integer, got {horizon!r}")
+        if not isinstance(unit, str):
+            raise DataError(f"manifest time_unit must be a string, got {unit!r}")
         extra = {k: v for k, v in d.items() if k not in ("time_unit", "label_horizon")}
-        return cls(time_unit=d["time_unit"], label_horizon=int(d["label_horizon"]), extra=extra)
+        return cls(time_unit=unit, label_horizon=horizon, extra=extra)
 
 
 def manifest_path_for(data_path: str | Path) -> Path:
@@ -271,8 +276,14 @@ def load_manifest(data_path: str | Path) -> DatasetManifest:
     mpath = manifest_path_for(data_path)
     if not mpath.exists():
         raise DataError(f"no manifest.json next to {data_path}; expected at {mpath}")
-    with open(mpath, encoding="utf-8") as fh:
-        return DatasetManifest.from_dict(json.load(fh))
+    try:
+        with open(mpath, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except ValueError as e:  # invalid JSON or invalid UTF-8
+        raise DataError(f"{mpath} is not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise DataError(f"{mpath} must hold a JSON object, got {type(raw).__name__}")
+    return DatasetManifest.from_dict(raw)
 
 
 def save_manifest(manifest: DatasetManifest, data_path: str | Path) -> None:

@@ -2,7 +2,7 @@
 
 Branches, each emitting one d_model token per cascade:
 - cs: node embeddings of degree-biased walks through a hierarchical BiLSTM
-  (inner over each walk, outer across the K walk vectors),
+  (inner over each walk's real steps, outer across the K walk vectors),
 - sg: the cascade's convex social weight vector times a user embedding
   table (equivalent to averaging path-aware user representations),
 - cg: two graph-convolution layers over the snapshot sequence, node-mean
@@ -17,10 +17,12 @@ branches are replaced by learned null tokens so ablations keep the token
 count fixed.
 
 Batching: B cascades run as one graph. Walk rows stack cascade-major into
-(B*K, N); all snapshots share one block-diagonal propagation matrix; the
-4 tokens of each cascade stack into a (4B, d_model) matrix with an additive
-attention mask blocking cross-cascade pairs (rows i and j may attend iff
-i = j mod B).
+(B*K, N); each LSTM direction of each level is one ``lstm_sequence`` op,
+which skips the PAD tail of every walk. All snapshots share one
+block-diagonal propagation matrix. The 4 tokens of each cascade stack
+token-major into a (4B, d_model) matrix (row i belongs to cascade i mod B),
+and attention scores each cascade's 4 tokens among themselves, as one
+(B, heads, 4, 4) array.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, ShapeError
 from .features import FeatureBatch, log2p1
-from .nn.layers import LSTM, MLP, Embedding, Linear, TransformerEncoderLayer, bilstm_forward
+from .nn.layers import LSTM, MLP, Embedding, Linear, TransformerEncoderLayer
 from .nn.tensor import (
     Parameter,
     Tensor,
@@ -134,7 +136,6 @@ class HIENet:
         self.head = MLP("head", d, c.mlp_sizes, rng)
         # the (time_bins, pe_dim) node-feature rows build_batch looks up
         self.enc_table = encoding_table(TemporalEncoding(c.pe_dim, c.time_bins))
-        self._mask_cache: dict[int, np.ndarray] = {}
         self._walk_pool_cache: dict[tuple[int, int], sp.csr_matrix] = {}
 
         names = [p.name for p in self.params()]
@@ -167,20 +168,30 @@ class HIENet:
     def encode_cascade_sequence(
         self, walk_idx: np.ndarray, walk_mask: np.ndarray, batch_size: int = 1
     ) -> Tensor:
-        """(B*K, N) stacked walks -> (B, d_model) sequence tokens."""
+        """(B*K, N) stacked walks -> (B, d_model) sequence tokens.
+
+        ``walk_mask`` is 1 on each walk's real steps and 0 on its PAD tail;
+        a walk's length is its count of ones.
+        """
         rows, n = walk_idx.shape
         if rows % batch_size != 0:
             raise ShapeError(f"walk rows {rows} not divisible by batch {batch_size}")
         k = rows // batch_size
-        steps = [gather_rows(self.cs_embed.table, walk_idx[:, t]) for t in range(n)]
-        h_f, h_b = bilstm_forward(steps, self.inner_f, self.inner_b, walk_mask)
-        per_walk = concat([h_f, h_b], axis=1)
+        lengths = np.count_nonzero(walk_mask, axis=1)
+        if walk_mask.shape != walk_idx.shape or not np.array_equal(
+            walk_mask, np.arange(n) < lengths[:, None]
+        ):
+            raise ShapeError("walk_mask must be 1 on a prefix of each walk and 0 after it")
+        steps = gather_rows(self.cs_embed.table, walk_idx.reshape(-1))
+        per_walk = concat(
+            [self.inner_f(steps, lengths), self.inner_b(steps, lengths, reverse=True)], axis=1
+        )
         if self.config.hierarchical:
-            outer_steps = [
-                gather_rows(per_walk, np.arange(batch_size) * k + i) for i in range(k)
-            ]
-            o_f, o_b = bilstm_forward(outer_steps, self.outer_f, self.outer_b)
-            merged = concat([o_f, o_b], axis=1)
+            walks = np.full(batch_size, k)
+            merged = concat(
+                [self.outer_f(per_walk, walks), self.outer_b(per_walk, walks, reverse=True)],
+                axis=1,
+            )
         else:
             merged = sparse_matmul(self._walk_pool(batch_size, k), per_walk)
         return self.cs_proj(merged)
@@ -210,7 +221,7 @@ class HIENet:
             for f, null in ((f_cs, self.null_cs), (f_sg, self.null_sg), (f_cg, self.null_cg))
         ]
         tokens.append(self._tile(self.p_cas, batch_size))
-        out = self.encoder(concat(tokens, axis=0), self._block_mask(batch_size))
+        out = self.encoder(concat(tokens, axis=0), groups=batch_size)
         return slice_rows(out, 3 * batch_size, 4 * batch_size)
 
     def predict_from_state(self, cas_state: Tensor) -> Tensor:
@@ -241,14 +252,6 @@ class HIENet:
 
     def _tile(self, row: Parameter, batch_size: int) -> Tensor:
         return gather_rows(row, np.zeros(batch_size, dtype=np.int64))
-
-    def _block_mask(self, batch_size: int) -> np.ndarray:
-        mask = self._mask_cache.get(batch_size)
-        if mask is None:
-            pos = np.arange(4 * batch_size) % batch_size
-            mask = np.where(pos[:, None] == pos[None, :], 0.0, -1e30)
-            self._mask_cache[batch_size] = mask
-        return mask
 
     def _walk_pool(self, batch_size: int, k: int) -> sp.csr_matrix:
         pool = self._walk_pool_cache.get((batch_size, k))

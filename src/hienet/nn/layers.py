@@ -19,21 +19,12 @@ from .tensor import (
     Tensor,
     add,
     add_bias,
-    add_const,
-    concat,
-    constant,
+    attention,
     layer_norm_rows,
+    lstm_sequence,
     matmul,
-    mul,
-    mul_const,
     relu,
-    scale,
     scale_cols,
-    sigmoid,
-    slice_cols,
-    softmax_rows,
-    tanh,
-    transpose,
 )
 
 
@@ -76,10 +67,11 @@ class LayerNorm:
 
 
 class LSTM:
-    """Single-direction LSTM cell; gate columns ordered i, f, g, o.
+    """One LSTM direction; gate columns ordered i, f, g, o.
 
     Weights and biases start uniform(-k, k) with k = 1/sqrt(hidden), then
     the forget-gate bias gets +1 so early training does not flush state.
+    A call runs the whole padded batch through one ``lstm_sequence`` op.
     """
 
     def __init__(self, name: str, in_dim: int, hidden: int, rng: np.random.Generator):
@@ -91,55 +83,13 @@ class LSTM:
         bias[0, hidden : 2 * hidden] += 1.0
         self.b = Parameter(f"{name}.b", bias)
 
-    def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        return constant(np.zeros((batch, self.hidden))), constant(np.zeros((batch, self.hidden)))
-
-    def step(
-        self, x: Tensor, h: Tensor, c: Tensor, mask_col: np.ndarray | None = None
-    ) -> tuple[Tensor, Tensor]:
-        """One recurrence step; PAD rows (mask 0) carry the previous state."""
-        hid = self.hidden
-        z = add_bias(add(matmul(x, self.wx), matmul(h, self.wh)), self.b)
-        gate_i = sigmoid(slice_cols(z, 0, hid))
-        gate_f = sigmoid(slice_cols(z, hid, 2 * hid))
-        gate_g = tanh(slice_cols(z, 2 * hid, 3 * hid))
-        gate_o = sigmoid(slice_cols(z, 3 * hid, 4 * hid))
-        c_new = add(mul(gate_f, c), mul(gate_i, gate_g))
-        h_new = mul(gate_o, tanh(c_new))
-        if mask_col is not None:
-            keep = 1.0 - mask_col
-            h_new = add(mul_const(h_new, mask_col), mul_const(h, keep))
-            c_new = add(mul_const(c_new, mask_col), mul_const(c, keep))
-        return h_new, c_new
+    def __call__(self, x: Tensor, lengths, reverse: bool = False) -> Tensor:
+        """(B*T, in) row-major sequences with ``lengths`` real steps -> (B, hidden)
+        final states; see ``lstm_sequence``."""
+        return lstm_sequence(x, lengths, self.wx, self.wh, self.b, reverse)
 
     def params(self) -> list[Parameter]:
         return [self.wx, self.wh, self.b]
-
-
-def bilstm_forward(
-    steps: Sequence[Tensor], fwd: LSTM, bwd: LSTM, mask: np.ndarray | None = None
-) -> tuple[Tensor, Tensor]:
-    """Run both directions over ``steps`` (each (B, in)); returns the final
-    (h_fwd, h_bwd).
-
-    ``mask`` is (B, T) with 1 for real steps, 0 for PAD; masked steps copy
-    state, so the final states equal the states at each row's last real
-    step.
-    """
-    if len(steps) == 0:
-        raise ShapeError("bilstm_forward: empty sequence")
-    batch = steps[0].shape[0]
-    n = len(steps)
-    cols = [None] * n if mask is None else [mask[:, t : t + 1] for t in range(n)]
-
-    h_f, c_f = fwd.zero_state(batch)
-    for x, col in zip(steps, cols):
-        h_f, c_f = fwd.step(x, h_f, c_f, col)
-
-    h_b, c_b = bwd.zero_state(batch)
-    for x, col in zip(reversed(steps), reversed(cols)):
-        h_b, c_b = bwd.step(x, h_b, c_b, col)
-    return h_f, h_b
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:
@@ -164,7 +114,6 @@ class TransformerEncoderLayer:
         if d_model % heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by heads {heads}")
         self.heads = heads
-        self.d_head = d_model // heads
         self.wq = Linear(f"{name}.wq", d_model, d_model, rng)
         self.wk = Linear(f"{name}.wk", d_model, d_model, rng)
         self.wv = Linear(f"{name}.wv", d_model, d_model, rng)
@@ -174,18 +123,14 @@ class TransformerEncoderLayer:
         self.ff2 = Linear(f"{name}.ff2", ff_hidden, d_model, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", d_model)
 
-    def __call__(self, x: Tensor, attn_mask: np.ndarray | None = None) -> Tensor:
-        """``attn_mask`` is an additive (S, S) constant (use -1e30 to block)."""
+    def __call__(
+        self, x: Tensor, attn_mask: np.ndarray | None = None, groups: int = 1
+    ) -> Tensor:
+        """Rows of ``x`` form ``groups`` token-major sequences that attend only
+        within themselves (see ``attention``); ``attn_mask`` is an additive
+        constant on each group's scores (use -1e30 to block a pair)."""
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        head_outs = []
-        for i in range(self.heads):
-            lo, hi = i * self.d_head, (i + 1) * self.d_head
-            qs, ks, vs = slice_cols(q, lo, hi), slice_cols(k, lo, hi), slice_cols(v, lo, hi)
-            scores = scale(matmul(qs, transpose(ks)), 1.0 / math.sqrt(self.d_head))
-            if attn_mask is not None:
-                scores = add_const(scores, attn_mask)
-            head_outs.append(matmul(softmax_rows(scores), vs))
-        attended = self.wo(concat(head_outs, axis=1))
+        attended = self.wo(attention(q, k, v, self.heads, groups, attn_mask))
         x = self.ln1(add(x, attended))
         ff = self.ff2(relu(self.ff1(x)))
         return self.ln2(add(x, ff))

@@ -8,8 +8,10 @@ allocated after its inputs.
 
 Conventions kept deliberately narrow so every backward rule stays obvious:
 no implicit broadcasting between two Tensors (only the explicit ``add_bias``
-/ ``scale_cols`` / ``mul_const`` forms), everything 2-D except the scalar
-produced by ``mean_all``.
+/ ``scale_cols`` forms), everything 2-D except the scalar produced by
+``mean_all``. The recurrent and attention layers are one op each
+(``lstm_sequence``, ``attention``) with hand-written backward rules, so a
+model step records a few dozen nodes rather than one per gate and step.
 """
 
 from __future__ import annotations
@@ -148,14 +150,6 @@ def sparse_matmul(mat: sp.spmatrix, t: Tensor) -> Tensor:
     return _result(out_data, (t,), backward, "sparse_matmul")
 
 
-def transpose(t: Tensor) -> Tensor:
-    _need_2d("transpose", t)
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(g.T)
-
-    return _result(t.data.T.copy(), (t,), backward, "transpose")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -170,16 +164,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), backward, "add")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _need_same_shape("mul", a, b)
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate(g * b.data)
-        if b.requires_grad:
-            b.accumulate(g * a.data)
-
-    return _result(a.data * b.data, (a, b), backward, "mul")
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -212,21 +196,6 @@ def scale_cols(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data * v.data, (x, v), backward, "scale_cols")
 
 
-def mul_const(t: Tensor, c) -> Tensor:
-    """Elementwise product with a constant array broadcastable to t's shape."""
-    c = np.asarray(c, dtype=np.float64)
-    try:
-        out_data = t.data * c
-    except ValueError:
-        raise ShapeError(f"mul_const: constant {c.shape} does not broadcast to {t.shape}") from None
-    if out_data.shape != t.shape:
-        raise ShapeError(f"mul_const: constant {c.shape} changes shape of {t.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(g * c)
-
-    return _result(out_data, (t,), backward, "mul_const")
 
 
 def add_const(t: Tensor, c) -> Tensor:
@@ -245,12 +214,6 @@ def add_const(t: Tensor, c) -> Tensor:
     return _result(out_data, (t,), backward, "add_const")
 
 
-def scale(t: Tensor, s: float) -> Tensor:
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(g * s)
-
-    return _result(t.data * s, (t,), backward, "scale")
 
 
 def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
@@ -282,16 +245,6 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
     return _result(t.data[start:stop].copy(), (t,), backward, "slice_rows")
 
 
-def slice_cols(t: Tensor, start: int, stop: int) -> Tensor:
-    _need_2d("slice_cols", t)
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            full[:, start:stop] = g
-            t.accumulate(full)
-
-    return _result(t.data[:, start:stop].copy(), (t,), backward, "slice_cols")
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
@@ -310,40 +263,10 @@ def gather_rows(t: Tensor, idx) -> Tensor:
     return _result(t.data[idx], (t,), backward, "gather_rows")
 
 
-def softmax_rows(t: Tensor) -> Tensor:
-    _need_2d("softmax_rows", t)
-    shifted = t.data - t.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(s * (g - (g * s).sum(axis=1, keepdims=True)))
-
-    return _result(s, (t,), backward, "softmax_rows")
 
 
-def sigmoid(t: Tensor) -> Tensor:
-    # split by sign to avoid overflow in exp
-    out_data = np.where(
-        t.data >= 0, 1.0 / (1.0 + np.exp(-t.data)), np.exp(t.data) / (1.0 + np.exp(t.data))
-    )
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(g * out_data * (1.0 - out_data))
-
-    return _result(out_data, (t,), backward, "sigmoid")
 
 
-def tanh(t: Tensor) -> Tensor:
-    out_data = np.tanh(t.data)
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(g * (1.0 - out_data * out_data))
-
-    return _result(out_data, (t,), backward, "tanh")
 
 
 def relu(t: Tensor) -> Tensor:
@@ -389,3 +312,160 @@ def layer_norm_rows(t: Tensor, eps: float = 1e-12) -> Tensor:
             t.accumulate(inv * (g - g_mean - y * gy_mean))
 
     return _result(y, (t,), backward, "layer_norm_rows")
+
+
+def lstm_sequence(
+    x: Tensor, lengths, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False
+) -> Tensor:
+    """One LSTM direction over B padded sequences; returns the (B, h) final states.
+
+    ``x`` is (B*T, in) and row-major by sequence: row ``r*T + t`` is step t
+    of sequence r. Sequence r has ``lengths[r]`` real steps (0..T) followed
+    by PAD rows, which are never read, so its final state is the state after
+    its last real step (zeros when it has none). ``reverse`` runs each
+    sequence from its last real step back to step 0. Gate columns of
+    ``wx``/``wh``/``b`` are ordered i, f, g, o.
+
+    Sequences are sorted by length once (stable), so those still running at
+    step t are a prefix of the sorted order and each step updates one slice.
+    Only real steps are projected, in one matmul. One tanh evaluates all four
+    gates through sigmoid(z) = (1 + tanh(z/2)) / 2. The backward pass
+    collects dZ for every packed step, then forms the weight gradients with
+    one matmul each.
+    """
+    _need_2d("lstm_sequence", x, wx, wh, b)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    batch = lengths.size
+    if lengths.ndim != 1 or batch == 0 or x.shape[0] % batch != 0:
+        raise ShapeError(
+            f"lstm_sequence: {x.shape[0]} input rows do not split into {batch} sequences"
+        )
+    steps = x.shape[0] // batch
+    if steps == 0:
+        raise ShapeError("lstm_sequence: empty sequence")
+    if lengths.min() < 0 or lengths.max() > steps:
+        raise ShapeError(f"lstm_sequence: lengths must lie in [0, {steps}]")
+    hid = wh.shape[0]
+    if wx.shape != (x.shape[1], 4 * hid) or wh.shape != (hid, 4 * hid) or b.shape != (1, 4 * hid):
+        raise ShapeError(
+            f"lstm_sequence: weights {wx.shape}, {wh.shape}, {b.shape} do not fit input width "
+            f"{x.shape[1]} and hidden size {hid}"
+        )
+
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    live = sorted_len[None, :] > np.arange(steps)[:, None]  # (T, B), a prefix in each step
+    counts = live.sum(axis=1)
+    bounds = np.concatenate(([0], np.cumsum(counts)))
+    step_of, seq_of = np.nonzero(live)  # packed order: by step, then by sorted sequence
+    pos = sorted_len[seq_of] - 1 - step_of if reverse else step_of
+    src = order[seq_of] * steps + pos
+    x_packed = x.data[src]
+    z_in = x_packed @ wx.data + b.data
+
+    # gates = tanh(z * half) * half + shift: sigmoid on i, f, o and tanh on g
+    half = np.full(4 * hid, 0.5)
+    half[2 * hid : 3 * hid] = 1.0
+    shift = 1.0 - half
+    gates = np.empty_like(z_in)
+    h_prev = np.empty((src.size, hid))
+    c_prev = np.empty((src.size, hid))
+    tanh_c = np.empty((src.size, hid))
+    h = np.zeros((batch, hid))
+    c = np.zeros((batch, hid))
+    for t in range(int(sorted_len[0])):
+        n, rows = counts[t], slice(bounds[t], bounds[t + 1])
+        h_prev[rows] = h[:n]
+        c_prev[rows] = c[:n]
+        a = np.tanh((z_in[rows] + h[:n] @ wh.data) * half) * half + shift
+        gates[rows] = a
+        c[:n] = a[:, hid : 2 * hid] * c[:n] + a[:, :hid] * a[:, 2 * hid : 3 * hid]
+        tanh_c[rows] = np.tanh(c[:n])
+        h[:n] = a[:, 3 * hid :] * tanh_c[rows]
+    out_data = np.empty_like(h)
+    out_data[order] = h
+
+    def backward(g: np.ndarray) -> None:
+        slope = gates * (1.0 - gates)
+        slope[:, 2 * hid : 3 * hid] = 1.0 - gates[:, 2 * hid : 3 * hid] ** 2
+        dz = np.empty_like(gates)
+        dh = g[order]
+        dc = np.zeros_like(dh)
+        for t in reversed(range(int(sorted_len[0]))):
+            n, rows = counts[t], slice(bounds[t], bounds[t + 1])
+            a, tc = gates[rows], tanh_c[rows]
+            dc_t = dc[:n] + dh[:n] * a[:, 3 * hid :] * (1.0 - tc * tc)
+            d = dz[rows]
+            d[:, :hid] = dc_t * a[:, 2 * hid : 3 * hid]
+            d[:, hid : 2 * hid] = dc_t * c_prev[rows]
+            d[:, 2 * hid : 3 * hid] = dc_t * a[:, :hid]
+            d[:, 3 * hid :] = dh[:n] * tc
+            d *= slope[rows]
+            dc[:n] = dc_t * a[:, hid : 2 * hid]
+            dh[:n] = d @ wh.data.T
+        if wx.requires_grad:
+            wx.accumulate(x_packed.T @ dz)
+        if wh.requires_grad:
+            wh.accumulate(h_prev.T @ dz)
+        if b.requires_grad:
+            b.accumulate(dz.sum(axis=0, keepdims=True))
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            gx[src] = dz @ wx.data.T
+            x.accumulate(gx)
+
+    return _result(out_data, (x, wx, wh, b), backward, "lstm_sequence")
+
+
+def attention(
+    q: Tensor, k: Tensor, v: Tensor, heads: int, groups: int = 1, mask=None
+) -> Tensor:
+    """Multi-head scaled dot-product attention within groups of rows.
+
+    ``q``, ``k``, ``v`` are (S, d) with S = n * groups, stacked token-major:
+    row ``t*groups + j`` is token t of group j, and a token attends only to
+    the n tokens of its own group. ``mask`` is an additive (n, n) constant on
+    every group's scores (-1e30 blocks a pair). All groups and heads are
+    scored at once, as one (groups, heads, n, n) array; the output keeps the
+    row layout and concatenates the heads' columns.
+    """
+    _need_2d("attention", q, k, v)
+    if not q.shape == k.shape == v.shape:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} differ")
+    rows, width = q.shape
+    if groups < 1 or rows % groups != 0:
+        raise ShapeError(f"attention: {rows} rows do not split into {groups} groups")
+    if heads < 1 or width % heads != 0:
+        raise ShapeError(f"attention: width {width} does not split into {heads} heads")
+    n, d_head = rows // groups, width // heads
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != (n, n):
+            raise ShapeError(f"attention: mask {mask.shape} does not fit {n} tokens per group")
+
+    def split(a: np.ndarray) -> np.ndarray:  # (S, d) -> (groups, heads, n, d_head)
+        return a.reshape(n, groups, heads, d_head).transpose(1, 2, 0, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # inverse of split
+        return a.transpose(2, 0, 1, 3).reshape(rows, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = 1.0 / np.sqrt(d_head)
+    scores = (qh @ kh.swapaxes(-1, -2)) * s
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def backward(g: np.ndarray) -> None:
+        gh = split(g)
+        dp = gh @ vh.swapaxes(-1, -2)
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * s
+        if q.requires_grad:
+            q.accumulate(merge(ds @ kh))
+        if k.requires_grad:
+            k.accumulate(merge(ds.swapaxes(-1, -2) @ qh))
+        if v.requires_grad:
+            v.accumulate(merge(p.swapaxes(-1, -2) @ gh))
+
+    return _result(merge(p @ vh), (q, k, v), backward, "attention")

@@ -8,10 +8,14 @@ rename or deletion that would otherwise only fail a ``--trace 1`` run.
 
 import importlib
 
-from perfbench.layers import LayerCounts, install_layers
+from perfbench.layers import LayerCounts, autodiff_nodes, install_layers
 from perfbench.trace import Tracer
 
-from hienet.model import HIENet
+from hienet.cascade import build_global_graph
+from hienet.features import build_batch, featurize_corpus
+from hienet.model import HIENet, msle_loss
+from hienet.synth import SyntheticSpec, generate_synthetic
+from hienet.train import TrainConfig
 
 
 def test_benchmark_hook_points_install_and_restore():
@@ -27,3 +31,20 @@ def test_benchmark_hook_points_install_and_restore():
         tracer.restore()
     assert all(getattr(train_module, n) is f for n, f in before.items())
     assert HIENet.forward is forward
+
+
+def test_default_step_records_few_autodiff_nodes():
+    """Each LSTM direction and the fusion attention are one node each, so a
+    default-config step (B=32, K=N=10) records a fixed, small graph."""
+    config = TrainConfig()
+    assert (config.batch_size, config.k_walks, config.walk_len) == (32, 10, 10)
+    records, _ = generate_synthetic(SyntheticSpec())
+    records = records[: config.batch_size]
+    graph = build_global_graph(records)
+    feats = featurize_corpus(records, config.window, graph, config.feature_params(), 0)
+    model = HIENet(config.model_config(vocab=graph.num_users + 1), seed=0)
+    batch = build_batch(feats, model.enc_table)
+    f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_mask, batch.size)
+    loss = msle_loss(model.forward(batch), batch.true_logs)
+    assert autodiff_nodes(f_cs) <= 12
+    assert autodiff_nodes(loss) <= 60

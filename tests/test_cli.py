@@ -206,6 +206,33 @@ def test_window_past_horizon_is_data_error(workspace, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        '{"time_unit": "seconds", "label_hor',
+        '[86400, "seconds"]',
+        '{"time_unit": "seconds"}',
+        '{"time_unit": "seconds", "label_horizon": "86400"}',
+        '{"label_horizon": 86400}',
+        '{"time_unit": 1, "label_horizon": 86400}',
+    ],
+    ids=["truncated", "not-an-object", "no-horizon", "string-horizon", "no-unit", "number-unit"],
+)
+def test_bad_dataset_manifest_is_data_error(workspace, trained, tmp_path, capsys, manifest):
+    shutil.copy(workspace / "data" / "cascades.tsv", tmp_path / "cascades.tsv")
+    (tmp_path / "manifest.json").write_text(manifest)
+    data = str(tmp_path / "cascades.tsv")
+    commands = [
+        ["ingest", "--data", data],
+        ["train", "--data", data, "--out", str(tmp_path / "run"), "--epochs", "0"],
+        ["eval", "--checkpoint", str(trained), "--data", data],
+        ["predict", "--checkpoint", str(trained), "--data", data],
+    ]
+    for argv in commands:
+        assert main(argv) == 2, argv[0]
+        assert "data error" in capsys.readouterr().err
+
+
 def corrupt_copy(trained, tmp_path, name, damage):
     """A copy of the trained checkpoint with ``damage`` applied to file ``name``."""
     ckpt = tmp_path / "ckpt"

@@ -14,11 +14,12 @@ from hienet.nn.layers import (
     LayerNorm,
     Linear,
     TransformerEncoderLayer,
-    bilstm_forward,
     normalize_adjacency,
 )
 from hienet.nn.optim import Adam
 from hienet.nn.tensor import Parameter
+
+import reference_ops as R
 
 
 def test_linear_matches_manual():
@@ -38,26 +39,90 @@ def test_embedding_grad_sparsity():
     assert grad_rows[0] == grad_rows[2] == grad_rows[4] == grad_rows[5] == 0.0
 
 
+def reference_lstm(cell, steps, mask=None, reverse=False):
+    """Per-step masked LSTM from elementwise ops: the reference for ``lstm_sequence``.
+
+    ``steps`` are T (B, in) tensors and ``mask`` is (B, T), 1 for real steps
+    and 0 for PAD; a PAD step carries the previous state. Returns the final h.
+    """
+    batch, hid = steps[0].shape[0], cell.hidden
+    h = c = T.constant(np.zeros((batch, hid)))
+    for t in reversed(range(len(steps))) if reverse else range(len(steps)):
+        z = T.add_bias(T.add(T.matmul(steps[t], cell.wx), T.matmul(h, cell.wh)), cell.b)
+        gate_i = R.sigmoid(R.slice_cols(z, 0, hid))
+        gate_f = R.sigmoid(R.slice_cols(z, hid, 2 * hid))
+        gate_g = R.tanh(R.slice_cols(z, 2 * hid, 3 * hid))
+        gate_o = R.sigmoid(R.slice_cols(z, 3 * hid, 4 * hid))
+        c_new = T.add(R.mul(gate_f, c), R.mul(gate_i, gate_g))
+        h_new = R.mul(gate_o, R.tanh(c_new))
+        if mask is not None:
+            col = mask[:, t : t + 1]
+            h_new = T.add(R.mul_const(h_new, col), R.mul_const(h, 1.0 - col))
+            c_new = T.add(R.mul_const(c_new, col), R.mul_const(c, 1.0 - col))
+        h, c = h_new, c_new
+    return h
+
+
+def step_views(x, batch):
+    """The T per-step (B, in) views of a row-major (B*T, in) sequence tensor."""
+    steps = x.shape[0] // batch
+    return [T.gather_rows(x, np.arange(batch) * steps + t) for t in range(steps)]
+
+
+def prefix_mask(lengths, steps):
+    return (np.arange(steps) < np.asarray(lengths)[:, None]).astype(float)
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+@pytest.mark.parametrize("steps", [1, 6])
+def test_lstm_sequence_matches_per_step_reference(steps, reverse):
+    rng = np.random.default_rng(steps + 2 * reverse)
+    cell = LSTM("c", 3, 5, rng)
+    lengths = rng.integers(0, steps + 1, size=9)
+    lengths[:2] = (0, steps)
+    x = Parameter("x", rng.normal(size=(9 * steps, 3)))
+    checked = cell.params() + [x]
+
+    def run(final_state):
+        for p in checked:
+            p.grad = None
+        out = final_state()
+        T.mean_all(T.square(out)).backward()
+        return out.data, [p.grad.copy() for p in checked]
+
+    got, got_grads = run(lambda: cell(x, lengths, reverse))
+    want, want_grads = run(
+        lambda: reference_lstm(cell, step_views(x, 9), prefix_mask(lengths, steps), reverse)
+    )
+    assert rel_err(got, want) < 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert rel_err(g, w) < 1e-9
+
+
 def test_lstm_zero_weights_zero_states():
     rng = np.random.default_rng(2)
     cell = LSTM("cell", 2, 3, rng)
     for p in cell.params():
         p.data[...] = 0.0
-    h, c = cell.zero_state(2)
-    for _ in range(3):
-        h, c = cell.step(T.constant(np.ones((2, 2))), h, c)
-    assert np.array_equal(h.data, np.zeros((2, 3)))
-    assert np.array_equal(c.data, np.zeros((2, 3)))
+    out = cell(T.constant(np.ones((2 * 3, 2))), np.array([3, 2]))
+    assert np.array_equal(out.data, np.zeros((2, 3)))
+
+
+def bilstm(x, lengths, fwd, bwd):
+    return fwd(x, lengths), bwd(x, lengths, reverse=True)
 
 
 def test_bilstm_pad_copies_state():
     rng = np.random.default_rng(3)
     fwd = LSTM("f", 2, 3, rng)
     bwd = LSTM("b", 2, 3, rng)
-    xs = [T.constant(rng.normal(size=(2, 2))) for _ in range(3)]
-    mask = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    h_f_masked, h_b_masked = bilstm_forward(xs, fwd, bwd, mask)
-    h_f_short, h_b_short = bilstm_forward(xs[:1], fwd, bwd)
+    x = rng.normal(size=(2 * 3, 2))
+    h_f_masked, h_b_masked = bilstm(T.constant(x), [1, 1], fwd, bwd)
+    h_f_short, h_b_short = bilstm(T.constant(x[0::3]), [1, 1], fwd, bwd)
     assert np.allclose(h_f_masked.data, h_f_short.data)
     assert np.allclose(h_b_masked.data, h_b_short.data)
 
@@ -66,12 +131,10 @@ def test_bilstm_ragged_mask_rows():
     rng = np.random.default_rng(4)
     fwd = LSTM("f", 2, 3, rng)
     bwd = LSTM("b", 2, 3, rng)
-    xs = [T.constant(rng.normal(size=(2, 2))) for _ in range(3)]
+    x = rng.normal(size=(2 * 3, 2))
     # row 0 sees all 3 steps, row 1 only the first
-    mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-    h_f, h_b = bilstm_forward(xs, fwd, bwd, mask)
-    solo = [T.constant(x.data[1:2]) for x in xs[:1]]
-    h_f_solo, h_b_solo = bilstm_forward(solo, fwd, bwd)
+    h_f, h_b = bilstm(T.constant(x), [3, 1], fwd, bwd)
+    h_f_solo, h_b_solo = bilstm(T.constant(x[3:4]), [1], fwd, bwd)
     assert np.allclose(h_f.data[1], h_f_solo.data[0])
     assert np.allclose(h_b.data[1], h_b_solo.data[0])
 
@@ -80,7 +143,7 @@ def test_bilstm_empty_sequence():
     rng = np.random.default_rng(5)
     cell = LSTM("f", 2, 2, rng)
     with pytest.raises(ShapeError):
-        bilstm_forward([], cell, cell)
+        cell(T.constant(np.zeros((0, 2))), [0, 0])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -88,14 +151,12 @@ def test_bilstm_gradcheck(seed):
     rng = np.random.default_rng(seed)
     fwd = LSTM("f", 2, 2, rng)
     bwd = LSTM("b", 2, 2, rng)
-    xs = [Parameter(f"x{t}", rng.normal(size=(2, 2))) for t in range(3)]
-    mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    x = Parameter("x", rng.normal(size=(3 * 3, 2)))
 
     def loss():
-        h_f, h_b = bilstm_forward(xs, fwd, bwd, mask)
-        return T.mean_all(T.square(T.concat([h_f, h_b], axis=1)))
+        return T.mean_all(T.square(T.concat(list(bilstm(x, [2, 3, 0], fwd, bwd)), axis=1)))
 
-    checked = fwd.params() + bwd.params() + xs
+    checked = fwd.params() + bwd.params() + [x]
     assert max_relative_error(loss, checked) < 1e-4
 
 
@@ -200,12 +261,50 @@ def test_attention_mask_blocks_rows():
     first = layer(T.constant(x[:2]), attn_mask=np.zeros((2, 2))).data
     second = layer(T.constant(x[2:]), attn_mask=np.zeros((2, 2))).data
     assert np.allclose(joint, np.vstack([first, second]))
+    # two token-major groups: rows {0,2} and {1,3}
+    grouped = layer(T.constant(x), groups=2).data
+    assert np.allclose(grouped[0::2], layer(T.constant(x[0::2])).data)
+    assert np.allclose(grouped[1::2], layer(T.constant(x[1::2])).data)
+
+
+def reference_attention(q, k, v, heads, mask):
+    """Per-head attention from elementwise ops: the reference for ``attention``."""
+    d_head = q.shape[1] // heads
+    outs = []
+    for i in range(heads):
+        qs, ks, vs = (R.slice_cols(t, i * d_head, (i + 1) * d_head) for t in (q, k, v))
+        scores = R.scale(T.matmul(qs, R.transpose(ks)), 1.0 / np.sqrt(d_head))
+        outs.append(T.matmul(R.softmax_rows(T.add_const(scores, mask)), vs))
+    return T.concat(outs, axis=1)
+
+
+def test_attention_matches_per_head_reference():
+    rng = np.random.default_rng(13)
+    q, k, v = (Parameter(n, rng.normal(size=(5, 6))) for n in "qkv")
+    mask = np.where(rng.random((5, 5)) < 0.3, -1e30, 0.0)
+    np.fill_diagonal(mask, 0.0)
+
+    def run(attend):
+        for p in (q, k, v):
+            p.grad = None
+        out = attend()
+        T.mean_all(T.square(out)).backward()
+        return out.data, [p.grad.copy() for p in (q, k, v)]
+
+    got, got_grads = run(lambda: T.attention(q, k, v, heads=3, mask=mask))
+    want, want_grads = run(lambda: reference_attention(q, k, v, 3, mask))
+    assert rel_err(got, want) < 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert rel_err(g, w) < 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_attention_gradcheck(seed):
     rng = np.random.default_rng(seed)
     layer = TransformerEncoderLayer("enc", 8, 2, 12, rng)
+    # a unit-scale final norm would make the mean square constant
+    for p in layer.ln2.params():
+        p.data[...] = rng.normal(size=p.shape)
     x = Parameter("x", rng.normal(size=(4, 8)))
 
     def loss():

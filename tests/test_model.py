@@ -89,6 +89,16 @@ def test_single_walk_batch(corpus):
     assert out.shape == (1, 8)
 
 
+def test_walk_mask_must_be_a_prefix(corpus):
+    ggraph, feats = corpus
+    model = build_model(ggraph)
+    f = feats[0]
+    mask = np.ones_like(f.walk_mask)
+    mask[0, 1] = 0.0  # a gap before a real step
+    with pytest.raises(ShapeError):
+        model.encode_cascade_sequence(f.walk_idx, mask)
+
+
 def test_embedding_grad_sparsity_matches_walk_membership(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
@@ -198,11 +208,12 @@ def test_disabled_branch_gets_no_gradient(corpus):
 
 def test_batched_forward_matches_single(corpus):
     ggraph, feats = corpus
-    model = build_model(ggraph)
-    batch = build_batch(feats, model.enc_table)
-    batched = model.forward(batch).data[:, 0]
-    singles = np.array([model.forward(build_batch([f], model.enc_table)).data[0, 0] for f in feats])
-    assert np.abs(batched - singles).max() < 1e-9
+    for hierarchical in (True, False):
+        model = build_model(ggraph, hierarchical=hierarchical)
+        batch = build_batch(feats, model.enc_table)
+        batched = model.forward(batch).data[:, 0]
+        singles = [model.forward(build_batch([f], model.enc_table)).data[0, 0] for f in feats]
+        assert np.abs(batched - np.array(singles)).max() < 1e-9
 
 
 def test_prediction_determinism_and_clamp(corpus):
@@ -263,10 +274,14 @@ def test_metrics_hand_values():
         metrics_from_logs([], [])
 
 
-@pytest.mark.parametrize("fusion", ["transformer", "concat"])
-def test_end_to_end_gradcheck_tiny(corpus, fusion):
+@pytest.mark.parametrize(
+    "fusion, hierarchical",
+    [("transformer", True), ("concat", True), ("transformer", False)],
+    ids=["transformer", "concat", "flat"],
+)
+def test_end_to_end_gradcheck_tiny(corpus, fusion, hierarchical):
     ggraph, feats = corpus
-    model = build_model(ggraph, fusion_mode=fusion)
+    model = build_model(ggraph, fusion_mode=fusion, hierarchical=hierarchical)
     batch = build_batch(feats, model.enc_table)
 
     def loss():
@@ -276,7 +291,7 @@ def test_end_to_end_gradcheck_tiny(corpus, fusion):
     checked = [
         model.cs_embed.table,
         model.inner_f.b,
-        model.outer_b.wh,
+        model.inner_b.wx,
         model.cs_proj.w,
         model.sg_embed.table,
         model.gcn_w1,
@@ -285,6 +300,8 @@ def test_end_to_end_gradcheck_tiny(corpus, fusion):
         model.head.out.w,
         model.head.layers[0].b,
     ]
+    if hierarchical:
+        checked += [model.outer_b.wh]
     if fusion == "transformer":
         checked += [model.p_cas, model.encoder.wq.w, model.encoder.ln2.gamma]
     else:

@@ -221,7 +221,8 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     batch = build_batch(feats, encoding_table(fp.encoding))
     model = HIENet(cfg.model_config(vocab=ggraph.num_users + 1), seed=0)
     params = model.params()
-    params[0].data[0, 0] = np.nan
+    # the cs embedding row of a real walk step (the PAD row 0 is never read)
+    params[0].data[batch.walk_idx[0, 0], 0] = np.nan
     with pytest.raises(TrainingError, match="produced NaN"):
         with np.errstate(invalid="ignore"):
             _training_step(model, batch, Adam(params, lr=1e-3))
