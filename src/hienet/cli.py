@@ -71,12 +71,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--users", type=int, default=300)
-    p.add_argument("--cascades", type=int, default=200)
-    p.add_argument("--branching", type=float, default=2.0)
-    p.add_argument("--decay", type=float, default=3.0)
-    p.add_argument("--horizon", type=int, default=86400)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--users", type=int, default=SyntheticSpec.num_users)
+    p.add_argument("--cascades", type=int, default=SyntheticSpec.num_cascades)
+    p.add_argument("--branching", type=float, default=SyntheticSpec.mean_branching)
+    p.add_argument("--decay", type=float, default=SyntheticSpec.decay)
+    p.add_argument("--horizon", type=int, default=SyntheticSpec.horizon)
+    p.add_argument("--seed", type=int, default=SyntheticSpec.seed)
 
     p = sub.add_parser("ingest", help="parse and summarize a cascade file")
     p.add_argument("--data", required=True)

@@ -19,7 +19,6 @@ from .nn.gradcheck import max_relative_error
 from .nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer, normalize_adjacency
 from .nn import tensor as T
 from .nn.tensor import Tensor, add, concat, gather_rows, mean_all, square
-from .snapshots import encoding_table
 from .synth import SyntheticSpec, generate_synthetic
 
 PASS_THRESHOLD = 1e-4
@@ -144,7 +143,9 @@ def _check_fusion(rng, seed: int) -> float:
     f_cg = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
     # social branch left out so the learned null token is on the path
     tensors = [f_cs, f_cg, model.null_sg, model.p_cas] + model.encoder.params()
-    return max_relative_error(lambda: _sq_mean(model.fuse(f_cs, None, f_cg)), tensors)
+    # step 1e-4: some gradient entries are ~4e-7, and at step 1e-5 their
+    # central difference carries ~1e-4 relative float64 roundoff in the loss
+    return max_relative_error(lambda: _sq_mean(model.fuse(f_cs, None, f_cg)), tensors, step=1e-4)
 
 
 def _end_to_end_setup(seed: int):
@@ -156,12 +157,11 @@ def _end_to_end_setup(seed: int):
     records = sorted(records, key=lambda r: (-r.final_size, r.message_id))[:3]
     ggraph = build_global_graph(records)
     fp = FeatureParams(
-        k_walks=2, walk_len=4, beta=0.8, alpha=0.9, max_pairs=4, m_max=3, pe_dim=4, time_bins=8
+        k_walks=2, walk_len=4, beta=0.8, alpha=0.9, max_pairs=4, m_max=3, time_bins=8
     )
     feats = featurize_corpus(records, 21600, ggraph, fp, global_seed=seed)
-    batch = build_batch(feats, encoding_table(fp.encoding))
     model = _tiny_model(vocab=ggraph.num_users + 1, seed=seed)
-    return model, batch
+    return model, build_batch(feats, model.enc_table)
 
 
 def _check_end_to_end(rng, seed: int) -> float:

@@ -1,11 +1,13 @@
 """Per-cascade feature extraction and minibatch assembly.
 
 ``featurize`` turns one cascade into plain numpy payloads (walk index
-matrix, social weight vector, normalized snapshot propagation blocks), all
-computed once up front since none of them depend on model weights.
-``build_batch`` then stacks B cascades into the layout the model consumes:
+matrix and walk lengths, social weight vector, normalized snapshot
+propagation blocks with their node time bins), all computed once up front
+since none of them depend on model weights. ``build_batch`` then stacks B
+cascades into the layout the model consumes:
 
-- walks of all cascades stacked cascade-major into (B*K, N),
+- walks of all cascades stacked cascade-major into (B*K, N), with their
+  (B*K,) real-step counts,
 - social weight rows vstacked into a (B, vocab) sparse matrix,
 - every snapshot of every cascade block-diagonalized into one sparse
   propagation matrix, with a (B, total_nodes) pooling matrix whose row b
@@ -25,7 +27,8 @@ import scipy.sparse as sp
 
 from .cascade import CascadeGraph, CascadeRecord, GlobalSocialGraph, build_cascade_graph, compute_label
 from .errors import ConfigError
-from .snapshots import TemporalEncoding, build_snapshots, snapshot_feature_matrix
+from .nn.layers import normalize_adjacency
+from .snapshots import build_snapshots, snapshot_feature_matrix
 from .social import social_weight_vector
 from .walks import sample_walks, walk_seed
 
@@ -43,7 +46,6 @@ class FeatureParams:
     alpha: float
     max_pairs: int
     m_max: int
-    pe_dim: int
     time_bins: int
 
     def __post_init__(self) -> None:
@@ -55,16 +57,12 @@ class FeatureParams:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
 
-    @property
-    def encoding(self) -> TemporalEncoding:
-        return TemporalEncoding(dim=self.pe_dim, bins=self.time_bins)
-
 
 @dataclass
 class CascadeFeatures:
     message_id: str
     walk_idx: np.ndarray  # (K, N) embedding rows, PAD -> 0
-    walk_mask: np.ndarray  # (K, N) 1.0 real / 0.0 PAD
+    walk_lengths: np.ndarray  # (K,) real steps per walk; the PAD tail follows
     social_row: sp.csr_matrix  # (1, vocab) convex weights over user rows
     pair_count: int
     # one (normalized propagation matrix, per-node time bin) pair per snapshot
@@ -76,10 +74,8 @@ class CascadeFeatures:
 @dataclass
 class FeatureBatch:
     size: int
-    k_walks: int
-    walk_len: int
     walk_idx: np.ndarray  # (B*K, N)
-    walk_mask: np.ndarray  # (B*K, N)
+    walk_lengths: np.ndarray  # (B*K,)
     social: sp.csr_matrix  # (B, vocab)
     p_block: sp.csr_matrix  # (total_nodes, total_nodes)
     h_block: np.ndarray  # (total_nodes, pe_dim) constant node features
@@ -97,14 +93,6 @@ def from_log2p1(v) -> np.ndarray:
     return np.power(2.0, np.asarray(v, dtype=np.float64)) - 1.0
 
 
-def _normalized_snapshot(adjacency: np.ndarray) -> np.ndarray:
-    # diffusion edges are directed; the GCN treats the snapshot as
-    # undirected so information also flows leaf -> root
-    from .nn.layers import normalize_adjacency
-
-    return normalize_adjacency(adjacency + adjacency.T)
-
-
 def featurize(
     graph: CascadeGraph,
     label: int,
@@ -115,23 +103,26 @@ def featurize(
     walks = sample_walks(
         graph, k=fp.k_walks, n=fp.walk_len, beta=fp.beta, seed=walk_seed(global_seed, graph.message_id)
     )
-    walk_idx, walk_mask = walks.to_index_matrix(global_graph)
+    walk_idx, walk_lengths = walks.to_index_matrix(global_graph)
 
     weights, pair_count = social_weight_vector(
         graph, global_graph, alpha=fp.alpha, max_pairs=fp.max_pairs
     )
     social_row = sp.csr_matrix(weights.reshape(1, -1))
 
-    enc = fp.encoding
-    snaps = []
-    for snap in build_snapshots(graph, enc, fp.m_max).snapshots:
-        adjacency, bins = snapshot_feature_matrix(snap, enc)
-        snaps.append((_normalized_snapshot(adjacency), bins))
+    adjacency, node_bins = snapshot_feature_matrix(graph, fp.time_bins)
+    # diffusion edges are directed; the GCN treats each snapshot as
+    # undirected so information also flows leaf -> root
+    undirected = adjacency + adjacency.T
+    snaps = [
+        (normalize_adjacency(block), bins)
+        for block, bins in build_snapshots(undirected, node_bins, fp.m_max)
+    ]
 
     return CascadeFeatures(
         message_id=graph.message_id,
         walk_idx=walk_idx,
-        walk_mask=walk_mask,
+        walk_lengths=walk_lengths,
         social_row=social_row,
         pair_count=pair_count,
         snaps=snaps,
@@ -157,7 +148,6 @@ def featurize_corpus(
 def build_batch(feats: list[CascadeFeatures], enc_table: np.ndarray) -> FeatureBatch:
     if not feats:
         raise ConfigError("build_batch: empty feature list")
-    k, n = feats[0].walk_idx.shape
     p_blocks = []
     bins_all = []
     pool_rows, pool_cols, pool_vals = [], [], []
@@ -178,10 +168,8 @@ def build_batch(feats: list[CascadeFeatures], enc_table: np.ndarray) -> FeatureB
     )
     return FeatureBatch(
         size=len(feats),
-        k_walks=k,
-        walk_len=n,
         walk_idx=np.vstack([f.walk_idx for f in feats]),
-        walk_mask=np.vstack([f.walk_mask for f in feats]),
+        walk_lengths=np.concatenate([f.walk_lengths for f in feats]),
         social=sp.vstack([f.social_row for f in feats], format="csr"),
         p_block=sp.block_diag(p_blocks, format="csr"),
         h_block=enc_table[np.concatenate(bins_all)],

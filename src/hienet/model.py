@@ -1,7 +1,7 @@
 """Fused cascade-popularity model: three branch encoders + summary token.
 
 Branches, each emitting one d_model token per cascade:
-- cs: node embeddings of degree-biased walks through a hierarchical BiLSTM
+- cs: node embeddings of degree-biased walks through a two-level BiLSTM
   (inner over each walk's real steps, outer across the K walk vectors),
 - sg: the cascade's convex social weight vector times a user embedding
   table (equivalent to averaging path-aware user representations),
@@ -17,9 +17,9 @@ branches are replaced by learned null tokens so ablations keep the token
 count fixed.
 
 Batching: B cascades run as one graph. Walk rows stack cascade-major into
-(B*K, N); each LSTM direction of each level is one ``lstm_sequence`` op,
-which skips the PAD tail of every walk. All snapshots share one
-block-diagonal propagation matrix. The 4 tokens of each cascade stack
+(B*K, N) with one real-step count per walk; each LSTM direction of each
+level is one ``lstm_sequence`` op, which skips the PAD tail of every walk.
+All snapshots share one block-diagonal propagation matrix. The 4 tokens of each cascade stack
 token-major into a (4B, d_model) matrix (row i belongs to cascade i mod B),
 and attention scores each cascade's 4 tokens among themselves, as one
 (B, heads, 4, 4) array.
@@ -72,7 +72,6 @@ class ModelConfig:
     use_sg: bool = True
     use_cg: bool = True
     fusion_mode: str = "transformer"
-    hierarchical: bool = True
 
     def __post_init__(self) -> None:
         self.mlp_sizes = tuple(self.mlp_sizes)
@@ -136,7 +135,6 @@ class HIENet:
         self.head = MLP("head", d, c.mlp_sizes, rng)
         # the (time_bins, pe_dim) node-feature rows build_batch looks up
         self.enc_table = encoding_table(TemporalEncoding(c.pe_dim, c.time_bins))
-        self._walk_pool_cache: dict[tuple[int, int], sp.csr_matrix] = {}
 
         names = [p.name for p in self.params()]
         if len(set(names)) != len(names):
@@ -166,34 +164,24 @@ class HIENet:
     # branch encoders
 
     def encode_cascade_sequence(
-        self, walk_idx: np.ndarray, walk_mask: np.ndarray, batch_size: int = 1
+        self, walk_idx: np.ndarray, lengths: np.ndarray, batch_size: int = 1
     ) -> Tensor:
-        """(B*K, N) stacked walks -> (B, d_model) sequence tokens.
-
-        ``walk_mask`` is 1 on each walk's real steps and 0 on its PAD tail;
-        a walk's length is its count of ones.
-        """
-        rows, n = walk_idx.shape
-        if rows % batch_size != 0:
-            raise ShapeError(f"walk rows {rows} not divisible by batch {batch_size}")
-        k = rows // batch_size
-        lengths = np.count_nonzero(walk_mask, axis=1)
-        if walk_mask.shape != walk_idx.shape or not np.array_equal(
-            walk_mask, np.arange(n) < lengths[:, None]
-        ):
-            raise ShapeError("walk_mask must be 1 on a prefix of each walk and 0 after it")
+        """(B*K, N) stacked walks and their (B*K,) real-step counts ->
+        (B, d_model) sequence tokens."""
+        rows = walk_idx.shape[0]
+        if rows % batch_size != 0 or np.shape(lengths) != (rows,):
+            raise ShapeError(
+                f"{rows} walk rows with {np.shape(lengths)} lengths do not form "
+                f"{batch_size} cascades"
+            )
         steps = gather_rows(self.cs_embed.table, walk_idx.reshape(-1))
         per_walk = concat(
             [self.inner_f(steps, lengths), self.inner_b(steps, lengths, reverse=True)], axis=1
         )
-        if self.config.hierarchical:
-            walks = np.full(batch_size, k)
-            merged = concat(
-                [self.outer_f(per_walk, walks), self.outer_b(per_walk, walks, reverse=True)],
-                axis=1,
-            )
-        else:
-            merged = sparse_matmul(self._walk_pool(batch_size, k), per_walk)
+        walks = np.full(batch_size, rows // batch_size)
+        merged = concat(
+            [self.outer_f(per_walk, walks), self.outer_b(per_walk, walks, reverse=True)], axis=1
+        )
         return self.cs_proj(merged)
 
     def encode_social(self, social: sp.csr_matrix) -> Tensor:
@@ -231,7 +219,7 @@ class HIENet:
         """(B,) batch -> (B, 1) unclamped predicted log-popularity."""
         c = self.config
         f_cs = (
-            self.encode_cascade_sequence(batch.walk_idx, batch.walk_mask, batch.size)
+            self.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
             if c.use_cs
             else None
         )
@@ -252,16 +240,6 @@ class HIENet:
 
     def _tile(self, row: Parameter, batch_size: int) -> Tensor:
         return gather_rows(row, np.zeros(batch_size, dtype=np.int64))
-
-    def _walk_pool(self, batch_size: int, k: int) -> sp.csr_matrix:
-        pool = self._walk_pool_cache.get((batch_size, k))
-        if pool is None:
-            rows = np.repeat(np.arange(batch_size), k)
-            cols = np.arange(batch_size * k)
-            vals = np.full(batch_size * k, 1.0 / k)
-            pool = sp.csr_matrix((vals, (rows, cols)), shape=(batch_size, batch_size * k))
-            self._walk_pool_cache[(batch_size, k)] = pool
-        return pool
 
 
 # ----------------------------------------------------------------------

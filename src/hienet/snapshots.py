@@ -6,6 +6,10 @@ retweet event (node plus its incoming edge). Long cascades are capped to
 ``m_max`` snapshots by keeping the first, the last, and uniformly spaced
 intermediates, so the early growth phase is never dropped.
 
+The adjacency and node time bins are built once for the whole observed
+cascade; with nodes in activation order, snapshot i is the top-left i x i
+block of that adjacency and the first i bins.
+
 Node features are classic sinusoidal encodings of the event's *time bin*:
 elapsed time is discretized into ``bins`` equal steps over the window and
 the bin index is fed through sin/cos pairs at geometrically spaced
@@ -14,7 +18,7 @@ frequencies. The root sits in bin 0 by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,27 +38,6 @@ class TemporalEncoding:
             raise ConfigError(f"encoding dim must be a positive even number, got {self.dim}")
         if self.bins < 1:
             raise ConfigError(f"time bins must be >= 1, got {self.bins}")
-
-
-@dataclass
-class Snapshot:
-    """One prefix of the cascade: nodes in activation order plus their edges."""
-
-    nodes: list[str]
-    edges: list[tuple[str, str]]
-    activation: dict[str, int]
-    window: int
-
-
-@dataclass
-class SnapshotSequence:
-    snapshots: list[Snapshot] = field(default_factory=list)
-    # length of the uncapped sequence; > len(snapshots) iff the cap kicked in
-    full_length: int = 0
-
-    @property
-    def m(self) -> int:
-        return len(self.snapshots)
 
 
 def temporal_positional_encoding(t: int, enc: TemporalEncoding) -> np.ndarray:
@@ -103,39 +86,31 @@ def snapshot_indices(m: int, m_max: int) -> list[int]:
     return [1 + int(j * step + 0.5) for j in range(m_max)]
 
 
-def build_snapshots(cascade: CascadeGraph, enc: TemporalEncoding, m_max: int) -> SnapshotSequence:
-    """Unroll one cascade into its capped snapshot sequence.
+def snapshot_feature_matrix(cascade: CascadeGraph, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, node_bins) of the whole observed cascade, in activation order.
 
-    ``cascade.nodes`` is already in activation order, so snapshot i is simply
-    the first i nodes plus the incoming edge of every non-root member.
-    """
-    incoming = {dst: (src, dst) for src, dst, _ in cascade.edges}
-    m = cascade.num_nodes
-    seq = SnapshotSequence(full_length=m)
-    for i in snapshot_indices(m, m_max):
-        nodes = cascade.nodes[:i]
-        edges = [incoming[u] for u in nodes[1:]]
-        activation = {u: cascade.activation[u] for u in nodes}
-        seq.snapshots.append(Snapshot(nodes, edges, activation, cascade.window))
-    return seq
-
-
-def snapshot_feature_matrix(
-    snapshot: Snapshot, enc: TemporalEncoding
-) -> tuple[np.ndarray, np.ndarray]:
-    """(A, bins) in snapshot-local indexing (activation order).
-
-    A[i, j] = 1 for a diffusion edge i -> j; bins[i] is node i's binned
-    activation time, the row of ``encoding_table(enc)`` that serves as its
+    A[i, j] = 1 for a diffusion edge i -> j; node_bins[i] is node i's binned
+    activation time, the row of ``encoding_table`` that serves as its
     feature. Nodes sharing a bin share a feature row.
     """
-    n = len(snapshot.nodes)
-    local = {u: i for i, u in enumerate(snapshot.nodes)}
-    adjacency = np.zeros((n, n), dtype=np.float64)
-    for src, dst in snapshot.edges:
+    local = {u: i for i, u in enumerate(cascade.nodes)}
+    adjacency = np.zeros((cascade.num_nodes, cascade.num_nodes), dtype=np.float64)
+    for src, dst, _ in cascade.edges:
         adjacency[local[src], local[dst]] = 1.0
-    bins = np.array(
-        [time_bin(snapshot.activation[u], snapshot.window, enc.bins) for u in snapshot.nodes],
+    node_bins = np.array(
+        [time_bin(cascade.activation[u], cascade.window, bins) for u in cascade.nodes],
         dtype=np.int64,
     )
-    return adjacency, bins
+    return adjacency, node_bins
+
+
+def build_snapshots(
+    adjacency: np.ndarray, node_bins: np.ndarray, m_max: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The capped snapshot sequence as (adjacency block, bins) views.
+
+    Nodes are in activation order and every non-root node's one incoming
+    edge comes from an earlier node, so snapshot i (the first i nodes and
+    their edges) is the top-left i x i block of the cascade's adjacency.
+    """
+    return [(adjacency[:i, :i], node_bins[:i]) for i in snapshot_indices(node_bins.size, m_max)]

@@ -1,9 +1,10 @@
 """Training and evaluation loops, configuration, splits, artifacts.
 
-Config resolution: JSON file keys (flat or dotted aliases) overlaid by CLI
-overrides, validated into one flat ``TrainConfig`` whose dict form is
-echoed into every artifact, so any output can be traced back to the exact
-run settings and a config round-trips losslessly through a checkpoint.
+Config resolution: JSON file keys overlaid by CLI overrides, both spelled
+as ``TrainConfig`` field names, validated into one flat ``TrainConfig``
+whose dict form is echoed into every artifact, so any output can be traced
+back to the exact run settings and a config round-trips losslessly through
+a checkpoint.
 
 Determinism: the corpus is split 80/10/10 by a hash of the message id
 (stable across runs and machines); features are extracted once up front
@@ -22,6 +23,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -82,7 +84,6 @@ class TrainConfig:
     use_sg: bool = True
     use_cg: bool = True
     fusion_mode: str = "transformer"
-    hierarchical: bool = True
 
     def __post_init__(self) -> None:
         self.mlp_sizes = tuple(self.mlp_sizes)
@@ -115,49 +116,8 @@ class TrainConfig:
         return cls(**d)
 
 
-# dotted config-file keys accepted as aliases for the flat names
-ALIASES = {
-    "walks.k": "k_walks",
-    "walks.n": "walk_len",
-    "walks.beta": "beta",
-    "social.alpha": "alpha",
-    "social.max_pairs": "max_pairs",
-    "snapshot.m_max": "m_max",
-    "snapshot.time_bins": "time_bins",
-    "snapshot.pe_dim": "pe_dim",
-    "model.embed_dim": "embed_dim",
-    "model.lstm_hidden": "lstm_hidden",
-    "model.gcn_hidden": "gcn_hidden",
-    "model.d_model": "d_model",
-    "model.heads": "heads",
-    "model.ff_hidden": "ff_hidden",
-    "model.mlp_sizes": "mlp_sizes",
-    "model.fusion_mode": "fusion_mode",
-    "model.hierarchical": "hierarchical",
-    "train.lr": "lr",
-    "train.epochs": "epochs",
-    "train.batch_size": "batch_size",
-    "train.seed": "seed",
-    "train.window": "window",
-}
-
-_FIELD_NAMES = {f.name for f in fields(TrainConfig)}
-
-
-def _canonical_keys(raw: dict) -> dict:
-    out = {}
-    for key, value in raw.items():
-        name = ALIASES.get(key, key)
-        if name not in _FIELD_NAMES:
-            raise ConfigError(f"unknown config key {key!r}")
-        if name in out:
-            raise ConfigError(f"config key {key!r} duplicates {name!r}")
-        out[name] = value
-    return out
-
-
 def resolve_config(config_path: str | Path | None = None, overrides: dict | None = None) -> TrainConfig:
-    """File keys first, CLI overrides on top, both accepting dotted aliases."""
+    """File keys first, CLI overrides on top; every key must name a field."""
     merged: dict = {}
     if config_path:
         path = Path(config_path)
@@ -170,8 +130,11 @@ def resolve_config(config_path: str | Path | None = None, overrides: dict | None
                 raise DataError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict):
             raise DataError(f"config file {path} must hold a JSON object")
-        merged.update(_canonical_keys(raw))
-    merged.update(_canonical_keys(overrides or {}))
+        merged.update(raw)
+    merged.update(overrides or {})
+    unknown = sorted(set(merged) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
     return TrainConfig(**merged)
 
 
@@ -358,6 +321,23 @@ def train(config: TrainConfig) -> TrainResult:
 # evaluation / prediction
 
 
+def _checkpoint_graph(users, adjacency) -> GlobalSocialGraph:
+    """The social graph a checkpoint stores, checked before featurization reads it."""
+    if not isinstance(users, list) or not all(isinstance(u, str) for u in users):
+        raise DataError("checkpoint users must be a list of user ids")
+    index = {u: i for i, u in enumerate(users)}
+    if len(index) != len(users):
+        raise DataError("checkpoint users repeat an id")
+    if not isinstance(adjacency, list) or len(adjacency) != len(users):
+        raise DataError(f"checkpoint adjacency must hold one neighbour list per user ({len(users)})")
+    for row in adjacency:
+        if not isinstance(row, list) or not all(
+            type(v) is int and 0 <= v < len(users) for v in row
+        ):
+            raise DataError(f"checkpoint adjacency row {row!r} must list user indices")
+    return GlobalSocialGraph(users=users, index=index, adj=adjacency)
+
+
 def _score(
     checkpoint_dir: str | Path, data_path: str | Path, window: int | None, split: str
 ) -> tuple[TrainConfig, dict, int, list[CascadeFeatures], np.ndarray]:
@@ -369,19 +349,17 @@ def _score(
     the predicted log-popularities.
     """
     extra, weights = load_checkpoint(checkpoint_dir)
-    for key in ("config", "users", "adjacency", "time_unit"):
+    for key in ("config", "users", "adjacency", "time_unit", "train_mean_log"):
         if key not in extra:
             raise DataError(f"checkpoint manifest missing {key!r}")
     try:
         config = TrainConfig.from_dict(extra["config"])
     except (TypeError, ConfigError) as e:
         raise DataError(f"checkpoint config is invalid: {e}") from None
-    users = list(extra["users"])
-    ggraph = GlobalSocialGraph(
-        users=users,
-        index={u: i for i, u in enumerate(users)},
-        adj=[list(map(int, row)) for row in extra["adjacency"]],
-    )
+    mean_log = extra["train_mean_log"]
+    if not (isinstance(mean_log, float) and math.isfinite(mean_log)):
+        raise DataError(f"checkpoint train_mean_log {mean_log!r} is not a finite number")
+    ggraph = _checkpoint_graph(extra["users"], extra["adjacency"])
     model = HIENet(config.model_config(vocab=ggraph.num_users + 1), seed=config.seed)
     restore_into(model.params(), weights)
 

@@ -32,20 +32,21 @@ class WalkBatch:
     beta: float
 
     def to_index_matrix(self, global_graph: GlobalSocialGraph) -> tuple[np.ndarray, np.ndarray]:
-        """(K, N) embedding-row indices plus a float mask (1 = real step).
+        """(K, N) embedding-row indices plus each walk's count of real steps.
 
-        PAD steps map to embedding row 0, as do users missing from the
-        global graph (possible only when scoring unseen corpora).
+        A walk's real steps are a prefix; its PAD tail maps to embedding
+        row 0, as do users missing from the global graph (possible only
+        when scoring unseen corpora).
         """
         idx = np.zeros((self.k, self.n), dtype=np.int64)
-        mask = np.zeros((self.k, self.n), dtype=np.float64)
+        lengths = np.zeros(self.k, dtype=np.int64)
         for i, walk in enumerate(self.walks):
             for j, node in enumerate(walk):
                 if node is PAD:
                     break
                 idx[i, j] = global_graph.embedding_index(node)
-                mask[i, j] = 1.0
-        return idx, mask
+                lengths[i] = j + 1
+        return idx, lengths
 
 
 def start_distribution(graph: CascadeGraph, beta: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from hienet.snapshots import (
     TemporalEncoding,
     build_snapshots,
     encoding_table,
+    snapshot_feature_matrix,
     temporal_positional_encoding,
 )
 from hienet.social import CorrelationPath, path_aware_representation, path_coefficients, shortest_correlation_path
@@ -199,13 +200,14 @@ def test_criterion_5_structural_invariants():
     paths = " ".join(f"r/x{i}:{(i + 1) * 10}" for i in range(12))
     rec = parse_cascade_line(f"m\tr\t0\t30\tr:0 {paths}")
     graph = build_cascade_graph(rec, window=1000)
-    enc = TemporalEncoding(dim=8, bins=16)
-    seq = build_snapshots(graph, enc, m_max=5)
-    nested = len(seq.snapshots) == 5
-    for prev, cur in zip(seq.snapshots, seq.snapshots[1:]):
-        nested = nested and set(prev.nodes) <= set(cur.nodes)
-        nested = nested and set(prev.edges) <= set(cur.edges)
-    nested = nested and list(seq.snapshots[-1].nodes) == list(graph.nodes)
+    adjacency, bins = snapshot_feature_matrix(graph, 16)
+    seq = build_snapshots(adjacency, bins, m_max=5)
+    nested = len(seq) == 5
+    for (prev, prev_bins), (cur, cur_bins) in zip(seq, seq[1:]):
+        n = prev_bins.size
+        nested = nested and n < cur_bins.size
+        nested = nested and np.array_equal(cur[:n, :n], prev) and np.array_equal(cur_bins[:n], prev_bins)
+    nested = nested and np.array_equal(seq[-1][0], adjacency) and seq[-1][1].size == graph.num_nodes
 
     # sinusoidal pairs stay on the unit circle
     enc16 = TemporalEncoding(dim=16, bins=512)

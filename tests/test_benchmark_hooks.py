@@ -44,7 +44,7 @@ def test_default_step_records_few_autodiff_nodes():
     feats = featurize_corpus(records, config.window, graph, config.feature_params(), 0)
     model = HIENet(config.model_config(vocab=graph.num_users + 1), seed=0)
     batch = build_batch(feats, model.enc_table)
-    f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_mask, batch.size)
+    f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
     loss = msle_loss(model.forward(batch), batch.true_logs)
     assert autodiff_nodes(f_cs) <= 12
     assert autodiff_nodes(loss) <= 60

@@ -9,18 +9,18 @@ TINY_CFG = {
     "epochs": 2,
     "batch_size": 8,
     "lr": 3e-3,
-    "walks.k": 4,
-    "walks.n": 5,
-    "snapshot.m_max": 4,
-    "snapshot.pe_dim": 8,
-    "snapshot.time_bins": 16,
-    "model.embed_dim": 8,
-    "model.lstm_hidden": 6,
-    "model.gcn_hidden": 8,
-    "model.d_model": 8,
-    "model.heads": 2,
-    "model.ff_hidden": 12,
-    "model.mlp_sizes": [16, 8],
+    "k_walks": 4,
+    "walk_len": 5,
+    "m_max": 4,
+    "pe_dim": 8,
+    "time_bins": 16,
+    "embed_dim": 8,
+    "lstm_hidden": 6,
+    "gcn_hidden": 8,
+    "d_model": 8,
+    "heads": 2,
+    "ff_hidden": 12,
+    "mlp_sizes": [16, 8],
 }
 
 
@@ -242,16 +242,19 @@ def corrupt_copy(trained, tmp_path, name, damage):
     return ckpt
 
 
-def drop_offset(raw):
-    manifest = json.loads(raw)
-    del manifest["params"][0]["offset"]
-    return json.dumps(manifest).encode()
+def edit_manifest(change):
+    """A damage that applies ``change`` to the parsed checkpoint manifest."""
+
+    def damage(raw):
+        manifest = json.loads(raw)
+        change(manifest)
+        return json.dumps(manifest).encode()
+
+    return damage
 
 
-def unknown_config_key(raw):
-    manifest = json.loads(raw)
-    manifest["config"]["walks_k"] = 3
-    return json.dumps(manifest).encode()
+def first_adjacency_row(row):
+    return edit_manifest(lambda m: m.update(adjacency=[row] + m["adjacency"][1:]))
 
 
 @pytest.mark.parametrize(
@@ -259,10 +262,33 @@ def unknown_config_key(raw):
     [
         ("predict", "weights.bin", lambda raw: raw[: len(raw) // 2]),
         ("eval", "manifest.json", lambda raw: raw[: len(raw) // 2]),
-        ("eval", "manifest.json", drop_offset),
-        ("predict", "manifest.json", unknown_config_key),
+        ("eval", "manifest.json", edit_manifest(lambda m: m["params"][0].pop("offset"))),
+        ("predict", "manifest.json", edit_manifest(lambda m: m["config"].update(walks_k=3))),
+        ("eval", "manifest.json", edit_manifest(lambda m: m.pop("train_mean_log"))),
+        ("eval", "manifest.json", edit_manifest(lambda m: m.update(train_mean_log="1.5"))),
+        ("eval", "manifest.json", first_adjacency_row(["x"])),
+        ("predict", "manifest.json", first_adjacency_row(5)),
+        ("eval", "manifest.json", edit_manifest(lambda m: m.update(adjacency=m["adjacency"][:-1]))),
+        ("predict", "manifest.json", first_adjacency_row([10**6])),
+        ("eval", "manifest.json", first_adjacency_row([-1])),
+        ("predict", "manifest.json", edit_manifest(lambda m: m.update(users=m["users"][:-1] + m["users"][:1]))),
+        ("predict", "manifest.json", edit_manifest(lambda m: m["config"].update(hierarchical=True))),
     ],
-    ids=["truncated-weights", "garbled-manifest", "entry-without-offset", "unknown-config-key"],
+    ids=[
+        "truncated-weights",
+        "garbled-manifest",
+        "entry-without-offset",
+        "unknown-config-key",
+        "no-train-mean-log",
+        "string-train-mean-log",
+        "adjacency-row-of-strings",
+        "adjacency-row-not-a-list",
+        "adjacency-too-short",
+        "neighbour-out-of-range",
+        "negative-neighbour",
+        "repeated-user",
+        "stale-hierarchical-key",
+    ],
 )
 def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, command, name, damage):
     ckpt = corrupt_copy(trained, tmp_path, name, damage)

@@ -23,7 +23,7 @@ LINES = [
 ]
 WINDOW = 1000
 FP = FeatureParams(
-    k_walks=3, walk_len=4, beta=0.8, alpha=0.9, max_pairs=4, m_max=3, pe_dim=4, time_bins=8
+    k_walks=3, walk_len=4, beta=0.8, alpha=0.9, max_pairs=4, m_max=3, time_bins=8
 )
 
 
@@ -77,7 +77,7 @@ def test_zeroed_sequence_branch_is_projection_bias(corpus):
     model.cs_proj.b.data[...] = 0.75
     model.cs_proj.w.data[...] = 0.0
     f = feats[0]
-    out = model.encode_cascade_sequence(f.walk_idx, f.walk_mask)
+    out = model.encode_cascade_sequence(f.walk_idx, f.walk_lengths)
     assert np.allclose(out.data, 0.75)
 
 
@@ -85,28 +85,29 @@ def test_single_walk_batch(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     f = feats[1]
-    out = model.encode_cascade_sequence(f.walk_idx[:1], f.walk_mask[:1])
+    out = model.encode_cascade_sequence(f.walk_idx[:1], f.walk_lengths[:1])
     assert out.shape == (1, 8)
 
 
-def test_walk_mask_must_be_a_prefix(corpus):
+def test_walk_lengths_must_fit_the_walks(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     f = feats[0]
-    mask = np.ones_like(f.walk_mask)
-    mask[0, 1] = 0.0  # a gap before a real step
-    with pytest.raises(ShapeError):
-        model.encode_cascade_sequence(f.walk_idx, mask)
+    k, n = f.walk_idx.shape
+    for lengths in (np.full(k, n + 1), np.full(k, -1), f.walk_lengths[:-1]):
+        with pytest.raises(ShapeError):
+            model.encode_cascade_sequence(f.walk_idx, lengths)
 
 
 def test_embedding_grad_sparsity_matches_walk_membership(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     batch = build_batch(feats, model.enc_table)
-    f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_mask, batch.size)
+    f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
     mean_all(square(f_cs)).backward()
     grad_rows = np.abs(model.cs_embed.table.grad).sum(axis=1)
-    visited = set(batch.walk_idx[batch.walk_mask > 0].ravel().tolist())
+    real = np.arange(batch.walk_idx.shape[1]) < batch.walk_lengths[:, None]
+    visited = set(batch.walk_idx[real].tolist())
     for row in range(grad_rows.size):
         if row in visited:
             assert grad_rows[row] > 0.0
@@ -208,12 +209,11 @@ def test_disabled_branch_gets_no_gradient(corpus):
 
 def test_batched_forward_matches_single(corpus):
     ggraph, feats = corpus
-    for hierarchical in (True, False):
-        model = build_model(ggraph, hierarchical=hierarchical)
-        batch = build_batch(feats, model.enc_table)
-        batched = model.forward(batch).data[:, 0]
-        singles = [model.forward(build_batch([f], model.enc_table)).data[0, 0] for f in feats]
-        assert np.abs(batched - np.array(singles)).max() < 1e-9
+    model = build_model(ggraph)
+    batch = build_batch(feats, model.enc_table)
+    batched = model.forward(batch).data[:, 0]
+    singles = [model.forward(build_batch([f], model.enc_table)).data[0, 0] for f in feats]
+    assert np.abs(batched - np.array(singles)).max() < 1e-9
 
 
 def test_prediction_determinism_and_clamp(corpus):
@@ -274,14 +274,10 @@ def test_metrics_hand_values():
         metrics_from_logs([], [])
 
 
-@pytest.mark.parametrize(
-    "fusion, hierarchical",
-    [("transformer", True), ("concat", True), ("transformer", False)],
-    ids=["transformer", "concat", "flat"],
-)
-def test_end_to_end_gradcheck_tiny(corpus, fusion, hierarchical):
+@pytest.mark.parametrize("fusion", ["transformer", "concat"])
+def test_end_to_end_gradcheck_tiny(corpus, fusion):
     ggraph, feats = corpus
-    model = build_model(ggraph, fusion_mode=fusion, hierarchical=hierarchical)
+    model = build_model(ggraph, fusion_mode=fusion)
     batch = build_batch(feats, model.enc_table)
 
     def loss():
@@ -299,9 +295,8 @@ def test_end_to_end_gradcheck_tiny(corpus, fusion, hierarchical):
         model.cg_proj.b,
         model.head.out.w,
         model.head.layers[0].b,
+        model.outer_b.wh,
     ]
-    if hierarchical:
-        checked += [model.outer_b.wh]
     if fusion == "transformer":
         checked += [model.p_cas, model.encoder.wq.w, model.encoder.ln2.gamma]
     else:

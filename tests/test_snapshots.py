@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from hienet.cascade import build_cascade_graph, parse_cascade_line
+from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.errors import ConfigError
+from hienet.features import FeatureParams, featurize
+from hienet.nn.layers import normalize_adjacency
 from hienet.snapshots import (
     TemporalEncoding,
     build_snapshots,
@@ -14,6 +16,7 @@ from hienet.snapshots import (
     temporal_positional_encoding,
     time_bin,
 )
+from hienet.synth import SyntheticSpec, generate_synthetic
 
 
 def make_cascade(n_retweets, window=1000, spacing=10):
@@ -104,50 +107,58 @@ def test_snapshot_indices_strictly_increasing():
 ENC = TemporalEncoding(dim=8, bins=64)
 
 
+def snapshots_of(cascade, m_max):
+    adjacency, bins = snapshot_feature_matrix(cascade, ENC.bins)
+    return build_snapshots(adjacency, bins, m_max)
+
+
 def test_root_only_sequence():
-    seq = build_snapshots(make_cascade(0), ENC, m_max=32)
-    assert seq.m == 1 and seq.full_length == 1
-    assert seq.snapshots[0].nodes == ["r"]
-    assert seq.snapshots[0].edges == []
+    seq = snapshots_of(make_cascade(0), m_max=32)
+    assert len(seq) == 1
+    block, bins = seq[0]
+    assert block.shape == (1, 1) and block[0, 0] == 0.0
+    assert bins.tolist() == [0]
 
 
 def test_uncapped_growth_one_event_per_snapshot():
-    seq = build_snapshots(make_cascade(3), ENC, m_max=32)
-    assert [len(s.nodes) for s in seq.snapshots] == [1, 2, 3, 4]
-    assert [len(s.edges) for s in seq.snapshots] == [0, 1, 2, 3]
+    seq = snapshots_of(make_cascade(3), m_max=32)
+    assert [bins.size for _, bins in seq] == [1, 2, 3, 4]
+    assert [block.sum() for block, _ in seq] == [0, 1, 2, 3]
 
 
 def test_capped_sizes_first_and_last_kept():
-    seq = build_snapshots(make_cascade(9), ENC, m_max=3)
-    assert seq.full_length == 10
-    assert [len(s.nodes) for s in seq.snapshots] == [1, 6, 10]
+    cascade = make_cascade(9)
+    assert cascade.num_nodes == 10
+    seq = snapshots_of(cascade, m_max=3)
+    assert [bins.size for _, bins in seq] == [1, 6, 10]
 
 
 def test_nesting_and_edge_consistency():
     cascade = make_cascade(17)
     cascade_edges = {(a, b) for a, b, _ in cascade.edges}
     for m_max in (1, 2, 3, 5, 32):
-        seq = build_snapshots(cascade, ENC, m_max=m_max)
-        for prev, cur in zip(seq.snapshots, seq.snapshots[1:]):
-            assert set(prev.nodes) <= set(cur.nodes)
-            assert set(prev.edges) <= set(cur.edges)
-        for snap in seq.snapshots:
-            assert set(snap.edges) <= cascade_edges
+        seq = snapshots_of(cascade, m_max=m_max)
+        for (prev, prev_bins), (cur, cur_bins) in zip(seq, seq[1:]):
+            n = prev_bins.size
+            assert np.array_equal(cur[:n, :n], prev)
+            assert np.array_equal(cur_bins[:n], prev_bins)
+        for block, _ in seq:
+            src, dst = np.nonzero(block)
+            edges = {(cascade.nodes[i], cascade.nodes[j]) for i, j in zip(src, dst)}
+            assert edges <= cascade_edges
             # every non-root node has exactly one incoming edge
-            assert len(snap.edges) == len(snap.nodes) - 1
+            assert block.sum(axis=0).tolist() == [0.0] + [1.0] * (block.shape[0] - 1)
 
 
 def test_feature_matrix_single_node():
-    seq = build_snapshots(make_cascade(0), ENC, m_max=4)
-    adjacency, bins = snapshot_feature_matrix(seq.snapshots[0], ENC)
+    adjacency, bins = snapshot_feature_matrix(make_cascade(0), ENC.bins)
     assert adjacency.shape == (1, 1) and adjacency[0, 0] == 0.0
     assert bins.tolist() == [0]
     assert np.array_equal(encoding_table(ENC)[bins[0]], temporal_positional_encoding(0, ENC))
 
 
 def test_feature_matrix_two_nodes():
-    seq = build_snapshots(make_cascade(1), ENC, m_max=4)
-    adjacency, bins = snapshot_feature_matrix(seq.snapshots[1], ENC)
+    adjacency, bins = snapshot_feature_matrix(make_cascade(1), ENC.bins)
     assert adjacency.shape == (2, 2)
     assert adjacency[0, 1] == 1.0 and adjacency.sum() == 1.0
     # the retweet at t=10 of a 1000-unit window falls in bin 10 * 64 // 1000
@@ -160,18 +171,58 @@ def test_same_bin_nodes_share_rows():
     # 1000-unit window
     line = "m\tr\t0\t5\tr:0 r/a:100 r/b:101"
     cascade = build_cascade_graph(parse_cascade_line(line), 1000)
-    seq = build_snapshots(cascade, ENC, m_max=8)
-    _, bins = snapshot_feature_matrix(seq.snapshots[-1], ENC)
+    _, bins = snapshot_feature_matrix(cascade, ENC.bins)
     assert bins[1] == bins[2] == time_bin(100, 1000, ENC.bins)
     assert bins[0] != bins[1]
 
 
 def test_feature_shapes_all_snapshots():
-    cascade = make_cascade(11)
-    seq = build_snapshots(cascade, ENC, m_max=5)
-    for snap in seq.snapshots:
-        adjacency, bins = snapshot_feature_matrix(snap, ENC)
-        n = len(snap.nodes)
-        assert adjacency.shape == (n, n)
+    for block, bins in snapshots_of(make_cascade(11), m_max=5):
+        n = bins.size
+        assert block.shape == (n, n)
         assert bins.shape == (n,)
         assert ((bins >= 0) & (bins < ENC.bins)).all()
+
+
+def per_prefix_snapshots(cascade, time_bins, m_max):
+    """Reference: each kept snapshot built from its own nodes and edges.
+
+    Snapshot i holds the first i nodes in activation order and the incoming
+    edge of each non-root member; its adjacency is filled in snapshot-local
+    indexing and symmetrized before normalization, as the GCN reads it.
+    """
+    incoming = {dst: (src, dst) for src, dst, _ in cascade.edges}
+    out = []
+    for i in snapshot_indices(cascade.num_nodes, m_max):
+        nodes = cascade.nodes[:i]
+        local = {u: j for j, u in enumerate(nodes)}
+        adjacency = np.zeros((i, i), dtype=np.float64)
+        for src, dst in (incoming[u] for u in nodes[1:]):
+            adjacency[local[src], local[dst]] = 1.0
+        bins = np.array(
+            [time_bin(cascade.activation[u], cascade.window, time_bins) for u in nodes],
+            dtype=np.int64,
+        )
+        out.append((normalize_adjacency(adjacency + adjacency.T), bins))
+    return out
+
+
+def test_featurize_blocks_match_per_prefix_reference():
+    records, _ = generate_synthetic(SyntheticSpec(num_users=80, num_cascades=40, seed=5))
+    global_graph = build_global_graph(records)
+    fp = FeatureParams(
+        k_walks=2, walk_len=3, beta=0.8, alpha=0.9, max_pairs=4, m_max=4, time_bins=16
+    )
+    window = 21600
+    capped = 0
+    for rec in records:
+        graph = build_cascade_graph(rec, window)
+        capped += graph.num_nodes > fp.m_max
+        got = featurize(graph, 0, global_graph, fp, global_seed=1).snaps
+        want = per_prefix_snapshots(graph, fp.time_bins, fp.m_max)
+        assert len(got) == len(want)
+        for (p_got, bins_got), (p_want, bins_want) in zip(got, want):
+            assert p_got.dtype == p_want.dtype and p_got.shape == p_want.shape
+            assert p_got.tobytes() == p_want.tobytes()
+            assert bins_got.dtype == bins_want.dtype and bins_got.tobytes() == bins_want.tobytes()
+    assert capped >= 5

@@ -60,8 +60,8 @@ def test_config_roundtrip():
 
 def test_config_file_aliases_and_overrides(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"walks.k": 5, "social.alpha": 0.5, "epochs": 9, "model.d_model": 16}))
-    cfg = resolve_config(path, {"train.epochs": 3})
+    path.write_text(json.dumps({"k_walks": 5, "alpha": 0.5, "epochs": 9, "d_model": 16}))
+    cfg = resolve_config(path, {"epochs": 3})
     assert cfg.k_walks == 5
     assert cfg.alpha == 0.5
     assert cfg.d_model == 16
@@ -70,14 +70,13 @@ def test_config_file_aliases_and_overrides(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"walks.tempo": 2}))
-    with pytest.raises(ConfigError, match="walks.tempo"):
-        resolve_config(path)
-
-
-def test_config_duplicate_alias_rejected():
-    with pytest.raises(ConfigError, match="duplicates"):
-        resolve_config(None, {"walks.k": 3, "k_walks": 4})
+    # dotted spellings are not config keys, nor is the removed walk-pooling switch
+    for key in ("walks.tempo", "walks.k", "hierarchical"):
+        path.write_text(json.dumps({key: 2}))
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            resolve_config(path)
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            resolve_config(None, {key: 2})
 
 
 def test_config_bad_json_is_data_error(tmp_path):
@@ -210,7 +209,6 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     from hienet.features import build_batch, featurize_corpus
     from hienet.model import HIENet
     from hienet.nn.optim import Adam
-    from hienet.snapshots import encoding_table
     from hienet.train import _training_step
 
     cfg = tiny_config(corpus, tmp_path / "run")
@@ -218,8 +216,8 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     ggraph = build_global_graph(records)
     fp = cfg.feature_params()
     feats = featurize_corpus(records, cfg.window, ggraph, fp, cfg.seed)
-    batch = build_batch(feats, encoding_table(fp.encoding))
     model = HIENet(cfg.model_config(vocab=ggraph.num_users + 1), seed=0)
+    batch = build_batch(feats, model.enc_table)
     params = model.params()
     # the cs embedding row of a real walk step (the PAD row 0 is never read)
     params[0].data[batch.walk_idx[0, 0], 0] = np.nan

@@ -164,7 +164,8 @@ def test_index_matrix():
     rec = parse_cascade_line("1\tA\t0\t1\tA:0 A/B:10")
     global_graph = build_global_graph([rec])
     batch = sample_walks(g, k=3, n=4, beta=0.8, seed=0)
-    idx, mask = batch.to_index_matrix(global_graph)
-    assert idx.shape == (3, 4) and mask.shape == (3, 4)
-    assert ((idx == 0) == (mask == 0)).all()
-    assert (mask == 0).any()  # some walk padded
+    idx, lengths = batch.to_index_matrix(global_graph)
+    assert idx.shape == (3, 4) and lengths.shape == (3,) and lengths.dtype == np.int64
+    assert lengths.tolist() == [sum(node is not PAD for node in walk) for walk in batch.walks]
+    assert ((idx == 0) == (np.arange(4) >= lengths[:, None])).all()
+    assert (lengths < 4).any()  # some walk padded
