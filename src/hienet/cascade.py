@@ -104,7 +104,8 @@ class GlobalSocialGraph:
 
     ``users`` is sorted, giving every user a stable dense index; adjacency
     lists hold neighbor indices in ascending order. Embedding tables reserve
-    row 0 for padding, so ``embedding_index`` is the graph index shifted by 1.
+    row 0 for users the graph does not hold (the unknown-user row), so
+    ``embedding_index`` is the graph index shifted by 1.
     """
 
     users: list[str]
@@ -116,7 +117,7 @@ class GlobalSocialGraph:
         return len(self.users)
 
     def embedding_index(self, user: str) -> int:
-        """Dense embedding row for ``user``; 0 (the padding row) if unknown."""
+        """Dense embedding row for ``user``; 0 (the unknown-user row) if unknown."""
         i = self.index.get(user)
         return 0 if i is None else i + 1
 

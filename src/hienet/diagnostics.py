@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .cascade import build_global_graph
+from .cascade import build_global_graph, parse_cascade_line
 from .features import FeatureParams, build_batch, featurize_corpus
 from .model import HIENet, ModelConfig, msle_loss
 from .nn.gradcheck import max_relative_error
-from .nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer, normalize_adjacency
+from .nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer
 from .nn import tensor as T
 from .nn.tensor import Tensor, add, concat, gather_rows, mean_all, square
 from .synth import SyntheticSpec, generate_synthetic
@@ -101,38 +101,26 @@ def _check_mlp(rng) -> float:
 
 def _tiny_model(vocab: int, seed: int) -> HIENet:
     config = ModelConfig(
-        vocab=vocab,
-        embed_dim=4,
-        lstm_hidden=3,
-        pe_dim=4,
-        time_bins=8,
-        gcn_hidden=5,
-        d_model=8,
-        heads=2,
-        ff_hidden=10,
-        mlp_sizes=(8, 4),
+        vocab=vocab, embed_dim=4, lstm_hidden=3, pe_dim=4, time_bins=8, gcn_hidden=5,
+        d_model=8, heads=2, ff_hidden=10, mlp_sizes=(8, 4),
     )
     return HIENet(config, seed=seed)
 
 
 def _check_gcn(rng, seed: int) -> float:
-    """The model's snapshot GCN: two sparse propagations, then pooling.
-
-    One cascade with a 4-node and a 1-node snapshot, laid out as
-    ``build_batch`` lays them out: block-diagonal propagation, node features
-    looked up from the encoding table, pool weight 1/(m * n_j) per node.
-    """
+    """The model's snapshot GCN, two sparse propagations then pooling, on the
+    batch ``featurize_corpus`` and ``build_batch`` make of a 6-node cascade
+    capped at 3 snapshots, its nodes in random time bins (8 units, 8 bins)."""
     model = _tiny_model(vocab=9, seed=seed)
-    a = np.zeros((4, 4))
-    a[0, 1] = a[1, 2] = a[0, 3] = 1.0
-    p_block = sp.block_diag(
-        [normalize_adjacency(a + a.T), normalize_adjacency(np.zeros((1, 1)))], format="csr"
-    )
-    h_block = model.enc_table[rng.integers(0, model.config.time_bins, size=5)]
-    pool = sp.csr_matrix(np.array([[1 / 8, 1 / 8, 1 / 8, 1 / 8, 1 / 2]]))
+    t = np.sort(rng.integers(0, 8, size=5))
+    paths = f"r:0 r/a:{t[0]} r/a/b:{t[1]} r/c:{t[2]} r/a/b/d:{t[3]} r/e:{t[4]}"
+    records = [parse_cascade_line(f"m\tr\t0\t9\t{paths}")]
+    fp = FeatureParams(k_walks=1, walk_len=2, beta=0.8, alpha=0.9, max_pairs=1, m_max=3, time_bins=8)
+    feats = featurize_corpus(records, 8, build_global_graph(records), fp, global_seed=seed)
+    batch = build_batch(feats, model.enc_table)
     tensors = [model.gcn_w1, model.gcn_w2] + model.cg_proj.params()
     return max_relative_error(
-        lambda: _sq_mean(model._cg_from_blocks(p_block, h_block, pool)), tensors
+        lambda: _sq_mean(model._cg_from_blocks(batch.p_block, batch.h_block, batch.pool)), tensors
     )
 
 

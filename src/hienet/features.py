@@ -1,18 +1,19 @@
 """Per-cascade feature extraction and minibatch assembly.
 
-``featurize`` turns one cascade into plain numpy payloads (walk index
-matrix and walk lengths, social weight vector, normalized snapshot
-propagation blocks with their node time bins), all computed once up front
-since none of them depend on model weights. ``build_batch`` then stacks B
-cascades into the layout the model consumes:
+``featurize`` turns one cascade into plain numpy and scipy payloads (walk
+index matrix and walk lengths, social weight vector, and its kept snapshots
+as one block-diagonal sparse propagation matrix with each snapshot node's
+time bin and pool weight), all computed once up front since none of them
+depend on model weights. ``build_batch`` then stacks B cascades into the
+layout the model consumes:
 
 - walks of all cascades stacked cascade-major into (B*K, N), with their
   (B*K,) real-step counts,
 - social weight rows vstacked into a (B, vocab) sparse matrix,
-- every snapshot of every cascade block-diagonalized into one sparse
-  propagation matrix, with a (B, total_nodes) pooling matrix whose row b
-  holds 1/(m_b * n_j) at snapshot j's nodes, composing the node-mean and
-  snapshot-mean in a single matmul.
+- the B propagation matrices stacked block-diagonally by concatenating
+  their CSR arrays with offsets, with a (B, total_nodes) pooling matrix
+  whose row b holds 1/(m_b * n_j) at snapshot j's nodes, composing the
+  node-mean and snapshot-mean in a single matmul.
 
 Walk randomness is seeded per (global seed, message id), so features are
 reproducible regardless of extraction order.
@@ -27,7 +28,6 @@ import scipy.sparse as sp
 
 from .cascade import CascadeGraph, CascadeRecord, GlobalSocialGraph, build_cascade_graph, compute_label
 from .errors import ConfigError
-from .nn.layers import normalize_adjacency
 from .snapshots import build_snapshots, snapshot_feature_matrix
 from .social import social_weight_vector
 from .walks import sample_walks, walk_seed
@@ -61,12 +61,13 @@ class FeatureParams:
 @dataclass
 class CascadeFeatures:
     message_id: str
-    walk_idx: np.ndarray  # (K, N) embedding rows, PAD -> 0
+    walk_idx: np.ndarray  # (K, N) embedding rows; 0 for an unknown user and the unread PAD tail
     walk_lengths: np.ndarray  # (K,) real steps per walk; the PAD tail follows
     social_row: sp.csr_matrix  # (1, vocab) convex weights over user rows
-    pair_count: int
-    # one (normalized propagation matrix, per-node time bin) pair per snapshot
-    snaps: list[tuple[np.ndarray, np.ndarray]]
+    # kept snapshots: block-diagonal D^-1/2 (A+A^T+I) D^-1/2, time bins, pool weights 1/(m * n_j)
+    propagation: sp.csr_matrix  # (nodes, nodes)
+    node_bins: np.ndarray  # (nodes,)
+    pool_weights: np.ndarray  # (nodes,)
     label: int
     true_log: float
 
@@ -81,8 +82,6 @@ class FeatureBatch:
     h_block: np.ndarray  # (total_nodes, pe_dim) constant node features
     pool: sp.csr_matrix  # (B, total_nodes)
     true_logs: np.ndarray  # (B, 1)
-    labels: np.ndarray  # (B,)
-    message_ids: list[str]
 
 
 def log2p1(x) -> np.ndarray:
@@ -105,27 +104,20 @@ def featurize(
     )
     walk_idx, walk_lengths = walks.to_index_matrix(global_graph)
 
-    weights, pair_count = social_weight_vector(
-        graph, global_graph, alpha=fp.alpha, max_pairs=fp.max_pairs
-    )
+    weights, _ = social_weight_vector(graph, global_graph, alpha=fp.alpha, max_pairs=fp.max_pairs)
     social_row = sp.csr_matrix(weights.reshape(1, -1))
-
-    adjacency, node_bins = snapshot_feature_matrix(graph, fp.time_bins)
-    # diffusion edges are directed; the GCN treats each snapshot as
-    # undirected so information also flows leaf -> root
-    undirected = adjacency + adjacency.T
-    snaps = [
-        (normalize_adjacency(block), bins)
-        for block, bins in build_snapshots(undirected, node_bins, fp.m_max)
-    ]
+    propagation, node_bins, pool_weights = build_snapshots(
+        *snapshot_feature_matrix(graph, fp.time_bins), fp.m_max
+    )
 
     return CascadeFeatures(
         message_id=graph.message_id,
         walk_idx=walk_idx,
         walk_lengths=walk_lengths,
         social_row=social_row,
-        pair_count=pair_count,
-        snaps=snaps,
+        propagation=propagation,
+        node_bins=node_bins,
+        pool_weights=pool_weights,
         label=label,
         true_log=float(log2p1(label)),
     )
@@ -148,33 +140,30 @@ def featurize_corpus(
 def build_batch(feats: list[CascadeFeatures], enc_table: np.ndarray) -> FeatureBatch:
     if not feats:
         raise ConfigError("build_batch: empty feature list")
-    p_blocks = []
-    bins_all = []
-    pool_rows, pool_cols, pool_vals = [], [], []
-    offset = 0
-    for b, f in enumerate(feats):
-        m = len(f.snaps)
-        for p_norm, bins in f.snaps:
-            size = bins.shape[0]
-            p_blocks.append(p_norm)
-            bins_all.append(bins)
-            pool_rows.extend([b] * size)
-            pool_cols.extend(range(offset, offset + size))
-            pool_vals.extend([1.0 / (m * size)] * size)
-            offset += size
-    total = offset
+    props = [f.propagation for f in feats]
+    nodes = np.array([p.shape[0] for p in props])
+    entries = np.array([p.nnz for p in props])
+    node_ends = np.cumsum(nodes)
+    total = int(node_ends[-1])
+    # cascade b's rows, columns and entries start after those of cascades < b
+    indptr = np.concatenate([[0]] + [p.indptr[1:] for p in props])
+    indptr[1:] += np.repeat(np.cumsum(entries) - entries, nodes)
+    indices = np.concatenate([p.indices for p in props]) + np.repeat(node_ends - nodes, entries)
+    p_block = sp.csr_matrix(
+        (np.concatenate([p.data for p in props]), indices, indptr), shape=(total, total)
+    )
+    pool_weights = np.concatenate([f.pool_weights for f in feats])
     pool = sp.csr_matrix(
-        (pool_vals, (pool_rows, pool_cols)), shape=(len(feats), total), dtype=np.float64
+        (pool_weights, np.arange(total), np.concatenate([[0], node_ends])),
+        shape=(len(feats), total),
     )
     return FeatureBatch(
         size=len(feats),
         walk_idx=np.vstack([f.walk_idx for f in feats]),
         walk_lengths=np.concatenate([f.walk_lengths for f in feats]),
         social=sp.vstack([f.social_row for f in feats], format="csr"),
-        p_block=sp.block_diag(p_blocks, format="csr"),
-        h_block=enc_table[np.concatenate(bins_all)],
+        p_block=p_block,
+        h_block=enc_table[np.concatenate([f.node_bins for f in feats])],
         pool=pool,
         true_logs=np.array([[f.true_log] for f in feats]),
-        labels=np.array([f.label for f in feats], dtype=np.int64),
-        message_ids=[f.message_id for f in feats],
     )

@@ -6,7 +6,8 @@ Branches, each emitting one d_model token per cascade:
 - sg: the cascade's convex social weight vector times a user embedding
   table (equivalent to averaging path-aware user representations),
 - cg: two graph-convolution layers over the snapshot sequence, node-mean
-  then snapshot-mean pooled.
+  then snapshot-mean pooled; each snapshot propagates through its sparse
+  D^-1/2 (A + A^T + I) D^-1/2.
 
 Fusion: the branch tokens plus a learned summary token pass through one
 post-norm transformer encoder layer; no positional encodings are added, so
@@ -19,10 +20,12 @@ count fixed.
 Batching: B cascades run as one graph. Walk rows stack cascade-major into
 (B*K, N) with one real-step count per walk; each LSTM direction of each
 level is one ``lstm_sequence`` op, which skips the PAD tail of every walk.
-All snapshots share one block-diagonal propagation matrix. The 4 tokens of each cascade stack
-token-major into a (4B, d_model) matrix (row i belongs to cascade i mod B),
-and attention scores each cascade's 4 tokens among themselves, as one
-(B, heads, 4, 4) array.
+Each cascade's snapshots arrive as one prebuilt block-diagonal CSR
+propagation matrix, and ``build_batch`` stacks the B of them into one, so
+each GCN layer is one sparse matmul holding only the snapshots' nonzeros.
+The 4 tokens of each cascade stack token-major into a (4B, d_model) matrix
+(row i belongs to cascade i mod B), and attention scores each cascade's 4
+tokens among themselves, as one (B, heads, 4, 4) array.
 """
 
 from __future__ import annotations

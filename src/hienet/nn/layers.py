@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
+from ..errors import ConfigError
 from .tensor import (
     Parameter,
     Tensor,
@@ -90,15 +90,6 @@ class LSTM:
 
     def params(self) -> list[Parameter]:
         return [self.wx, self.wh, self.b]
-
-
-def normalize_adjacency(a: np.ndarray) -> np.ndarray:
-    """Symmetric-normalized propagation with self-loops: D^-1/2 (A+I) D^-1/2."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"normalize_adjacency: adjacency must be square, got {a.shape}")
-    a_hat = a + np.eye(a.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
 class TransformerEncoderLayer:

@@ -150,8 +150,6 @@ def sparse_matmul(mat: sp.spmatrix, t: Tensor) -> Tensor:
     return _result(out_data, (t,), backward, "sparse_matmul")
 
 
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _need_same_shape("add", a, b)
 
@@ -162,8 +160,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(g)
 
     return _result(a.data + b.data, (a, b), backward, "add")
-
-
 
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
@@ -196,8 +192,6 @@ def scale_cols(x: Tensor, v: Tensor) -> Tensor:
     return _result(x.data * v.data, (x, v), backward, "scale_cols")
 
 
-
-
 def add_const(t: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
     try:
@@ -212,8 +206,6 @@ def add_const(t: Tensor, c) -> Tensor:
             t.accumulate(g)
 
     return _result(out_data, (t,), backward, "add_const")
-
-
 
 
 def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
@@ -245,8 +237,6 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
     return _result(t.data[start:stop].copy(), (t,), backward, "slice_rows")
 
 
-
-
 def gather_rows(t: Tensor, idx) -> Tensor:
     """Row lookup (embedding / reordering); duplicate indices sum gradients."""
     _need_2d("gather_rows", t)
@@ -261,12 +251,6 @@ def gather_rows(t: Tensor, idx) -> Tensor:
             t.accumulate(full)
 
     return _result(t.data[idx], (t,), backward, "gather_rows")
-
-
-
-
-
-
 
 
 def relu(t: Tensor) -> Tensor:

@@ -6,9 +6,11 @@ retweet event (node plus its incoming edge). Long cascades are capped to
 ``m_max`` snapshots by keeping the first, the last, and uniformly spaced
 intermediates, so the early growth phase is never dropped.
 
-The adjacency and node time bins are built once for the whole observed
-cascade; with nodes in activation order, snapshot i is the top-left i x i
-block of that adjacency and the first i bins.
+The GCN reads snapshot i as the sparse D^-1/2 (A + A^T + I) D^-1/2 of its
+undirected tree (Kipf & Welling). With nodes in activation order, it is the
+first i rows and columns of the cascade's A + A^T + I, so all kept snapshots
+come out as one block-diagonal CSR matrix in time linear in its 3i - 2
+nonzeros per snapshot.
 
 Node features are classic sinusoidal encodings of the event's *time bin*:
 elapsed time is discretized into ``bins`` equal steps over the window and
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cascade import CascadeGraph
 from .errors import ConfigError
@@ -40,20 +43,9 @@ class TemporalEncoding:
             raise ConfigError(f"time bins must be >= 1, got {self.bins}")
 
 
-def temporal_positional_encoding(t: int, enc: TemporalEncoding) -> np.ndarray:
-    """PE(t) with pair d using angle t / 10000^(2d/D); sin at 2d, cos at 2d+1."""
-    if not 0 <= t < enc.bins:
-        raise ValueError(f"time step {t} outside [0, {enc.bins})")
-    half = np.arange(enc.dim // 2, dtype=np.float64)
-    angles = t / np.power(10000.0, 2.0 * half / enc.dim)
-    out = np.empty(enc.dim, dtype=np.float64)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)
-    return out
-
-
 def encoding_table(enc: TemporalEncoding) -> np.ndarray:
-    """All encodings stacked, row t = PE(t); shape (bins, dim)."""
+    """Row t = PE(t) for every bin, shape (bins, dim): pair d of PE(t) uses
+    angle t / 10000^(2d/D), with sin at 2d and cos at 2d+1."""
     half = np.arange(enc.dim // 2, dtype=np.float64)
     steps = np.arange(enc.bins, dtype=np.float64)[:, None]
     angles = steps / np.power(10000.0, 2.0 * half / enc.dim)[None, :]
@@ -86,31 +78,51 @@ def snapshot_indices(m: int, m_max: int) -> list[int]:
     return [1 + int(j * step + 0.5) for j in range(m_max)]
 
 
-def snapshot_feature_matrix(cascade: CascadeGraph, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """(A, node_bins) of the whole observed cascade, in activation order.
+def snapshot_feature_matrix(cascade: CascadeGraph, bins: int) -> tuple[np.ndarray, ...]:
+    """(rows, cols, node_bins) of the whole observed cascade, in activation order.
 
-    A[i, j] = 1 for a diffusion edge i -> j; node_bins[i] is node i's binned
-    activation time, the row of ``encoding_table`` that serves as its
-    feature. Nodes sharing a bin share a feature row.
+    (rows, cols) are the (row, col)-sorted nonzeros of A + A^T + I, where
+    A[i, j] = 1 for a diffusion edge i -> j: the GCN treats the cascade as
+    undirected, so information also flows leaf -> root. node_bins[i] is
+    node i's binned activation time, the row of ``encoding_table`` that
+    serves as its feature. Nodes sharing a bin share a feature row.
     """
     local = {u: i for i, u in enumerate(cascade.nodes)}
-    adjacency = np.zeros((cascade.num_nodes, cascade.num_nodes), dtype=np.float64)
-    for src, dst, _ in cascade.edges:
-        adjacency[local[src], local[dst]] = 1.0
+    edges = [(local[src], local[dst]) for src, dst, _ in cascade.edges]
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    loops = np.arange(cascade.num_nodes)
+    rows, cols = np.concatenate([src, dst, loops]), np.concatenate([dst, src, loops])
+    order = np.lexsort((cols, rows))
     node_bins = np.array(
         [time_bin(cascade.activation[u], cascade.window, bins) for u in cascade.nodes],
         dtype=np.int64,
     )
-    return adjacency, node_bins
+    return rows[order], cols[order], node_bins
 
 
 def build_snapshots(
-    adjacency: np.ndarray, node_bins: np.ndarray, m_max: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The capped snapshot sequence as (adjacency block, bins) views.
+    rows: np.ndarray, cols: np.ndarray, node_bins: np.ndarray, m_max: int
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The capped snapshot sequence as (propagation, bins, pool weights).
 
-    Nodes are in activation order and every non-root node's one incoming
-    edge comes from an earlier node, so snapshot i (the first i nodes and
-    their edges) is the top-left i x i block of the cascade's adjacency.
+    Every non-root node's one incoming edge comes from an earlier node, so
+    snapshot i (the first i nodes and their edges) holds the entries with
+    row and col below i; node j's degree there is its row count (self-loop,
+    parent edge when j > 0, children below i). ``propagation`` stacks the
+    kept snapshots' D^-1/2 (A + A^T + I) D^-1/2 block-diagonally, ``bins``
+    their node time bins, and a node of snapshot j of m has pool weight
+    1/(m * n_j), so one matmul takes the node mean, then the snapshot mean.
     """
-    return [(adjacency[:i, :i], node_bins[:i]) for i in snapshot_indices(node_bins.size, m_max)]
+    sizes = np.array(snapshot_indices(node_bins.size, m_max))
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    # an entry is in every kept snapshot that holds both of its nodes; nonzero
+    # lists them snapshot by snapshot, each in (row, col) order, as CSR needs
+    snap, entry = np.nonzero(np.maximum(rows, cols)[None, :] < sizes[:, None])
+    r, c = starts[snap] + rows[entry], starts[snap] + cols[entry]
+    degree = np.bincount(r, minlength=total)
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    indptr = np.concatenate([[0], np.cumsum(degree)])
+    propagation = sp.csr_matrix((inv_sqrt[r] * inv_sqrt[c], c, indptr), shape=(total, total))
+    bins = node_bins[np.arange(total) - np.repeat(starts, sizes)]
+    return propagation, bins, np.repeat(1.0 / (sizes.size * sizes), sizes)

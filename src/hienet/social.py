@@ -105,9 +105,9 @@ def social_weight_vector(
     """Vocabulary-weight form of the cascade's social feature.
 
     Returns (weights, pair_count) where weights has one entry per embedding
-    row (padding row included) and sums to 1. Pairs disconnected on the
-    global graph are skipped; if none survive (including the root-only
-    cascade), all weight falls on the root's own embedding.
+    row (the unknown-user row 0 included) and sums to 1. Pairs disconnected
+    on the global graph are skipped; if none survive (including the
+    root-only cascade), all weight falls on the root's own embedding.
     """
     weights = np.zeros(global_graph.num_users + 1, dtype=np.float64)
     pair_paths: list[CorrelationPath] = []

@@ -53,6 +53,23 @@ from .nn.tensor import set_nan_trace
 EVAL_BATCH = 64
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: what a value of each ``TrainConfig`` annotation must be; a float field keeps an int as written
+_FIELD_TYPES = {
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, ...]": (
+        "a list of integers",
+        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
+    ),
+}
+
+
 @dataclass
 class TrainConfig:
     data: str = ""
@@ -86,6 +103,10 @@ class TrainConfig:
     fusion_mode: str = "transformer"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kind, ok = _FIELD_TYPES[f.type]
+            if not ok(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
         self.mlp_sizes = tuple(self.mlp_sizes)
         if self.window < 1:
             raise ConfigError(f"window must be >= 1, got {self.window}")
@@ -208,9 +229,12 @@ def load_corpus(
 ) -> tuple[list[CascadeRecord], DatasetManifest]:
     """A cascade file and its manifest, checked against the run's settings.
 
-    The observation window must end before the label horizon; ``time_unit``,
-    when given (a checkpoint's), must match the dataset's.
+    Every entry point reads its corpus here, so this is where the window is
+    checked: it must be at least 1 and end before the label horizon.
+    ``time_unit``, when given (a checkpoint's), must match the dataset's.
     """
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
     records = load_cascades(data_path)
     manifest = load_manifest(data_path)
     if time_unit is not None and manifest.time_unit != time_unit:

@@ -34,9 +34,10 @@ class WalkBatch:
     def to_index_matrix(self, global_graph: GlobalSocialGraph) -> tuple[np.ndarray, np.ndarray]:
         """(K, N) embedding-row indices plus each walk's count of real steps.
 
-        A walk's real steps are a prefix; its PAD tail maps to embedding
-        row 0, as do users missing from the global graph (possible only
-        when scoring unseen corpora).
+        A walk's real steps are a prefix, and its PAD tail is filled with 0
+        but never read: ``lengths`` ends each walk. A user missing from the
+        global graph (possible only when scoring unseen corpora) maps to
+        row 0, the unknown-user row.
         """
         idx = np.zeros((self.k, self.n), dtype=np.int64)
         lengths = np.zeros(self.k, dtype=np.int64)

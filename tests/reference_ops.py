@@ -4,11 +4,19 @@ The model runs each LSTM direction as one ``lstm_sequence`` op and its
 attention as one ``attention`` op. The tests compare both against the
 per-step and per-head graphs composed from these elementwise ops, whose own
 backward rules ``test_tensor.py`` checks against finite differences.
+
+``temporal_positional_encoding`` computes one row of
+``snapshots.encoding_table`` on its own. ``normalize_adjacency`` is the
+dense form of the snapshot propagation that
+``snapshots.build_snapshots`` builds sparsely, and ``snapshot_blocks`` splits
+that sparse output back into dense per-snapshot blocks; the snapshot, model
+and GCN tests compare against these.
 """
 
 import numpy as np
 
 from hienet.errors import ShapeError
+from hienet.snapshots import TemporalEncoding
 from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result
 
 
@@ -105,3 +113,36 @@ def tanh(t: Tensor) -> Tensor:
             t.accumulate(g * (1.0 - out_data * out_data))
 
     return _result(out_data, (t,), backward, "tanh")
+
+
+def normalize_adjacency(a: np.ndarray) -> np.ndarray:
+    """Symmetric-normalized propagation with self-loops: D^-1/2 (A+I) D^-1/2."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"normalize_adjacency: adjacency must be square, got {a.shape}")
+    a_hat = a + np.eye(a.shape[0])
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
+    return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
+
+
+def snapshot_blocks(propagation, bins: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Block-diagonal propagation over snapshots of ``sizes`` nodes -> dense
+    (block, bins) per snapshot."""
+    dense = propagation.toarray()
+    out = []
+    offset = 0
+    for n in sizes:
+        out.append((dense[offset : offset + n, offset : offset + n], bins[offset : offset + n]))
+        offset += n
+    return out
+
+
+def temporal_positional_encoding(t: int, enc: TemporalEncoding) -> np.ndarray:
+    """PE(t) with pair d using angle t / 10000^(2d/D); sin at 2d, cos at 2d+1."""
+    if not 0 <= t < enc.bins:
+        raise ValueError(f"time step {t} outside [0, {enc.bins})")
+    half = np.arange(enc.dim // 2, dtype=np.float64)
+    angles = t / np.power(10000.0, 2.0 * half / enc.dim)
+    out = np.empty(enc.dim, dtype=np.float64)
+    out[0::2] = np.sin(angles)
+    out[1::2] = np.cos(angles)
+    return out

@@ -19,19 +19,20 @@ from hienet.cascade import (
 )
 from hienet.diagnostics import gradient_check_report
 from hienet.model import HIENet, ModelConfig
-from hienet.nn.layers import normalize_adjacency
 from hienet.nn.tensor import concat, constant, gather_rows
 from hienet.snapshots import (
     TemporalEncoding,
     build_snapshots,
     encoding_table,
     snapshot_feature_matrix,
-    temporal_positional_encoding,
+    snapshot_indices,
 )
 from hienet.social import CorrelationPath, path_aware_representation, path_coefficients, shortest_correlation_path
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import TrainConfig, evaluate, train
 from hienet.walks import sample_walks, start_distribution, transition_distribution
+
+from reference_ops import snapshot_blocks
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -200,24 +201,28 @@ def test_criterion_5_structural_invariants():
     paths = " ".join(f"r/x{i}:{(i + 1) * 10}" for i in range(12))
     rec = parse_cascade_line(f"m\tr\t0\t30\tr:0 {paths}")
     graph = build_cascade_graph(rec, window=1000)
-    adjacency, bins = snapshot_feature_matrix(graph, 16)
-    seq = build_snapshots(adjacency, bins, m_max=5)
+    rows, cols, bins = snapshot_feature_matrix(graph, 16)
+    propagation, snap_bins, _ = build_snapshots(rows, cols, bins, m_max=5)
+    seq = snapshot_blocks(propagation, snap_bins, snapshot_indices(graph.num_nodes, 5))
     nested = len(seq) == 5
     for (prev, prev_bins), (cur, cur_bins) in zip(seq, seq[1:]):
         n = prev_bins.size
         nested = nested and n < cur_bins.size
-        nested = nested and np.array_equal(cur[:n, :n], prev) and np.array_equal(cur_bins[:n], prev_bins)
-    nested = nested and np.array_equal(seq[-1][0], adjacency) and seq[-1][1].size == graph.num_nodes
+        nested = nested and np.array_equal(cur[:n, :n] != 0, prev != 0)
+        nested = nested and np.array_equal(cur_bins[:n], prev_bins)
+    full = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
+    full[rows, cols] = True
+    nested = nested and np.array_equal(seq[-1][0] != 0, full) and seq[-1][1].size == graph.num_nodes
 
     # sinusoidal pairs stay on the unit circle
     enc16 = TemporalEncoding(dim=16, bins=512)
+    table = encoding_table(enc16)
     pair_err = 0.0
     for t in (0, 1, 100, 511):
-        row = temporal_positional_encoding(t, enc16)
+        row = table[t]
         pair_err = max(pair_err, float(np.abs(row[0::2] ** 2 + row[1::2] ** 2 - 1.0).max()))
 
     # every discretized time bin gets a distinct encoding row
-    table = encoding_table(enc16)
     gaps = [
         np.abs(table[i] - table[j]).max()
         for i in range(table.shape[0])
@@ -226,8 +231,9 @@ def test_criterion_5_structural_invariants():
     distinct = min(gaps) > 1e-6
 
     # two connected nodes normalize to an even propagation split
-    gcn = normalize_adjacency(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    gcn_err = float(np.abs(gcn - 0.5).max())
+    pair = build_cascade_graph(parse_cascade_line("m\tr\t0\t3\tr:0 r/x:10"), window=1000)
+    gcn, _, _ = build_snapshots(*snapshot_feature_matrix(pair, 16), m_max=1)
+    gcn_err = float(np.abs(gcn.toarray() - 0.5).max())
 
     # fusion output must not depend on modality-token order
     config = ModelConfig(vocab=9, embed_dim=4, lstm_hidden=3, pe_dim=4, time_bins=8,

@@ -33,6 +33,23 @@ def test_benchmark_hook_points_install_and_restore():
     assert HIENet.forward is forward
 
 
+def test_featurize_calls_every_feature_hook():
+    """A hooked name that featurize no longer calls would report 0 ms in a
+    traced run without failing anything, so one cascade must reach them all."""
+    records, _ = generate_synthetic(SyntheticSpec(num_users=40, num_cascades=4, seed=3))
+    graph = build_global_graph(records)
+    config = TrainConfig()
+    tracer = Tracer()
+    install_layers(tracer, LayerCounts())
+    try:
+        featurize_corpus(records[:1], config.window, graph, config.feature_params(), 0)
+    finally:
+        tracer.restore()
+    names = {span.name for span in tracer.spans}
+    for hooked in ("snapshots.feature_matrix", "snapshots.build", "walks.sample", "social.weight"):
+        assert hooked in names
+
+
 def test_default_step_records_few_autodiff_nodes():
     """Each LSTM direction and the fusion attention are one node each, so a
     default-config step (B=32, K=N=10) records a fixed, small graph."""

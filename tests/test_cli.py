@@ -206,6 +206,43 @@ def test_window_past_horizon_is_data_error(workspace, capsys):
     assert "horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window", ["0", "-5"])
+@pytest.mark.parametrize("command", ["ingest", "eval", "predict"])
+def test_nonpositive_window_is_config_error(workspace, trained, capsys, command, window):
+    argv = [command, "--data", str(workspace / "data" / "cascades.tsv"), "--window", window]
+    if command != "ingest":
+        argv += ["--checkpoint", str(trained)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: window must be >= 1, got {window}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"use_cs": "no"},
+        {"epochs": "2"},
+        {"epochs": True},
+        {"mlp_sizes": 5},
+        {"mlp_sizes": [16, "8"]},
+        {"lr": "0.01"},
+        {"fusion_mode": 1},
+    ],
+    ids=["string-bool", "string-int", "bool-int", "int-sizes", "string-size", "string-float", "int-str"],
+)
+def test_config_value_of_wrong_type_is_config_error(workspace, tmp_path, capsys, change):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY_CFG, **change}))
+    data = str(workspace / "data" / "cascades.tsv")
+    rc = main(["train", "--data", data, "--out", str(tmp_path / "run"), "--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(change))} must be ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "manifest",
     [
@@ -273,6 +310,7 @@ def first_adjacency_row(row):
         ("eval", "manifest.json", first_adjacency_row([-1])),
         ("predict", "manifest.json", edit_manifest(lambda m: m.update(users=m["users"][:-1] + m["users"][:1]))),
         ("predict", "manifest.json", edit_manifest(lambda m: m["config"].update(hierarchical=True))),
+        ("eval", "manifest.json", edit_manifest(lambda m: m["config"].update(use_cs="no"))),
     ],
     ids=[
         "truncated-weights",
@@ -288,6 +326,7 @@ def first_adjacency_row(row):
         "negative-neighbour",
         "repeated-user",
         "stale-hierarchical-key",
+        "string-bool-config",
     ],
 )
 def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, command, name, damage):

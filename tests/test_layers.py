@@ -14,7 +14,6 @@ from hienet.nn.layers import (
     LayerNorm,
     Linear,
     TransformerEncoderLayer,
-    normalize_adjacency,
 )
 from hienet.nn.optim import Adam
 from hienet.nn.tensor import Parameter
@@ -176,7 +175,7 @@ def gcn_model(width, seed=0, identity=False):
 
 def node_states(model, a, h):
     """The model's two-layer GCN over adjacency ``a``, one output row per node."""
-    p = sp.csr_matrix(normalize_adjacency(a))
+    p = sp.csr_matrix(R.normalize_adjacency(a))
     return model._cg_from_blocks(p, h, sp.identity(a.shape[0], format="csr"))
 
 
@@ -207,7 +206,7 @@ def test_gcn_regular_graph_identical_rows():
 
 def test_gcn_rejects_non_square():
     with pytest.raises(ShapeError):
-        normalize_adjacency(np.zeros((2, 3)))
+        R.normalize_adjacency(np.zeros((2, 3)))
 
 
 def test_propagation_symmetric_for_symmetric_adjacency():
@@ -215,7 +214,7 @@ def test_propagation_symmetric_for_symmetric_adjacency():
     raw = (rng.random((6, 6)) < 0.4).astype(float)
     a = np.triu(raw, 1)
     a = a + a.T
-    p = normalize_adjacency(a)
+    p = R.normalize_adjacency(a)
     assert np.abs(p - p.T).max() < 1e-15
 
 

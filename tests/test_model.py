@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hienet.cascade import build_global_graph, parse_cascade_line
+from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.errors import ConfigError, ShapeError
 from hienet.features import FeatureParams, build_batch, featurize_corpus, from_log2p1, log2p1
 from hienet.model import (
@@ -15,6 +16,9 @@ from hienet.model import (
 )
 from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.tensor import Parameter, constant, mean_all, square
+from hienet.snapshots import snapshot_indices
+
+from reference_ops import snapshot_blocks
 
 LINES = [
     "a\tr1\t0\t9\tr1:0 r1/x1:50 r1/x2:300 r1/x2/x3:700",
@@ -115,16 +119,30 @@ def test_embedding_grad_sparsity_matches_walk_membership(corpus):
             assert grad_rows[row] == 0.0
 
 
+def snapshots_of(k, feat):
+    """Cascade k's kept snapshots as dense (propagation block, bins) pairs."""
+    graph = build_cascade_graph(parse_cascade_line(LINES[k]), WINDOW)
+    sizes = snapshot_indices(graph.num_nodes, FP.m_max)
+    return snapshot_blocks(feat.propagation, feat.node_bins, sizes)
+
+
 def graph_token(model, feat, snaps):
     """The cg branch's token for ``feat`` with its snapshot list replaced."""
-    batch = build_batch([replace(feat, snaps=snaps)], model.enc_table)
+    sizes = [bins.size for _, bins in snaps]
+    replaced = replace(
+        feat,
+        propagation=sp.block_diag([block for block, _ in snaps], format="csr"),
+        node_bins=np.concatenate([bins for _, bins in snaps]),
+        pool_weights=np.repeat([1.0 / (len(snaps) * n) for n in sizes], sizes),
+    )
+    batch = build_batch([replaced], model.enc_table)
     return model._cg_from_blocks(batch.p_block, batch.h_block, batch.pool)
 
 
 def test_subcascade_shape_and_duplicate_pooling(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
-    root_only = feats[1].snaps[:1]
+    root_only = snapshots_of(1, feats[1])[:1]
     one = graph_token(model, feats[1], root_only)
     assert one.shape == (1, 8)
     doubled = graph_token(model, feats[1], root_only * 2)
@@ -134,7 +152,7 @@ def test_subcascade_shape_and_duplicate_pooling(corpus):
 def test_subcascade_node_relabel_invariance(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
-    snaps = feats[2].snaps
+    snaps = snapshots_of(2, feats[2])
     rng = np.random.default_rng(0)
     permuted = []
     for p, bins in snaps:

@@ -5,18 +5,19 @@ import pytest
 
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.errors import ConfigError
-from hienet.features import FeatureParams, featurize
-from hienet.nn.layers import normalize_adjacency
+from hienet.features import FeatureParams, build_batch, featurize, featurize_corpus
 from hienet.snapshots import (
     TemporalEncoding,
     build_snapshots,
     encoding_table,
     snapshot_feature_matrix,
     snapshot_indices,
-    temporal_positional_encoding,
     time_bin,
 )
 from hienet.synth import SyntheticSpec, generate_synthetic
+from hienet.train import TrainConfig
+
+from reference_ops import normalize_adjacency, snapshot_blocks, temporal_positional_encoding
 
 
 def make_cascade(n_retweets, window=1000, spacing=10):
@@ -108,22 +109,24 @@ ENC = TemporalEncoding(dim=8, bins=64)
 
 
 def snapshots_of(cascade, m_max):
-    adjacency, bins = snapshot_feature_matrix(cascade, ENC.bins)
-    return build_snapshots(adjacency, bins, m_max)
+    propagation, bins, _ = build_snapshots(*snapshot_feature_matrix(cascade, ENC.bins), m_max)
+    return snapshot_blocks(propagation, bins, snapshot_indices(cascade.num_nodes, m_max))
 
 
 def test_root_only_sequence():
     seq = snapshots_of(make_cascade(0), m_max=32)
     assert len(seq) == 1
     block, bins = seq[0]
-    assert block.shape == (1, 1) and block[0, 0] == 0.0
+    # a lone node propagates only through its self-loop
+    assert block.shape == (1, 1) and block[0, 0] == 1.0
     assert bins.tolist() == [0]
 
 
 def test_uncapped_growth_one_event_per_snapshot():
     seq = snapshots_of(make_cascade(3), m_max=32)
     assert [bins.size for _, bins in seq] == [1, 2, 3, 4]
-    assert [block.sum() for block, _ in seq] == [0, 1, 2, 3]
+    # i self-loops plus both directions of i - 1 edges
+    assert [np.count_nonzero(block) for block, _ in seq] == [1, 4, 7, 10]
 
 
 def test_capped_sizes_first_and_last_kept():
@@ -140,27 +143,29 @@ def test_nesting_and_edge_consistency():
         seq = snapshots_of(cascade, m_max=m_max)
         for (prev, prev_bins), (cur, cur_bins) in zip(seq, seq[1:]):
             n = prev_bins.size
-            assert np.array_equal(cur[:n, :n], prev)
+            assert np.array_equal(cur[:n, :n] != 0, prev != 0)
             assert np.array_equal(cur_bins[:n], prev_bins)
         for block, _ in seq:
-            src, dst = np.nonzero(block)
+            assert np.array_equal(block, block.T) and (np.diag(block) > 0).all()
+            # each nonzero above the diagonal is a diffusion edge, from the earlier node
+            src, dst = np.nonzero(np.triu(block, 1))
             edges = {(cascade.nodes[i], cascade.nodes[j]) for i, j in zip(src, dst)}
             assert edges <= cascade_edges
             # every non-root node has exactly one incoming edge
-            assert block.sum(axis=0).tolist() == [0.0] + [1.0] * (block.shape[0] - 1)
+            assert (np.triu(block, 1) != 0).sum(axis=0).tolist() == [0] + [1] * (block.shape[0] - 1)
 
 
 def test_feature_matrix_single_node():
-    adjacency, bins = snapshot_feature_matrix(make_cascade(0), ENC.bins)
-    assert adjacency.shape == (1, 1) and adjacency[0, 0] == 0.0
+    rows, cols, bins = snapshot_feature_matrix(make_cascade(0), ENC.bins)
+    assert rows.tolist() == [0] and cols.tolist() == [0]
     assert bins.tolist() == [0]
     assert np.array_equal(encoding_table(ENC)[bins[0]], temporal_positional_encoding(0, ENC))
 
 
 def test_feature_matrix_two_nodes():
-    adjacency, bins = snapshot_feature_matrix(make_cascade(1), ENC.bins)
-    assert adjacency.shape == (2, 2)
-    assert adjacency[0, 1] == 1.0 and adjacency.sum() == 1.0
+    rows, cols, bins = snapshot_feature_matrix(make_cascade(1), ENC.bins)
+    # A + A^T + I of the edge 0 -> 1, sorted by (row, col)
+    assert rows.tolist() == [0, 0, 1, 1] and cols.tolist() == [0, 1, 0, 1]
     # the retweet at t=10 of a 1000-unit window falls in bin 10 * 64 // 1000
     assert bins.tolist() == [0, 0]
     assert bins.dtype == np.int64
@@ -171,17 +176,22 @@ def test_same_bin_nodes_share_rows():
     # 1000-unit window
     line = "m\tr\t0\t5\tr:0 r/a:100 r/b:101"
     cascade = build_cascade_graph(parse_cascade_line(line), 1000)
-    _, bins = snapshot_feature_matrix(cascade, ENC.bins)
+    _, _, bins = snapshot_feature_matrix(cascade, ENC.bins)
     assert bins[1] == bins[2] == time_bin(100, 1000, ENC.bins)
     assert bins[0] != bins[1]
 
 
 def test_feature_shapes_all_snapshots():
-    for block, bins in snapshots_of(make_cascade(11), m_max=5):
-        n = bins.size
+    cascade = make_cascade(11)
+    propagation, bins, pool = build_snapshots(*snapshot_feature_matrix(cascade, ENC.bins), 5)
+    sizes = snapshot_indices(cascade.num_nodes, 5)
+    assert propagation.shape == (sum(sizes), sum(sizes))
+    assert bins.shape == pool.shape == (sum(sizes),)
+    assert ((bins >= 0) & (bins < ENC.bins)).all()
+    assert np.array_equal(pool, np.repeat([1.0 / (5 * n) for n in sizes], sizes))
+    for block, snap_bins in snapshot_blocks(propagation, bins, sizes):
+        n = snap_bins.size
         assert block.shape == (n, n)
-        assert bins.shape == (n,)
-        assert ((bins >= 0) & (bins < ENC.bins)).all()
 
 
 def per_prefix_snapshots(cascade, time_bins, m_max):
@@ -218,7 +228,10 @@ def test_featurize_blocks_match_per_prefix_reference():
     for rec in records:
         graph = build_cascade_graph(rec, window)
         capped += graph.num_nodes > fp.m_max
-        got = featurize(graph, 0, global_graph, fp, global_seed=1).snaps
+        f = featurize(graph, 0, global_graph, fp, global_seed=1)
+        got = snapshot_blocks(
+            f.propagation, f.node_bins, snapshot_indices(graph.num_nodes, fp.m_max)
+        )
         want = per_prefix_snapshots(graph, fp.time_bins, fp.m_max)
         assert len(got) == len(want)
         for (p_got, bins_got), (p_want, bins_want) in zip(got, want):
@@ -226,3 +239,42 @@ def test_featurize_blocks_match_per_prefix_reference():
             assert p_got.tobytes() == p_want.tobytes()
             assert bins_got.dtype == bins_want.dtype and bins_got.tobytes() == bins_want.tobytes()
     assert capped >= 5
+
+
+def test_batch_propagation_stores_no_zeros():
+    """build_batch stacks each cascade's sparse propagation as it is, so
+    the batch matrix holds only the snapshots' nonzeros."""
+    config = TrainConfig()
+    records, _ = generate_synthetic(SyntheticSpec())
+    records = records[: config.batch_size]
+    graph = build_global_graph(records)
+    feats = featurize_corpus(records, config.window, graph, config.feature_params(), 0)
+    batch = build_batch(feats, encoding_table(TemporalEncoding(config.pe_dim, config.time_bins)))
+    p = batch.p_block
+    assert p.nnz == np.count_nonzero(p.data)
+    # each snapshot of i nodes is a tree prefix: 3i - 2 nonzeros
+    sizes = [
+        i
+        for rec in records
+        for i in snapshot_indices(build_cascade_graph(rec, config.window).num_nodes, config.m_max)
+    ]
+    assert p.nnz == sum(3 * n - 2 for n in sizes)
+
+
+def star_cascade(n_nodes):
+    paths = " ".join(f"r/u{i}:{i}" for i in range(1, n_nodes))
+    return build_cascade_graph(parse_cascade_line(f"m\tr\t0\t{n_nodes}\tr:0 {paths}"), 21600)
+
+
+def test_star_snapshot_features_stay_sparse():
+    """A 2,001-node star: 8 kept snapshots hold sum(3i - 2) entries in
+    under 1 MB (dense blocks would take about 92 MB)."""
+    config = TrainConfig()
+    cascade = star_cascade(2001)
+    propagation, bins, pool = build_snapshots(
+        *snapshot_feature_matrix(cascade, config.time_bins), config.m_max
+    )
+    sizes = snapshot_indices(cascade.num_nodes, config.m_max)
+    assert propagation.nnz == sum(3 * i - 2 for i in sizes)
+    stored = propagation.data.nbytes + propagation.indices.nbytes + propagation.indptr.nbytes
+    assert stored + bins.nbytes + pool.nbytes < 1_000_000
