@@ -16,20 +16,19 @@ from .cascade import (
     load_manifest,
     parse_cascade_line,
 )
-from .features import FeatureParams, build_batch, featurize, featurize_corpus
-from .model import HIENet, ModelConfig, metrics_from_logs, msle_loss_value
+from .config import TrainConfig, resolve_config
+from .features import build_batch, featurize, featurize_corpus
+from .model import HIENet, metrics_from_logs, msle_loss_value
 from .synth import SyntheticSpec, generate_synthetic, write_corpus
-from .train import TrainConfig, evaluate, predict, resolve_config, train
+from .train import evaluate, predict, train
 
 __all__ = [
     "CascadeEvent",
     "CascadeGraph",
     "CascadeRecord",
     "DatasetManifest",
-    "FeatureParams",
     "GlobalSocialGraph",
     "HIENet",
-    "ModelConfig",
     "SyntheticSpec",
     "TrainConfig",
     "build_batch",

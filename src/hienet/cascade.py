@@ -223,8 +223,13 @@ def load_cascades(path: str | Path) -> list[CascadeRecord]:
     if not Path(path).is_file():
         raise DataError(f"cascade file not found: {path}")
     records = []
-    with open(path, encoding="utf-8") as fh:
+    # undecodable bytes become lone surrogates, so the line holding them is known
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CascadeParseError("not valid UTF-8", line_no) from None
             if not line.strip():
                 continue
             records.append(parse_cascade_line(line, line_no=line_no))

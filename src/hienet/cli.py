@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .cascade import build_cascade_graph, build_global_graph, compute_label
+from .config import FUSION_MODES, TrainConfig, resolve_config
 from .diagnostics import PASS_THRESHOLD, worst_over_seeds
 from .errors import CascadeParseError, ConfigError, DataError, HienetError, UsageError
-from .model import FUSION_MODES
 from .synth import SyntheticSpec, generate_synthetic, write_corpus
-from .train import TrainConfig, evaluate, load_corpus, predict, resolve_config, train
+from .train import evaluate, load_corpus, predict, train
 
 BRANCHES = ("cs", "sg", "cg")
 
@@ -125,19 +125,20 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    records, manifest = load_corpus(args.data, args.window)
+    window = TrainConfig(window=args.window).window  # checked as a run's window is
+    records, manifest = load_corpus(args.data, window)
     ggraph = build_global_graph(records)
     labels = []
     observed = []
     for rec in records:
-        graph = build_cascade_graph(rec, args.window)
+        graph = build_cascade_graph(rec, window)
         observed.append(graph.num_nodes)
-        labels.append(compute_label(rec, args.window))
+        labels.append(compute_label(rec, window))
     labels_arr = np.array(labels)
     print(f"cascades: {len(records)}")
     print(f"users: {ggraph.num_users}")
     print(f"time unit: {manifest.time_unit}, label horizon: {manifest.label_horizon}")
-    print(f"observed nodes at window {args.window}: median {int(np.median(observed))}, max {max(observed)}")
+    print(f"observed nodes at window {window}: median {int(np.median(observed))}, max {max(observed)}")
     print(
         f"labels: median {int(np.median(labels_arr))}, max {labels_arr.max()}, "
         f"nonzero {int((labels_arr > 0).sum())}/{len(records)}"

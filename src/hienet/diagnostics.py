@@ -13,8 +13,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cascade import build_global_graph, parse_cascade_line
-from .features import FeatureParams, build_batch, featurize_corpus
-from .model import HIENet, ModelConfig, msle_loss
+from .config import TrainConfig
+from .features import build_batch, featurize_corpus
+from .model import HIENet, msle_loss
 from .nn.gradcheck import max_relative_error
 from .nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer
 from .nn import tensor as T
@@ -99,24 +100,24 @@ def _check_mlp(rng) -> float:
     return max_relative_error(lambda: _sq_mean(head(x)), head.params() + [x])
 
 
-def _tiny_model(vocab: int, seed: int) -> HIENet:
-    config = ModelConfig(
-        vocab=vocab, embed_dim=4, lstm_hidden=3, pe_dim=4, time_bins=8, gcn_hidden=5,
-        d_model=8, heads=2, ff_hidden=10, mlp_sizes=(8, 4),
+def _tiny_config(seed: int, **features) -> TrainConfig:
+    """A small model; ``features`` sets the feature extraction of the check."""
+    return TrainConfig(
+        seed=seed, embed_dim=4, lstm_hidden=3, pe_dim=4, time_bins=8, gcn_hidden=5,
+        d_model=8, heads=2, ff_hidden=10, mlp_sizes=(8, 4), **features,
     )
-    return HIENet(config, seed=seed)
 
 
 def _check_gcn(rng, seed: int) -> float:
     """The model's snapshot GCN, two sparse propagations then pooling, on the
     batch ``featurize_corpus`` and ``build_batch`` make of a 6-node cascade
     capped at 3 snapshots, its nodes in random time bins (8 units, 8 bins)."""
-    model = _tiny_model(vocab=9, seed=seed)
+    config = _tiny_config(seed, k_walks=1, walk_len=2, max_pairs=1, m_max=3)
+    model = HIENet(config, vocab=9)
     t = np.sort(rng.integers(0, 8, size=5))
     paths = f"r:0 r/a:{t[0]} r/a/b:{t[1]} r/c:{t[2]} r/a/b/d:{t[3]} r/e:{t[4]}"
     records = [parse_cascade_line(f"m\tr\t0\t9\t{paths}")]
-    fp = FeatureParams(k_walks=1, walk_len=2, beta=0.8, alpha=0.9, max_pairs=1, m_max=3, time_bins=8)
-    feats = featurize_corpus(records, 8, build_global_graph(records), fp, global_seed=seed)
+    feats = featurize_corpus(records, 8, build_global_graph(records), config)
     batch = build_batch(feats, model.enc_table)
     tensors = [model.gcn_w1, model.gcn_w2] + model.cg_proj.params()
     return max_relative_error(
@@ -125,7 +126,7 @@ def _check_gcn(rng, seed: int) -> float:
 
 
 def _check_fusion(rng, seed: int) -> float:
-    model = _tiny_model(vocab=9, seed=seed)
+    model = HIENet(_tiny_config(seed), vocab=9)
     _random_final_norm(model.encoder, rng)
     f_cs = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
     f_cg = Tensor(rng.normal(size=(2, 8)), requires_grad=True)
@@ -144,11 +145,9 @@ def _end_to_end_setup(seed: int):
     # can sit exactly at a zero-gradient point, making the check vacuous
     records = sorted(records, key=lambda r: (-r.final_size, r.message_id))[:3]
     ggraph = build_global_graph(records)
-    fp = FeatureParams(
-        k_walks=2, walk_len=4, beta=0.8, alpha=0.9, max_pairs=4, m_max=3, time_bins=8
-    )
-    feats = featurize_corpus(records, 21600, ggraph, fp, global_seed=seed)
-    model = _tiny_model(vocab=ggraph.num_users + 1, seed=seed)
+    config = _tiny_config(seed, k_walks=2, walk_len=4, max_pairs=4, m_max=3)
+    feats = featurize_corpus(records, 21600, ggraph, config)
+    model = HIENet(config, vocab=ggraph.num_users + 1)
     return model, build_batch(feats, model.enc_table)
 
 

@@ -15,8 +15,9 @@ layout the model consumes:
   whose row b holds 1/(m_b * n_j) at snapshot j's nodes, composing the
   node-mean and snapshot-mean in a single matmul.
 
-Walk randomness is seeded per (global seed, message id), so features are
-reproducible regardless of extraction order.
+Every setting comes from the run's ``TrainConfig``. Walk randomness is
+seeded per (``config.seed``, message id), so features are reproducible
+regardless of extraction order.
 """
 
 from __future__ import annotations
@@ -27,35 +28,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cascade import CascadeGraph, CascadeRecord, GlobalSocialGraph, build_cascade_graph, compute_label
+from .config import TrainConfig
 from .errors import ConfigError
 from .snapshots import build_snapshots, snapshot_feature_matrix
 from .social import social_weight_vector
 from .walks import sample_walks, walk_seed
-
-
-@dataclass(frozen=True)
-class FeatureParams:
-    """Everything feature extraction needs; one value set per experiment.
-
-    No field has a default here: ``TrainConfig`` holds the defaults.
-    """
-
-    k_walks: int
-    walk_len: int
-    beta: float
-    alpha: float
-    max_pairs: int
-    m_max: int
-    time_bins: int
-
-    def __post_init__(self) -> None:
-        for name in ("k_walks", "walk_len", "max_pairs", "m_max", "time_bins"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
 
 
 @dataclass
@@ -96,18 +73,18 @@ def featurize(
     graph: CascadeGraph,
     label: int,
     global_graph: GlobalSocialGraph,
-    fp: FeatureParams,
-    global_seed: int,
+    config: TrainConfig,
 ) -> CascadeFeatures:
+    c = config
     walks = sample_walks(
-        graph, k=fp.k_walks, n=fp.walk_len, beta=fp.beta, seed=walk_seed(global_seed, graph.message_id)
+        graph, k=c.k_walks, n=c.walk_len, beta=c.beta, seed=walk_seed(c.seed, graph.message_id)
     )
     walk_idx, walk_lengths = walks.to_index_matrix(global_graph)
 
-    weights, _ = social_weight_vector(graph, global_graph, alpha=fp.alpha, max_pairs=fp.max_pairs)
+    weights, _ = social_weight_vector(graph, global_graph, alpha=c.alpha, max_pairs=c.max_pairs)
     social_row = sp.csr_matrix(weights.reshape(1, -1))
     propagation, node_bins, pool_weights = build_snapshots(
-        *snapshot_feature_matrix(graph, fp.time_bins), fp.m_max
+        *snapshot_feature_matrix(graph, c.time_bins), c.m_max
     )
 
     return CascadeFeatures(
@@ -127,13 +104,14 @@ def featurize_corpus(
     records: list[CascadeRecord],
     window: int,
     global_graph: GlobalSocialGraph,
-    fp: FeatureParams,
-    global_seed: int,
+    config: TrainConfig,
 ) -> list[CascadeFeatures]:
+    """Features of every record observed for ``window``, which may differ
+    from ``config.window`` when evaluate or predict override it."""
     out = []
     for rec in records:
         graph = build_cascade_graph(rec, window)
-        out.append(featurize(graph, compute_label(rec, window), global_graph, fp, global_seed))
+        out.append(featurize(graph, compute_label(rec, window), global_graph, config))
     return out
 
 

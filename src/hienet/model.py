@@ -30,11 +30,10 @@ tokens among themselves, as one (B, heads, 4, 4) array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
+from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .features import FeatureBatch, log2p1
 from .nn.layers import LSTM, MLP, Embedding, Linear, TransformerEncoderLayer
@@ -52,68 +51,27 @@ from .nn.tensor import (
     sparse_matmul,
     square,
 )
-from .snapshots import TemporalEncoding, encoding_table
-
-FUSION_MODES = ("transformer", "concat")
-
-
-@dataclass
-class ModelConfig:
-    """Model shape; sizes have no defaults here, ``TrainConfig`` supplies them."""
-
-    vocab: int
-    embed_dim: int
-    lstm_hidden: int
-    pe_dim: int
-    time_bins: int
-    gcn_hidden: int
-    d_model: int
-    heads: int
-    ff_hidden: int
-    mlp_sizes: tuple[int, ...]
-    use_cs: bool = True
-    use_sg: bool = True
-    use_cg: bool = True
-    fusion_mode: str = "transformer"
-
-    def __post_init__(self) -> None:
-        self.mlp_sizes = tuple(self.mlp_sizes)
-        positive = (
-            "vocab", "embed_dim", "lstm_hidden", "pe_dim", "time_bins",
-            "gcn_hidden", "d_model", "heads", "ff_hidden",
-        )
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.mlp_sizes:
-            raise ConfigError("mlp_sizes must be non-empty")
-        if not (self.use_cs or self.use_sg or self.use_cg):
-            raise ConfigError("at least one branch must be enabled")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"fusion_mode must be one of {FUSION_MODES}, got {self.fusion_mode!r}")
-        if self.d_model % self.heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by heads {self.heads}")
-        if self.pe_dim % 2 != 0:
-            raise ConfigError(f"pe_dim must be even, got {self.pe_dim}")
+from .snapshots import encoding_table
 
 
 class HIENet:
-    """All parameters are created in __init__ in a fixed order from one
-    seed, so (seed, config) pins every weight."""
+    """All parameters are created in __init__ in a fixed order from
+    ``config.seed``, so (config, vocab) pins every weight. ``vocab`` rows:
+    one per user of the global graph plus the unknown/PAD row 0."""
 
-    def __init__(self, config: ModelConfig, seed: int = 0):
-        rng = np.random.default_rng(seed)
+    def __init__(self, config: TrainConfig, vocab: int):
+        rng = np.random.default_rng(config.seed)
         c = self.config = config
         h, d = c.lstm_hidden, c.d_model
 
-        self.cs_embed = Embedding("cs.embed", c.vocab, c.embed_dim, rng)
+        self.cs_embed = Embedding("cs.embed", vocab, c.embed_dim, rng)
         self.inner_f = LSTM("cs.inner_f", c.embed_dim, h, rng)
         self.inner_b = LSTM("cs.inner_b", c.embed_dim, h, rng)
         self.outer_f = LSTM("cs.outer_f", 2 * h, h, rng)
         self.outer_b = LSTM("cs.outer_b", 2 * h, h, rng)
         self.cs_proj = Linear("cs.proj", 2 * h, d, rng)
 
-        self.sg_embed = Embedding("sg.embed", c.vocab, c.embed_dim, rng)
+        self.sg_embed = Embedding("sg.embed", vocab, c.embed_dim, rng)
         self.sg_proj = Linear("sg.proj", c.embed_dim, d, rng)
 
         k1 = 1.0 / np.sqrt(c.pe_dim)
@@ -137,7 +95,7 @@ class HIENet:
 
         self.head = MLP("head", d, c.mlp_sizes, rng)
         # the (time_bins, pe_dim) node-feature rows build_batch looks up
-        self.enc_table = encoding_table(TemporalEncoding(c.pe_dim, c.time_bins))
+        self.enc_table = encoding_table(c.pe_dim, c.time_bins)
 
         names = [p.name for p in self.params()]
         if len(set(names)) != len(names):

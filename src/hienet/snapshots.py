@@ -20,36 +20,19 @@ frequencies. The root sits in bin 0 by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
 from .cascade import CascadeGraph
-from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class TemporalEncoding:
-    """Sinusoidal encoding config: ``dim`` output width, ``bins`` time steps."""
-
-    dim: int
-    bins: int
-
-    def __post_init__(self) -> None:
-        if self.dim <= 0 or self.dim % 2 != 0:
-            raise ConfigError(f"encoding dim must be a positive even number, got {self.dim}")
-        if self.bins < 1:
-            raise ConfigError(f"time bins must be >= 1, got {self.bins}")
-
-
-def encoding_table(enc: TemporalEncoding) -> np.ndarray:
+def encoding_table(dim: int, bins: int) -> np.ndarray:
     """Row t = PE(t) for every bin, shape (bins, dim): pair d of PE(t) uses
-    angle t / 10000^(2d/D), with sin at 2d and cos at 2d+1."""
-    half = np.arange(enc.dim // 2, dtype=np.float64)
-    steps = np.arange(enc.bins, dtype=np.float64)[:, None]
-    angles = steps / np.power(10000.0, 2.0 * half / enc.dim)[None, :]
-    out = np.empty((enc.bins, enc.dim), dtype=np.float64)
+    angle t / 10000^(2d/D), with sin at 2d and cos at 2d+1 (D = dim, even)."""
+    half = np.arange(dim // 2, dtype=np.float64)
+    steps = np.arange(bins, dtype=np.float64)[:, None]
+    angles = steps / np.power(10000.0, 2.0 * half / dim)[None, :]
+    out = np.empty((bins, dim), dtype=np.float64)
     out[:, 0::2] = np.sin(angles)
     out[:, 1::2] = np.cos(angles)
     return out

@@ -1,10 +1,7 @@
-"""Training and evaluation loops, configuration, splits, artifacts.
+"""Training and evaluation loops, splits, artifacts.
 
-Config resolution: JSON file keys overlaid by CLI overrides, both spelled
-as ``TrainConfig`` field names, validated into one flat ``TrainConfig``
-whose dict form is echoed into every artifact, so any output can be traced
-back to the exact run settings and a config round-trips losslessly through
-a checkpoint.
+Every run reads one ``TrainConfig`` (``config.py``), whose dict form is
+echoed into every artifact.
 
 Determinism: the corpus is split 80/10/10 by a hash of the message id
 (stable across runs and machines); features are extracted once up front
@@ -24,7 +21,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,126 +34,15 @@ from .cascade import (
     load_cascades,
     load_manifest,
 )
+from .config import TrainConfig
 from .errors import ConfigError, DataError, TrainingError
-from .features import (
-    CascadeFeatures,
-    FeatureParams,
-    build_batch,
-    featurize_corpus,
-    from_log2p1,
-)
-from .model import HIENet, ModelConfig, metrics_from_logs, msle_loss
+from .features import CascadeFeatures, build_batch, featurize_corpus, from_log2p1
+from .model import HIENet, metrics_from_logs, msle_loss
 from .nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .nn.optim import Adam
 from .nn.tensor import set_nan_trace
 
 EVAL_BATCH = 64
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-#: what a value of each ``TrainConfig`` annotation must be; a float field keeps an int as written
-_FIELD_TYPES = {
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[int, ...]": (
-        "a list of integers",
-        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
-    ),
-}
-
-
-@dataclass
-class TrainConfig:
-    data: str = ""
-    out: str = "out"
-    resume: str = ""
-    window: int = 21600
-    epochs: int = 100
-    batch_size: int = 32
-    seed: int = 1
-    lr: float = 1e-4
-    # feature extraction
-    k_walks: int = 10
-    walk_len: int = 10
-    beta: float = 0.8
-    alpha: float = 0.9
-    max_pairs: int = 64
-    m_max: int = 8
-    time_bins: int = 64
-    pe_dim: int = 16
-    # model
-    embed_dim: int = 32
-    lstm_hidden: int = 32
-    gcn_hidden: int = 32
-    d_model: int = 32
-    heads: int = 4
-    ff_hidden: int = 64
-    mlp_sizes: tuple[int, ...] = (128, 32)
-    use_cs: bool = True
-    use_sg: bool = True
-    use_cg: bool = True
-    fusion_mode: str = "transformer"
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            kind, ok = _FIELD_TYPES[f.type]
-            if not ok(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
-        self.mlp_sizes = tuple(self.mlp_sizes)
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        # feature/model field ranges are validated by their own dataclasses
-        self.feature_params()
-        self.model_config(vocab=1)
-
-    def feature_params(self) -> FeatureParams:
-        return FeatureParams(**{f.name: getattr(self, f.name) for f in fields(FeatureParams)})
-
-    def model_config(self, vocab: int) -> ModelConfig:
-        names = [f.name for f in fields(ModelConfig) if f.name != "vocab"]
-        return ModelConfig(vocab=vocab, **{name: getattr(self, name) for name in names})
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mlp_sizes"] = list(self.mlp_sizes)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
-
-
-def resolve_config(config_path: str | Path | None = None, overrides: dict | None = None) -> TrainConfig:
-    """File keys first, CLI overrides on top; every key must name a field."""
-    merged: dict = {}
-    if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise DataError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise DataError(f"config file {path} is not valid JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise DataError(f"config file {path} must hold a JSON object")
-        merged.update(raw)
-    merged.update(overrides or {})
-    unknown = sorted(set(merged) - {f.name for f in fields(TrainConfig)})
-    if unknown:
-        raise ConfigError(f"unknown config key {unknown[0]!r}")
-    return TrainConfig(**merged)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +113,16 @@ def _training_step(model: HIENet, batch, opt: Adam) -> float:
 def load_corpus(
     data_path: str | Path, window: int, time_unit: str | None = None
 ) -> tuple[list[CascadeRecord], DatasetManifest]:
-    """A cascade file and its manifest, checked against the run's settings.
+    """A non-empty cascade file and its manifest, checked against the run's settings.
 
-    Every entry point reads its corpus here, so this is where the window is
-    checked: it must be at least 1 and end before the label horizon.
-    ``time_unit``, when given (a checkpoint's), must match the dataset's.
+    Every entry point reads its corpus here, with a window its
+    ``TrainConfig`` has checked, so this is where the window is checked
+    against the data: it must end before the label horizon. ``time_unit``,
+    when given (a checkpoint's), must match the dataset's.
     """
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
     records = load_cascades(data_path)
+    if not records:
+        raise DataError(f"no cascades in {data_path}")
     manifest = load_manifest(data_path)
     if time_unit is not None and manifest.time_unit != time_unit:
         raise DataError(
@@ -249,7 +136,11 @@ def load_corpus(
 def train(config: TrainConfig) -> TrainResult:
     if not config.data:
         raise ConfigError("config.data must point at a cascade file")
-    records, manifest = load_corpus(config.data, config.window)
+    time_unit = None
+    if config.resume:
+        _, extra, resumed_graph, weights = _open_checkpoint(config.resume)
+        time_unit = extra["time_unit"]
+    records, manifest = load_corpus(config.data, config.window, time_unit)
     if len(records) < 2:
         raise DataError(f"need at least 2 cascades to train, got {len(records)}")
 
@@ -261,13 +152,15 @@ def train(config: TrainConfig) -> TrainResult:
     val_ids = splits["val"] or splits["train"]
 
     ggraph = build_global_graph(records)
-    feats = featurize_corpus(records, config.window, ggraph, config.feature_params(), config.seed)
+    if config.resume and resumed_graph.users != ggraph.users:
+        # embedding row i belongs to user i, so other users would inherit its rows
+        raise DataError(f"checkpoint {config.resume} holds other users than {config.data}")
+    feats = featurize_corpus(records, config.window, ggraph, config)
 
-    model = HIENet(config.model_config(vocab=ggraph.num_users + 1), seed=config.seed)
+    model = HIENet(config, vocab=ggraph.num_users + 1)
     table = model.enc_table
     params = model.params()
     if config.resume:
-        _, weights = load_checkpoint(config.resume)
         restore_into(params, weights)
     opt = Adam(params, lr=config.lr)
 
@@ -346,7 +239,9 @@ def train(config: TrainConfig) -> TrainResult:
 
 
 def _checkpoint_graph(users, adjacency) -> GlobalSocialGraph:
-    """The social graph a checkpoint stores, checked before featurization reads it."""
+    """The social graph a checkpoint stores, checked before featurization reads it:
+    the symmetric adjacency ``build_global_graph`` writes, each row sorted
+    and free of self-loops."""
     if not isinstance(users, list) or not all(isinstance(u, str) for u in users):
         raise DataError("checkpoint users must be a list of user ids")
     index = {u: i for i, u in enumerate(users)}
@@ -354,23 +249,26 @@ def _checkpoint_graph(users, adjacency) -> GlobalSocialGraph:
         raise DataError("checkpoint users repeat an id")
     if not isinstance(adjacency, list) or len(adjacency) != len(users):
         raise DataError(f"checkpoint adjacency must hold one neighbour list per user ({len(users)})")
-    for row in adjacency:
+    for i, row in enumerate(adjacency):
         if not isinstance(row, list) or not all(
             type(v) is int and 0 <= v < len(users) for v in row
         ):
             raise DataError(f"checkpoint adjacency row {row!r} must list user indices")
+        if i in row or any(a >= b for a, b in zip(row, row[1:])):
+            raise DataError(f"checkpoint adjacency row {i} must list other users in increasing order")
+    edges = {(i, j) for i, row in enumerate(adjacency) for j in row}
+    if any((j, i) not in edges for i, j in edges):
+        raise DataError("checkpoint adjacency is not symmetric")
     return GlobalSocialGraph(users=users, index=index, adj=adjacency)
 
 
-def _score(
-    checkpoint_dir: str | Path, data_path: str | Path, window: int | None, split: str
-) -> tuple[TrainConfig, dict, int, list[CascadeFeatures], np.ndarray]:
-    """Open a checkpoint and predict the cascades of ``split`` in ``data_path``.
+def _open_checkpoint(
+    checkpoint_dir: str | Path,
+) -> tuple[TrainConfig, dict, GlobalSocialGraph, dict[str, np.ndarray]]:
+    """A checkpoint's run config, extra fields, social graph and weights.
 
-    evaluate and predict both load through here, so they check the
-    checkpoint, the time unit and the window the same way. Returns the run
-    config, the checkpoint's extra fields, the window used, the features and
-    the predicted log-popularities.
+    evaluate, predict and a resumed train all open checkpoints here, so a
+    corrupt one is a ``DataError`` wherever it is read.
     """
     extra, weights = load_checkpoint(checkpoint_dir)
     for key in ("config", "users", "adjacency", "time_unit", "train_mean_log"):
@@ -383,16 +281,30 @@ def _score(
     mean_log = extra["train_mean_log"]
     if not (isinstance(mean_log, float) and math.isfinite(mean_log)):
         raise DataError(f"checkpoint train_mean_log {mean_log!r} is not a finite number")
-    ggraph = _checkpoint_graph(extra["users"], extra["adjacency"])
-    model = HIENet(config.model_config(vocab=ggraph.num_users + 1), seed=config.seed)
+    return config, extra, _checkpoint_graph(extra["users"], extra["adjacency"]), weights
+
+
+def _score(
+    checkpoint_dir: str | Path, data_path: str | Path, window: int | None, split: str
+) -> tuple[TrainConfig, dict, int, list[CascadeFeatures], np.ndarray]:
+    """Open a checkpoint and predict the cascades of ``split`` in ``data_path``.
+
+    evaluate and predict both load through here, so they check the
+    checkpoint, the time unit and the window the same way. Returns the run
+    config, the checkpoint's extra fields, the window used, the features and
+    the predicted log-popularities.
+    """
+    config, extra, ggraph, weights = _open_checkpoint(checkpoint_dir)
+    model = HIENet(config, vocab=ggraph.num_users + 1)
     restore_into(model.params(), weights)
 
-    window = config.window if window is None else window
+    # an overriding window passes the checks of the config's own
+    window = (config if window is None else replace(config, window=window)).window
     records, _ = load_corpus(data_path, window, time_unit=extra["time_unit"])
     chosen = [r for r in records if split == "all" or split_of(r.message_id) == split]
     if not chosen:
         raise DataError(f"no cascades in split {split!r} of {data_path}")
-    feats = featurize_corpus(chosen, window, ggraph, config.feature_params(), config.seed)
+    feats = featurize_corpus(chosen, window, ggraph, config)
     return config, extra, window, feats, _batched_predict(model, feats, model.enc_table)
 
 

@@ -16,7 +16,6 @@ and GCN tests compare against these.
 import numpy as np
 
 from hienet.errors import ShapeError
-from hienet.snapshots import TemporalEncoding
 from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result
 
 
@@ -136,13 +135,13 @@ def snapshot_blocks(propagation, bins: np.ndarray, sizes) -> list[tuple[np.ndarr
     return out
 
 
-def temporal_positional_encoding(t: int, enc: TemporalEncoding) -> np.ndarray:
+def temporal_positional_encoding(t: int, dim: int, bins: int) -> np.ndarray:
     """PE(t) with pair d using angle t / 10000^(2d/D); sin at 2d, cos at 2d+1."""
-    if not 0 <= t < enc.bins:
-        raise ValueError(f"time step {t} outside [0, {enc.bins})")
-    half = np.arange(enc.dim // 2, dtype=np.float64)
-    angles = t / np.power(10000.0, 2.0 * half / enc.dim)
-    out = np.empty(enc.dim, dtype=np.float64)
+    if not 0 <= t < bins:
+        raise ValueError(f"time step {t} outside [0, {bins})")
+    half = np.arange(dim // 2, dtype=np.float64)
+    angles = t / np.power(10000.0, 2.0 * half / dim)
+    out = np.empty(dim, dtype=np.float64)
     out[0::2] = np.sin(angles)
     out[1::2] = np.cos(angles)
     return out

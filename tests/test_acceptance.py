@@ -17,11 +17,11 @@ from hienet.cascade import (
     build_cascade_graph,
     parse_cascade_line,
 )
+from hienet.config import TrainConfig
 from hienet.diagnostics import gradient_check_report
-from hienet.model import HIENet, ModelConfig
+from hienet.model import HIENet
 from hienet.nn.tensor import concat, constant, gather_rows
 from hienet.snapshots import (
-    TemporalEncoding,
     build_snapshots,
     encoding_table,
     snapshot_feature_matrix,
@@ -29,7 +29,7 @@ from hienet.snapshots import (
 )
 from hienet.social import CorrelationPath, path_aware_representation, path_coefficients, shortest_correlation_path
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
-from hienet.train import TrainConfig, evaluate, train
+from hienet.train import evaluate, train
 from hienet.walks import sample_walks, start_distribution, transition_distribution
 
 from reference_ops import snapshot_blocks
@@ -215,8 +215,7 @@ def test_criterion_5_structural_invariants():
     nested = nested and np.array_equal(seq[-1][0] != 0, full) and seq[-1][1].size == graph.num_nodes
 
     # sinusoidal pairs stay on the unit circle
-    enc16 = TemporalEncoding(dim=16, bins=512)
-    table = encoding_table(enc16)
+    table = encoding_table(16, 512)
     pair_err = 0.0
     for t in (0, 1, 100, 511):
         row = table[t]
@@ -236,9 +235,9 @@ def test_criterion_5_structural_invariants():
     gcn_err = float(np.abs(gcn.toarray() - 0.5).max())
 
     # fusion output must not depend on modality-token order
-    config = ModelConfig(vocab=9, embed_dim=4, lstm_hidden=3, pe_dim=4, time_bins=8,
+    config = TrainConfig(seed=5, embed_dim=4, lstm_hidden=3, pe_dim=4, time_bins=8,
                          gcn_hidden=5, d_model=8, heads=2, ff_hidden=10, mlp_sizes=(8, 4))
-    model = HIENet(config, seed=5)
+    model = HIENet(config, vocab=9)
     rng = np.random.default_rng(0)
     B = 2
     toks = {name: constant(rng.normal(size=(B, 8))) for name in ("cs", "sg", "cg")}
@@ -383,7 +382,7 @@ def test_criterion_8_reproducibility(tmp_path):
     from hienet.nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
 
     extra, weights = load_checkpoint(tmp_path / "run" / "checkpoint")
-    model = HIENet(config.model_config(vocab=len(extra["users"]) + 1), seed=config.seed)
+    model = HIENet(config, vocab=len(extra["users"]) + 1)
     restore_into(model.params(), weights)
     save_checkpoint(tmp_path / "again", model.params(), extra=extra)
     round_trip = (tmp_path / "again" / "weights.bin").read_bytes() == first["weights"] and (

@@ -1,21 +1,25 @@
-"""The benchmark's traced run wraps program functions by name.
+"""The benchmark wraps program functions by name.
 
 ``perfbench/layers.py`` replaces functions where their callers look them up
 (``hienet.train``, ``hienet.features``, ``hienet.social`` module globals and
-``HIENet`` methods). Installing and removing every hook here catches a
-rename or deletion that would otherwise only fail a ``--trace 1`` run.
+``HIENet`` methods) for the traced run, and ``perfbench/worker.py``'s
+``Boundaries`` replaces four ``hienet.train`` names for the untraced run.
+Installing and removing every hook here catches a rename or deletion that
+would otherwise only fail a benchmark run.
 """
 
 import importlib
 
 from perfbench.layers import LayerCounts, autodiff_nodes, install_layers
 from perfbench.trace import Tracer
+from perfbench.worker import Boundaries
 
+import hienet
 from hienet.cascade import build_global_graph
+from hienet.config import TrainConfig
 from hienet.features import build_batch, featurize_corpus
 from hienet.model import HIENet, msle_loss
 from hienet.synth import SyntheticSpec, generate_synthetic
-from hienet.train import TrainConfig
 
 
 def test_benchmark_hook_points_install_and_restore():
@@ -33,16 +37,35 @@ def test_benchmark_hook_points_install_and_restore():
     assert HIENet.forward is forward
 
 
+def test_untraced_boundaries_install_and_restore():
+    """The untraced run builds its config from the package and times a call
+    between the ``hienet.train`` names ``Boundaries`` replaces."""
+    train_module = importlib.import_module("hienet.train")
+    names = ("build_batch", "msle_loss", "save_checkpoint")
+    before = {name: getattr(train_module, name) for name in names}
+    step = train_module.Adam.step
+    assert hienet.TrainConfig().batch_size >= 1
+    marks = Boundaries()
+    marks.install()
+    try:
+        assert all(getattr(train_module, n) is not f for n, f in before.items())
+        assert train_module.Adam.step is not step
+    finally:
+        marks.restore()
+    assert all(getattr(train_module, n) is f for n, f in before.items())
+    assert train_module.Adam.step is step
+
+
 def test_featurize_calls_every_feature_hook():
     """A hooked name that featurize no longer calls would report 0 ms in a
     traced run without failing anything, so one cascade must reach them all."""
     records, _ = generate_synthetic(SyntheticSpec(num_users=40, num_cascades=4, seed=3))
     graph = build_global_graph(records)
-    config = TrainConfig()
+    config = TrainConfig(seed=0)
     tracer = Tracer()
     install_layers(tracer, LayerCounts())
     try:
-        featurize_corpus(records[:1], config.window, graph, config.feature_params(), 0)
+        featurize_corpus(records[:1], config.window, graph, config)
     finally:
         tracer.restore()
     names = {span.name for span in tracer.spans}
@@ -53,13 +76,13 @@ def test_featurize_calls_every_feature_hook():
 def test_default_step_records_few_autodiff_nodes():
     """Each LSTM direction and the fusion attention are one node each, so a
     default-config step (B=32, K=N=10) records a fixed, small graph."""
-    config = TrainConfig()
+    config = TrainConfig(seed=0)
     assert (config.batch_size, config.k_walks, config.walk_len) == (32, 10, 10)
     records, _ = generate_synthetic(SyntheticSpec())
     records = records[: config.batch_size]
     graph = build_global_graph(records)
-    feats = featurize_corpus(records, config.window, graph, config.feature_params(), 0)
-    model = HIENet(config.model_config(vocab=graph.num_users + 1), seed=0)
+    feats = featurize_corpus(records, config.window, graph, config)
+    model = HIENet(config, vocab=graph.num_users + 1)
     batch = build_batch(feats, model.enc_table)
     f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
     loss = msle_loss(model.forward(batch), batch.true_logs)

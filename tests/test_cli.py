@@ -1,9 +1,12 @@
 import json
 import shutil
+from dataclasses import replace
 
 import pytest
 
+from hienet.cascade import CascadeEvent, load_cascades, load_manifest
 from hienet.cli import main
+from hienet.synth import write_corpus
 
 TINY_CFG = {
     "epochs": 2,
@@ -232,6 +235,20 @@ def test_nonpositive_window_is_config_error(workspace, trained, capsys, command,
     ids=["string-bool", "string-int", "bool-int", "int-sizes", "string-size", "string-float", "int-str"],
 )
 def test_config_value_of_wrong_type_is_config_error(workspace, tmp_path, capsys, change):
+    assert_train_rejects_config(workspace, tmp_path, capsys, change)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"mlp_sizes": [0]}, {"mlp_sizes": [-3, 8]}],
+    ids=["zero-size", "negative-size"],
+)
+def test_config_value_out_of_range_is_config_error(workspace, tmp_path, capsys, change):
+    assert_train_rejects_config(workspace, tmp_path, capsys, change)
+
+
+def assert_train_rejects_config(workspace, tmp_path, capsys, change):
+    """train with ``change`` over the tiny config exits 1 naming the key, before any output."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**TINY_CFG, **change}))
     data = str(workspace / "data" / "cascades.tsv")
@@ -258,14 +275,7 @@ def test_config_value_of_wrong_type_is_config_error(workspace, tmp_path, capsys,
 def test_bad_dataset_manifest_is_data_error(workspace, trained, tmp_path, capsys, manifest):
     shutil.copy(workspace / "data" / "cascades.tsv", tmp_path / "cascades.tsv")
     (tmp_path / "manifest.json").write_text(manifest)
-    data = str(tmp_path / "cascades.tsv")
-    commands = [
-        ["ingest", "--data", data],
-        ["train", "--data", data, "--out", str(tmp_path / "run"), "--epochs", "0"],
-        ["eval", "--checkpoint", str(trained), "--data", data],
-        ["predict", "--checkpoint", str(trained), "--data", data],
-    ]
-    for argv in commands:
+    for argv in corpus_commands(trained, str(tmp_path / "cascades.tsv"), tmp_path):
         assert main(argv) == 2, argv[0]
         assert "data error" in capsys.readouterr().err
 
@@ -294,6 +304,27 @@ def first_adjacency_row(row):
     return edit_manifest(lambda m: m.update(adjacency=[row] + m["adjacency"][1:]))
 
 
+def user_with_neighbours(adjacency, count):
+    return next(i for i, row in enumerate(adjacency) if len(row) >= count)
+
+
+def one_way_edge(manifest):
+    adjacency = manifest["adjacency"]
+    i = user_with_neighbours(adjacency, 1)
+    adjacency[adjacency[i][0]].remove(i)
+
+
+def unsorted_row(manifest):
+    adjacency = manifest["adjacency"]
+    adjacency[user_with_neighbours(adjacency, 2)].reverse()
+
+
+def self_loop(manifest):
+    adjacency = manifest["adjacency"]
+    i = user_with_neighbours(adjacency, 1)
+    adjacency[i] = sorted(adjacency[i] + [i])
+
+
 @pytest.mark.parametrize(
     "command, name, damage",
     [
@@ -311,6 +342,10 @@ def first_adjacency_row(row):
         ("predict", "manifest.json", edit_manifest(lambda m: m.update(users=m["users"][:-1] + m["users"][:1]))),
         ("predict", "manifest.json", edit_manifest(lambda m: m["config"].update(hierarchical=True))),
         ("eval", "manifest.json", edit_manifest(lambda m: m["config"].update(use_cs="no"))),
+        ("predict", "manifest.json", edit_manifest(lambda m: m["config"].update(mlp_sizes=[0]))),
+        ("predict", "manifest.json", edit_manifest(one_way_edge)),
+        ("eval", "manifest.json", edit_manifest(unsorted_row)),
+        ("predict", "manifest.json", edit_manifest(self_loop)),
     ],
     ids=[
         "truncated-weights",
@@ -327,6 +362,10 @@ def first_adjacency_row(row):
         "repeated-user",
         "stale-hierarchical-key",
         "string-bool-config",
+        "zero-mlp-size",
+        "one-way-edge",
+        "unsorted-adjacency-row",
+        "self-loop",
     ],
 )
 def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, command, name, damage):
@@ -334,4 +373,70 @@ def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, 
     data = workspace / "data" / "cascades.tsv"
     rc = main([command, "--checkpoint", str(ckpt), "--data", str(data)])
     assert rc == 2
-    assert "data error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "data error" in err
+    assert "Traceback" not in err
+
+
+def test_resume_on_other_users_is_data_error(workspace, trained, tmp_path, capsys):
+    """Embedding row i is user i's, so resuming on a corpus whose users are
+    all renamed would hand every trained row to another user."""
+    data = workspace / "data" / "cascades.tsv"
+
+    def rename(user):
+        return None if user is None else "renamed-" + user
+
+    records = [
+        replace(
+            r,
+            root_user=rename(r.root_user),
+            events=[CascadeEvent(rename(e.retweeter), rename(e.source), e.elapsed) for e in r.events],
+        )
+        for r in load_cascades(data)
+    ]
+    renamed = write_corpus(tmp_path / "renamed", records, load_manifest(data))
+    rc = main(
+        [
+            "train",
+            "--data", str(renamed),
+            "--out", str(tmp_path / "run"),
+            "--config", str(workspace / "tiny.json"),
+            "--resume", str(trained),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: checkpoint") and "other users" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def corpus_commands(trained, data, tmp_path):
+    return [
+        ["ingest", "--data", data],
+        ["train", "--data", data, "--out", str(tmp_path / "run"), "--epochs", "0"],
+        ["eval", "--checkpoint", str(trained), "--data", data],
+        ["predict", "--checkpoint", str(trained), "--data", data],
+    ]
+
+
+def test_empty_cascade_file_is_data_error(workspace, trained, tmp_path, capsys):
+    (tmp_path / "cascades.tsv").write_text("")
+    shutil.copy(workspace / "data" / "manifest.json", tmp_path / "manifest.json")
+    for argv in corpus_commands(trained, str(tmp_path / "cascades.tsv"), tmp_path):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("data error: no cascades in"), argv[0]
+        assert "Traceback" not in err
+
+
+def test_undecodable_cascade_line_is_data_error(workspace, trained, tmp_path, capsys):
+    lines = (workspace / "data" / "cascades.tsv").read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"\t", b"\xff\t", 1)
+    (tmp_path / "cascades.tsv").write_bytes(b"".join(lines))
+    shutil.copy(workspace / "data" / "manifest.json", tmp_path / "manifest.json")
+    for argv in corpus_commands(trained, str(tmp_path / "cascades.tsv"), tmp_path):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("data error: line 3: not valid UTF-8"), argv[0]
+        assert "Traceback" not in err

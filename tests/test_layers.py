@@ -4,7 +4,8 @@ import scipy.sparse as sp
 
 import hienet.nn.tensor as T
 from hienet.errors import ConfigError, DataError, ShapeError
-from hienet.model import HIENet, ModelConfig
+from hienet.config import TrainConfig
+from hienet.model import HIENet
 from hienet.nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.layers import (
@@ -161,11 +162,11 @@ def test_bilstm_gradcheck(seed):
 
 def gcn_model(width, seed=0, identity=False):
     """A model whose cg branch maps width-wide node features to width-wide states."""
-    config = ModelConfig(
-        vocab=2, embed_dim=2, lstm_hidden=2, pe_dim=width, time_bins=4, gcn_hidden=width,
+    config = TrainConfig(
+        seed=seed, embed_dim=2, lstm_hidden=2, pe_dim=width, time_bins=4, gcn_hidden=width,
         d_model=width, heads=1, ff_hidden=2, mlp_sizes=(2,),
     )
-    model = HIENet(config, seed=seed)
+    model = HIENet(config, vocab=2)
     if identity:
         for w in (model.gcn_w1, model.gcn_w2, model.cg_proj.w):
             w.data[...] = np.eye(width)

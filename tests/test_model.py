@@ -5,15 +5,10 @@ import pytest
 import scipy.sparse as sp
 
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
+from hienet.config import TrainConfig
 from hienet.errors import ConfigError, ShapeError
-from hienet.features import FeatureParams, build_batch, featurize_corpus, from_log2p1, log2p1
-from hienet.model import (
-    HIENet,
-    ModelConfig,
-    metrics_from_logs,
-    msle_loss,
-    msle_loss_value,
-)
+from hienet.features import build_batch, featurize_corpus, from_log2p1, log2p1
+from hienet.model import HIENet, metrics_from_logs, msle_loss, msle_loss_value
 from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.tensor import Parameter, constant, mean_all, square
 from hienet.snapshots import snapshot_indices
@@ -26,21 +21,20 @@ LINES = [
     "c\tx2\t0\t6\tx2:0 x2/r1:40 x2/x4:90 x2/x4/x5:200 x2/x1:600",
 ]
 WINDOW = 1000
-FP = FeatureParams(
-    k_walks=3, walk_len=4, beta=0.8, alpha=0.9, max_pairs=4, m_max=3, time_bins=8
-)
+FEATURES = TrainConfig(k_walks=3, walk_len=4, max_pairs=4, m_max=3, time_bins=8, seed=7)
 
 
 @pytest.fixture(scope="module")
 def corpus():
     records = [parse_cascade_line(line) for line in LINES]
     ggraph = build_global_graph(records)
-    feats = featurize_corpus(records, WINDOW, ggraph, FP, global_seed=7)
+    feats = featurize_corpus(records, WINDOW, ggraph, FEATURES)
     return ggraph, feats
 
 
 def tiny_config(**over):
     base = dict(
+        seed=3,
         embed_dim=4,
         lstm_hidden=3,
         pe_dim=4,
@@ -52,24 +46,24 @@ def tiny_config(**over):
         mlp_sizes=(16, 8),
     )
     base.update(over)
-    return ModelConfig(**base)
+    return TrainConfig(**base)
 
 
 def build_model(ggraph, **over):
-    return HIENet(tiny_config(vocab=ggraph.num_users + 1, **over), seed=3)
+    return HIENet(tiny_config(**over), vocab=ggraph.num_users + 1)
 
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        tiny_config(vocab=10, use_cs=False, use_sg=False, use_cg=False)
+        tiny_config(use_cs=False, use_sg=False, use_cg=False)
     with pytest.raises(ConfigError):
-        tiny_config(vocab=10, mlp_sizes=())
+        tiny_config(mlp_sizes=())
     with pytest.raises(ConfigError):
-        tiny_config(vocab=10, fusion_mode="sum")
+        tiny_config(fusion_mode="sum")
     with pytest.raises(ConfigError):
-        tiny_config(vocab=10, d_model=9)
+        tiny_config(d_model=9)
     with pytest.raises(ConfigError):
-        tiny_config(vocab=10, pe_dim=5)
+        tiny_config(pe_dim=5)
 
 
 def test_zeroed_sequence_branch_is_projection_bias(corpus):
@@ -122,7 +116,7 @@ def test_embedding_grad_sparsity_matches_walk_membership(corpus):
 def snapshots_of(k, feat):
     """Cascade k's kept snapshots as dense (propagation block, bins) pairs."""
     graph = build_cascade_graph(parse_cascade_line(LINES[k]), WINDOW)
-    sizes = snapshot_indices(graph.num_nodes, FP.m_max)
+    sizes = snapshot_indices(graph.num_nodes, FEATURES.m_max)
     return snapshot_blocks(feat.propagation, feat.node_bins, sizes)
 
 

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
+from hienet.config import TrainConfig
 from hienet.errors import ConfigError
-from hienet.features import FeatureParams, build_batch, featurize, featurize_corpus
+from hienet.features import build_batch, featurize, featurize_corpus
 from hienet.snapshots import (
-    TemporalEncoding,
     build_snapshots,
     encoding_table,
     snapshot_feature_matrix,
@@ -15,7 +15,6 @@ from hienet.snapshots import (
     time_bin,
 )
 from hienet.synth import SyntheticSpec, generate_synthetic
-from hienet.train import TrainConfig
 
 from reference_ops import normalize_adjacency, snapshot_blocks, temporal_positional_encoding
 
@@ -27,43 +26,38 @@ def make_cascade(n_retweets, window=1000, spacing=10):
 
 
 def test_pe_zero_step():
-    enc = TemporalEncoding(dim=8, bins=16)
-    pe = temporal_positional_encoding(0, enc)
+    pe = temporal_positional_encoding(0, 8, 16)
     assert np.array_equal(pe[0::2], np.zeros(4))
     assert np.array_equal(pe[1::2], np.ones(4))
 
 
 def test_pe_unit_pairs():
-    enc = TemporalEncoding(dim=12, bins=300)
     for t in (1, 7, 50, 299):
-        pe = temporal_positional_encoding(t, enc)
+        pe = temporal_positional_encoding(t, 12, 300)
         pair_norms = pe[0::2] ** 2 + pe[1::2] ** 2
         assert np.abs(pair_norms - 1.0).max() < 1e-12
 
 
 def test_pe_hand_values_dim4():
-    enc = TemporalEncoding(dim=4, bins=8)
-    pe = temporal_positional_encoding(1, enc)
+    pe = temporal_positional_encoding(1, 4, 8)
     assert pe == pytest.approx([0.8415, 0.5403, 0.0100, 0.99995], abs=1e-4)
     # exact closed form for the same entries
     assert pe[2] == pytest.approx(math.sin(10000.0 ** -0.5), abs=1e-12)
 
 
 def test_pe_rejects_odd_dim_and_bad_bins():
-    with pytest.raises(ConfigError):
-        TemporalEncoding(dim=7, bins=4)
-    with pytest.raises(ConfigError):
-        TemporalEncoding(dim=8, bins=0)
-    enc = TemporalEncoding(dim=4, bins=4)
+    with pytest.raises(ConfigError, match="pe_dim must be even"):
+        TrainConfig(pe_dim=7)
+    with pytest.raises(ConfigError, match="time_bins must be >= 1"):
+        TrainConfig(time_bins=0)
     with pytest.raises(ValueError):
-        temporal_positional_encoding(4, enc)
+        temporal_positional_encoding(4, 4, 4)
     with pytest.raises(ValueError):
-        temporal_positional_encoding(-1, enc)
+        temporal_positional_encoding(-1, 4, 4)
 
 
 def test_pe_injective_over_bins():
-    enc = TemporalEncoding(dim=16, bins=512)
-    table = encoding_table(enc)
+    table = encoding_table(16, 512)
     assert table.shape == (512, 16)
     diffs = np.abs(table[:, None, :] - table[None, :, :]).max(axis=2)
     np.fill_diagonal(diffs, np.inf)
@@ -71,10 +65,9 @@ def test_pe_injective_over_bins():
 
 
 def test_encoding_table_matches_single_calls():
-    enc = TemporalEncoding(dim=6, bins=40)
-    table = encoding_table(enc)
+    table = encoding_table(6, 40)
     for t in (0, 1, 17, 39):
-        assert np.array_equal(table[t], temporal_positional_encoding(t, enc))
+        assert np.array_equal(table[t], temporal_positional_encoding(t, 6, 40))
 
 
 def test_time_bin_edges():
@@ -105,11 +98,11 @@ def test_snapshot_indices_strictly_increasing():
             assert all(a < b for a, b in zip(idx, idx[1:]))
 
 
-ENC = TemporalEncoding(dim=8, bins=64)
+PE_DIM, BINS = 8, 64
 
 
 def snapshots_of(cascade, m_max):
-    propagation, bins, _ = build_snapshots(*snapshot_feature_matrix(cascade, ENC.bins), m_max)
+    propagation, bins, _ = build_snapshots(*snapshot_feature_matrix(cascade, BINS), m_max)
     return snapshot_blocks(propagation, bins, snapshot_indices(cascade.num_nodes, m_max))
 
 
@@ -156,14 +149,16 @@ def test_nesting_and_edge_consistency():
 
 
 def test_feature_matrix_single_node():
-    rows, cols, bins = snapshot_feature_matrix(make_cascade(0), ENC.bins)
+    rows, cols, bins = snapshot_feature_matrix(make_cascade(0), BINS)
     assert rows.tolist() == [0] and cols.tolist() == [0]
     assert bins.tolist() == [0]
-    assert np.array_equal(encoding_table(ENC)[bins[0]], temporal_positional_encoding(0, ENC))
+    assert np.array_equal(
+        encoding_table(PE_DIM, BINS)[bins[0]], temporal_positional_encoding(0, PE_DIM, BINS)
+    )
 
 
 def test_feature_matrix_two_nodes():
-    rows, cols, bins = snapshot_feature_matrix(make_cascade(1), ENC.bins)
+    rows, cols, bins = snapshot_feature_matrix(make_cascade(1), BINS)
     # A + A^T + I of the edge 0 -> 1, sorted by (row, col)
     assert rows.tolist() == [0, 0, 1, 1] and cols.tolist() == [0, 1, 0, 1]
     # the retweet at t=10 of a 1000-unit window falls in bin 10 * 64 // 1000
@@ -176,18 +171,18 @@ def test_same_bin_nodes_share_rows():
     # 1000-unit window
     line = "m\tr\t0\t5\tr:0 r/a:100 r/b:101"
     cascade = build_cascade_graph(parse_cascade_line(line), 1000)
-    _, _, bins = snapshot_feature_matrix(cascade, ENC.bins)
-    assert bins[1] == bins[2] == time_bin(100, 1000, ENC.bins)
+    _, _, bins = snapshot_feature_matrix(cascade, BINS)
+    assert bins[1] == bins[2] == time_bin(100, 1000, BINS)
     assert bins[0] != bins[1]
 
 
 def test_feature_shapes_all_snapshots():
     cascade = make_cascade(11)
-    propagation, bins, pool = build_snapshots(*snapshot_feature_matrix(cascade, ENC.bins), 5)
+    propagation, bins, pool = build_snapshots(*snapshot_feature_matrix(cascade, BINS), 5)
     sizes = snapshot_indices(cascade.num_nodes, 5)
     assert propagation.shape == (sum(sizes), sum(sizes))
     assert bins.shape == pool.shape == (sum(sizes),)
-    assert ((bins >= 0) & (bins < ENC.bins)).all()
+    assert ((bins >= 0) & (bins < BINS)).all()
     assert np.array_equal(pool, np.repeat([1.0 / (5 * n) for n in sizes], sizes))
     for block, snap_bins in snapshot_blocks(propagation, bins, sizes):
         n = snap_bins.size
@@ -220,19 +215,17 @@ def per_prefix_snapshots(cascade, time_bins, m_max):
 def test_featurize_blocks_match_per_prefix_reference():
     records, _ = generate_synthetic(SyntheticSpec(num_users=80, num_cascades=40, seed=5))
     global_graph = build_global_graph(records)
-    fp = FeatureParams(
-        k_walks=2, walk_len=3, beta=0.8, alpha=0.9, max_pairs=4, m_max=4, time_bins=16
-    )
+    config = TrainConfig(k_walks=2, walk_len=3, max_pairs=4, m_max=4, time_bins=16, seed=1)
     window = 21600
     capped = 0
     for rec in records:
         graph = build_cascade_graph(rec, window)
-        capped += graph.num_nodes > fp.m_max
-        f = featurize(graph, 0, global_graph, fp, global_seed=1)
+        capped += graph.num_nodes > config.m_max
+        f = featurize(graph, 0, global_graph, config)
         got = snapshot_blocks(
-            f.propagation, f.node_bins, snapshot_indices(graph.num_nodes, fp.m_max)
+            f.propagation, f.node_bins, snapshot_indices(graph.num_nodes, config.m_max)
         )
-        want = per_prefix_snapshots(graph, fp.time_bins, fp.m_max)
+        want = per_prefix_snapshots(graph, config.time_bins, config.m_max)
         assert len(got) == len(want)
         for (p_got, bins_got), (p_want, bins_want) in zip(got, want):
             assert p_got.dtype == p_want.dtype and p_got.shape == p_want.shape
@@ -244,12 +237,12 @@ def test_featurize_blocks_match_per_prefix_reference():
 def test_batch_propagation_stores_no_zeros():
     """build_batch stacks each cascade's sparse propagation as it is, so
     the batch matrix holds only the snapshots' nonzeros."""
-    config = TrainConfig()
+    config = TrainConfig(seed=0)
     records, _ = generate_synthetic(SyntheticSpec())
     records = records[: config.batch_size]
     graph = build_global_graph(records)
-    feats = featurize_corpus(records, config.window, graph, config.feature_params(), 0)
-    batch = build_batch(feats, encoding_table(TemporalEncoding(config.pe_dim, config.time_bins)))
+    feats = featurize_corpus(records, config.window, graph, config)
+    batch = build_batch(feats, encoding_table(config.pe_dim, config.time_bins))
     p = batch.p_block
     assert p.nnz == np.count_nonzero(p.data)
     # each snapshot of i nodes is a tree prefix: 3i - 2 nonzeros

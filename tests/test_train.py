@@ -1,21 +1,15 @@
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hienet.config import TrainConfig, resolve_config
 from hienet.errors import ConfigError, DataError, TrainingError
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
-from hienet.train import (
-    TrainConfig,
-    evaluate,
-    predict,
-    resolve_config,
-    split_indices,
-    split_of,
-    train,
-)
+from hienet.train import evaluate, predict, split_indices, split_of, train
 
 TINY = dict(
     epochs=3,
@@ -95,11 +89,22 @@ def test_config_bad_json_is_data_error(tmp_path):
         dict(window=0),
         dict(alpha=1.5),
         dict(d_model=30, heads=4),
+        dict(mlp_sizes=(0,)),
+        dict(mlp_sizes=(-3, 8)),
+        dict(beta=0.0),
+        dict(max_pairs=0),
     ],
 )
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
         TrainConfig(**kw)
+
+
+def test_readme_config_table_lists_every_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    assert keys == [f.name for f in fields(TrainConfig)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +219,8 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     cfg = tiny_config(corpus, tmp_path / "run")
     records = load_cascades(corpus)[:4]
     ggraph = build_global_graph(records)
-    fp = cfg.feature_params()
-    feats = featurize_corpus(records, cfg.window, ggraph, fp, cfg.seed)
-    model = HIENet(cfg.model_config(vocab=ggraph.num_users + 1), seed=0)
+    feats = featurize_corpus(records, cfg.window, ggraph, cfg)
+    model = HIENet(replace(cfg, seed=0), vocab=ggraph.num_users + 1)
     batch = build_batch(feats, model.enc_table)
     params = model.params()
     # the cs embedding row of a real walk step (the PAD row 0 is never read)
