@@ -18,7 +18,7 @@ from .cascade import (
 )
 from .config import TrainConfig, resolve_config
 from .features import build_batch, featurize, featurize_corpus
-from .model import HIENet, metrics_from_logs, msle_loss_value
+from .model import HIENet, metrics_from_logs
 from .synth import SyntheticSpec, generate_synthetic, write_corpus
 from .train import evaluate, predict, train
 
@@ -42,7 +42,6 @@ __all__ = [
     "load_cascades",
     "load_manifest",
     "metrics_from_logs",
-    "msle_loss_value",
     "parse_cascade_line",
     "predict",
     "resolve_config",

@@ -207,7 +207,6 @@ def _cmd_ablate(args) -> int:
         rows.append((name, result.best_val_msle, test_report["MSLE"]))
         print(f"{name:14s} val MSLE {result.best_val_msle:.4f}  test MSLE {test_report['MSLE']:.4f}")
 
-    out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "ablation.md", "w", encoding="utf-8") as fh:
         fh.write("| variant | val MSLE | test MSLE |\n")
         fh.write("|---|---|---|\n")

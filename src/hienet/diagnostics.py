@@ -72,7 +72,8 @@ def _check_bilstm(rng) -> float:
     fwd = LSTM("f", in_dim=3, hidden=4, rng=rng)
     bwd = LSTM("b", in_dim=3, hidden=4, rng=rng)
     lengths = np.array([3, 1, 0, 2])
-    x = Tensor(rng.normal(size=(4 * 3, 3)), requires_grad=True)
+    # drawn as 4 walks of 3 slots, which later checks' rng stream relies on
+    x = Tensor(rng.normal(size=(4 * 3, 3))[[0, 1, 2, 3, 9, 10]], requires_grad=True)
 
     def loss():
         return _sq_mean(concat([fwd(x, lengths), bwd(x, lengths, reverse=True)], axis=1))

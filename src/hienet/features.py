@@ -1,14 +1,14 @@
 """Per-cascade feature extraction and minibatch assembly.
 
-``featurize`` turns one cascade into plain numpy and scipy payloads (walk
-index matrix and walk lengths, social weight vector, and its kept snapshots
-as one block-diagonal sparse propagation matrix with each snapshot node's
-time bin and pool weight), all computed once up front since none of them
-depend on model weights. ``build_batch`` then stacks B cascades into the
-layout the model consumes:
+``featurize`` turns one cascade into plain numpy and scipy payloads (the
+embedding rows of its walks' real steps and each walk's step count, social
+weight vector, and its kept snapshots as one block-diagonal sparse
+propagation matrix with each snapshot node's time bin and pool weight), all
+computed once up front since none of them depend on model weights.
+``build_batch`` then stacks B cascades into the layout the model consumes:
 
-- walks of all cascades stacked cascade-major into (B*K, N), with their
-  (B*K,) real-step counts,
+- the real walk steps of all cascades concatenated cascade-major into one
+  1-D index array, with the (B*K,) step counts that split it into walks,
 - social weight rows vstacked into a (B, vocab) sparse matrix,
 - the B propagation matrices stacked block-diagonally by concatenating
   their CSR arrays with offsets, with a (B, total_nodes) pooling matrix
@@ -38,8 +38,8 @@ from .walks import sample_walks, walk_seed
 @dataclass
 class CascadeFeatures:
     message_id: str
-    walk_idx: np.ndarray  # (K, N) embedding rows; 0 for an unknown user and the unread PAD tail
-    walk_lengths: np.ndarray  # (K,) real steps per walk; the PAD tail follows
+    walk_idx: np.ndarray  # (walk_lengths.sum(),) embedding rows of the real steps, walk after walk
+    walk_lengths: np.ndarray  # (K,) real steps per walk
     social_row: sp.csr_matrix  # (1, vocab) convex weights over user rows
     # kept snapshots: block-diagonal D^-1/2 (A+A^T+I) D^-1/2, time bins, pool weights 1/(m * n_j)
     propagation: sp.csr_matrix  # (nodes, nodes)
@@ -52,7 +52,7 @@ class CascadeFeatures:
 @dataclass
 class FeatureBatch:
     size: int
-    walk_idx: np.ndarray  # (B*K, N)
+    walk_idx: np.ndarray  # (walk_lengths.sum(),)
     walk_lengths: np.ndarray  # (B*K,)
     social: sp.csr_matrix  # (B, vocab)
     p_block: sp.csr_matrix  # (total_nodes, total_nodes)
@@ -137,7 +137,7 @@ def build_batch(feats: list[CascadeFeatures], enc_table: np.ndarray) -> FeatureB
     )
     return FeatureBatch(
         size=len(feats),
-        walk_idx=np.vstack([f.walk_idx for f in feats]),
+        walk_idx=np.concatenate([f.walk_idx for f in feats]),
         walk_lengths=np.concatenate([f.walk_lengths for f in feats]),
         social=sp.vstack([f.social_row for f in feats], format="csr"),
         p_block=p_block,

@@ -17,9 +17,9 @@ project baseline is available instead of the transformer, and disabled
 branches are replaced by learned null tokens so ablations keep the token
 count fixed.
 
-Batching: B cascades run as one graph. Walk rows stack cascade-major into
-(B*K, N) with one real-step count per walk; each LSTM direction of each
-level is one ``lstm_sequence`` op, which skips the PAD tail of every walk.
+Batching: B cascades run as one graph. The real steps of all walks arrive
+packed, cascade-major and walk after walk, with one step count per walk;
+each LSTM direction of each level is one ``lstm_sequence`` op over them.
 Each cascade's snapshots arrive as one prebuilt block-diagonal CSR
 propagation matrix, and ``build_batch`` stacks the B of them into one, so
 each GCN layer is one sparse matmul holding only the snapshots' nonzeros.
@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .config import TrainConfig
 from .errors import ConfigError, ShapeError
-from .features import FeatureBatch, log2p1
+from .features import FeatureBatch
 from .nn.layers import LSTM, MLP, Embedding, Linear, TransformerEncoderLayer
 from .nn.tensor import (
     Parameter,
@@ -57,7 +57,7 @@ from .snapshots import encoding_table
 class HIENet:
     """All parameters are created in __init__ in a fixed order from
     ``config.seed``, so (config, vocab) pins every weight. ``vocab`` rows:
-    one per user of the global graph plus the unknown/PAD row 0."""
+    one per user of the global graph plus the unknown-user row 0."""
 
     def __init__(self, config: TrainConfig, vocab: int):
         rng = np.random.default_rng(config.seed)
@@ -127,19 +127,16 @@ class HIENet:
     def encode_cascade_sequence(
         self, walk_idx: np.ndarray, lengths: np.ndarray, batch_size: int = 1
     ) -> Tensor:
-        """(B*K, N) stacked walks and their (B*K,) real-step counts ->
-        (B, d_model) sequence tokens."""
-        rows = walk_idx.shape[0]
-        if rows % batch_size != 0 or np.shape(lengths) != (rows,):
-            raise ShapeError(
-                f"{rows} walk rows with {np.shape(lengths)} lengths do not form "
-                f"{batch_size} cascades"
-            )
-        steps = gather_rows(self.cs_embed.table, walk_idx.reshape(-1))
+        """Embedding rows of the real walk steps, walk after walk, and the
+        (B*K,) step counts that split them into walks -> (B, d_model)
+        sequence tokens."""
+        if len(lengths) % batch_size != 0:
+            raise ShapeError(f"{len(lengths)} walks do not form {batch_size} cascades")
+        steps = gather_rows(self.cs_embed.table, walk_idx)
         per_walk = concat(
             [self.inner_f(steps, lengths), self.inner_b(steps, lengths, reverse=True)], axis=1
         )
-        walks = np.full(batch_size, rows // batch_size)
+        walks = np.full(batch_size, len(lengths) // batch_size)
         merged = concat(
             [self.outer_f(per_walk, walks), self.outer_b(per_walk, walks, reverse=True)], axis=1
         )
@@ -213,17 +210,6 @@ def msle_loss(pred: Tensor, true_logs: np.ndarray) -> Tensor:
     if pred.shape != true_logs.shape:
         raise ShapeError(f"msle_loss: predictions {pred.shape} vs targets {true_logs.shape}")
     return mean_all(square(add_const(pred, -true_logs)))
-
-
-def msle_loss_value(pred_logs, true_sizes) -> float:
-    """Plain-python contract: scalar loss from log-preds and raw final deltas."""
-    pred_logs = np.asarray(pred_logs, dtype=np.float64)
-    true_sizes = np.asarray(true_sizes)
-    if pred_logs.shape != true_sizes.shape or pred_logs.size == 0:
-        raise ShapeError(
-            f"msle_loss_value: got {pred_logs.shape} predictions vs {true_sizes.shape} targets"
-        )
-    return float(np.mean((pred_logs - log2p1(true_sizes)) ** 2))
 
 
 def metrics_from_logs(pred_logs, true_logs) -> dict[str, float]:

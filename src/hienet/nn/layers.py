@@ -71,7 +71,7 @@ class LSTM:
 
     Weights and biases start uniform(-k, k) with k = 1/sqrt(hidden), then
     the forget-gate bias gets +1 so early training does not flush state.
-    A call runs the whole padded batch through one ``lstm_sequence`` op.
+    A call runs the whole packed batch through one ``lstm_sequence`` op.
     """
 
     def __init__(self, name: str, in_dim: int, hidden: int, rng: np.random.Generator):
@@ -84,8 +84,8 @@ class LSTM:
         self.b = Parameter(f"{name}.b", bias)
 
     def __call__(self, x: Tensor, lengths, reverse: bool = False) -> Tensor:
-        """(B*T, in) row-major sequences with ``lengths`` real steps -> (B, hidden)
-        final states; see ``lstm_sequence``."""
+        """(lengths.sum(), in) steps of B sequences, sequence after sequence ->
+        (B, hidden) final states; see ``lstm_sequence``."""
         return lstm_sequence(x, lengths, self.wx, self.wh, self.b, reverse)
 
     def params(self) -> list[Parameter]:

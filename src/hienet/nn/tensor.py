@@ -52,10 +52,9 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
+        # never in place: add, add_bias, add_const and concat hand their
+        # parents the upstream gradient itself or a view of it
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""
@@ -301,18 +300,17 @@ def layer_norm_rows(t: Tensor, eps: float = 1e-12) -> Tensor:
 def lstm_sequence(
     x: Tensor, lengths, wx: Tensor, wh: Tensor, b: Tensor, reverse: bool = False
 ) -> Tensor:
-    """One LSTM direction over B padded sequences; returns the (B, h) final states.
+    """One LSTM direction over B packed sequences; returns the (B, h) final states.
 
-    ``x`` is (B*T, in) and row-major by sequence: row ``r*T + t`` is step t
-    of sequence r. Sequence r has ``lengths[r]`` real steps (0..T) followed
-    by PAD rows, which are never read, so its final state is the state after
-    its last real step (zeros when it has none). ``reverse`` runs each
-    sequence from its last real step back to step 0. Gate columns of
+    ``x`` holds ``lengths.sum()`` rows, sequence after sequence: sequence r's
+    ``lengths[r]`` steps follow the rows of sequences < r. Its final state is
+    the state after its last step (zeros when it has none). ``reverse`` runs
+    each sequence from its last step back to its first. Gate columns of
     ``wx``/``wh``/``b`` are ordered i, f, g, o.
 
     Sequences are sorted by length once (stable), so those still running at
     step t are a prefix of the sorted order and each step updates one slice.
-    Only real steps are projected, in one matmul. One tanh evaluates all four
+    All steps are projected in one matmul. One tanh evaluates all four
     gates through sigmoid(z) = (1 + tanh(z/2)) / 2. The backward pass
     collects dZ for every packed step, then forms the weight gradients with
     one matmul each.
@@ -320,15 +318,14 @@ def lstm_sequence(
     _need_2d("lstm_sequence", x, wx, wh, b)
     lengths = np.asarray(lengths, dtype=np.int64)
     batch = lengths.size
-    if lengths.ndim != 1 or batch == 0 or x.shape[0] % batch != 0:
+    if lengths.ndim != 1 or batch == 0 or lengths.min() < 0:
+        raise ShapeError("lstm_sequence: lengths must be a non-empty 1-D array of counts >= 0")
+    if lengths.sum() != x.shape[0]:
         raise ShapeError(
-            f"lstm_sequence: {x.shape[0]} input rows do not split into {batch} sequences"
+            f"lstm_sequence: {x.shape[0]} input rows do not hold {lengths.sum()} steps"
         )
-    steps = x.shape[0] // batch
-    if steps == 0:
+    if x.shape[0] == 0:
         raise ShapeError("lstm_sequence: empty sequence")
-    if lengths.min() < 0 or lengths.max() > steps:
-        raise ShapeError(f"lstm_sequence: lengths must lie in [0, {steps}]")
     hid = wh.shape[0]
     if wx.shape != (x.shape[1], 4 * hid) or wh.shape != (hid, 4 * hid) or b.shape != (1, 4 * hid):
         raise ShapeError(
@@ -338,12 +335,12 @@ def lstm_sequence(
 
     order = np.argsort(-lengths, kind="stable")
     sorted_len = lengths[order]
-    live = sorted_len[None, :] > np.arange(steps)[:, None]  # (T, B), a prefix in each step
+    live = sorted_len[None, :] > np.arange(sorted_len[0])[:, None]  # (T, B), a prefix in each step
     counts = live.sum(axis=1)
     bounds = np.concatenate(([0], np.cumsum(counts)))
-    step_of, seq_of = np.nonzero(live)  # packed order: by step, then by sorted sequence
+    step_of, seq_of = np.nonzero(live)  # step-major order: by step, then by sorted sequence
     pos = sorted_len[seq_of] - 1 - step_of if reverse else step_of
-    src = order[seq_of] * steps + pos
+    src = (np.cumsum(lengths) - lengths)[order[seq_of]] + pos  # the x row of each step
     x_packed = x.data[src]
     z_in = x_packed @ wx.data + b.data
 
@@ -394,8 +391,8 @@ def lstm_sequence(
         if b.requires_grad:
             b.accumulate(dz.sum(axis=0, keepdims=True))
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[src] = dz @ wx.data.T
+            gx = np.empty_like(x.data)
+            gx[src] = dz @ wx.data.T  # src covers every row of x
             x.accumulate(gx)
 
     return _result(out_data, (x, wx, wh, b), backward, "lstm_sequence")

@@ -110,6 +110,19 @@ def _training_step(model: HIENet, batch, opt: Adam) -> float:
     return float(loss.data)
 
 
+def _output_dir(path: str | Path) -> Path:
+    """``path`` as a directory, created with its parents if missing; a path
+    that cannot be one (it or a parent is a file) is a ``ConfigError``."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(
+            f"cannot use {str(path)!r} as the output directory: {e.strerror or e}"
+        ) from None
+    return out
+
+
 def load_corpus(
     data_path: str | Path, window: int, time_unit: str | None = None
 ) -> tuple[list[CascadeRecord], DatasetManifest]:
@@ -155,6 +168,7 @@ def train(config: TrainConfig) -> TrainResult:
     if config.resume and resumed_graph.users != ggraph.users:
         # embedding row i belongs to user i, so other users would inherit its rows
         raise DataError(f"checkpoint {config.resume} holds other users than {config.data}")
+    out_dir = _output_dir(config.out)
     feats = featurize_corpus(records, config.window, ggraph, config)
 
     model = HIENet(config, vocab=ggraph.num_users + 1)
@@ -199,8 +213,6 @@ def train(config: TrainConfig) -> TrainResult:
     for p in params:
         p.data[...] = best_weights[p.name]
 
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out_dir / "checkpoint"
     save_checkpoint(
         ckpt_dir,
@@ -317,6 +329,7 @@ def evaluate(
 ) -> dict:
     if split not in ("train", "val", "test", "all"):
         raise ConfigError(f"split must be train/val/test/all, got {split!r}")
+    out = None if out_dir is None else _output_dir(out_dir)
     config, extra, window, feats, pred_logs = _score(checkpoint_dir, data_path, window, split)
     true_logs = np.array([f.true_log for f in feats])
     metrics = metrics_from_logs(pred_logs, true_logs)
@@ -330,9 +343,7 @@ def evaluate(
         "baseline_MSLE": baseline["MSLE"],
         "config": config.to_dict(),
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         with open(out / "metrics.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -350,13 +361,12 @@ def predict(
     window: int | None = None,
     out_dir: str | Path | None = None,
 ) -> list[tuple[str, float, float]]:
+    out = None if out_dir is None else _output_dir(out_dir)
     _, _, _, feats, pred_logs = _score(checkpoint_dir, data_path, window, split="all")
     rows = [
         (f.message_id, float(p), float(from_log2p1(p))) for f, p in zip(feats, pred_logs)
     ]
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["message_id", "predicted_log", "predicted"])

@@ -32,22 +32,22 @@ class WalkBatch:
     beta: float
 
     def to_index_matrix(self, global_graph: GlobalSocialGraph) -> tuple[np.ndarray, np.ndarray]:
-        """(K, N) embedding-row indices plus each walk's count of real steps.
+        """Embedding rows of the real steps, walk after walk, plus each walk's step count.
 
-        A walk's real steps are a prefix, and its PAD tail is filled with 0
-        but never read: ``lengths`` ends each walk. A user missing from the
-        global graph (possible only when scoring unseen corpora) maps to
-        row 0, the unknown-user row.
+        A walk's real steps are a prefix; its PAD tail is dropped, so the
+        1-D index array holds ``lengths.sum()`` rows and walk i's rows follow
+        those of walks < i. A user missing from the global graph (possible
+        only when scoring unseen corpora) maps to row 0, the unknown-user row.
         """
-        idx = np.zeros((self.k, self.n), dtype=np.int64)
+        idx = []
         lengths = np.zeros(self.k, dtype=np.int64)
         for i, walk in enumerate(self.walks):
-            for j, node in enumerate(walk):
+            for node in walk:
                 if node is PAD:
                     break
-                idx[i, j] = global_graph.embedding_index(node)
-                lengths[i] = j + 1
-        return idx, lengths
+                idx.append(global_graph.embedding_index(node))
+                lengths[i] += 1
+        return np.array(idx, dtype=np.int64), lengths
 
 
 def start_distribution(graph: CascadeGraph, beta: float) -> np.ndarray:

@@ -63,14 +63,18 @@ def test_featurize_calls_every_feature_hook():
     graph = build_global_graph(records)
     config = TrainConfig(seed=0)
     tracer = Tracer()
-    install_layers(tracer, LayerCounts())
+    counts = LayerCounts()
+    install_layers(tracer, counts)
     try:
-        featurize_corpus(records[:1], config.window, graph, config)
+        (feats,) = featurize_corpus(records[:1], config.window, graph, config)
     finally:
         tracer.restore()
     names = {span.name for span in tracer.spans}
     for hooked in ("snapshots.feature_matrix", "snapshots.build", "walks.sample", "social.weight"):
         assert hooked in names
+    # the traced walks.pad_frac counts the sampler's PAD slots, which the features drop
+    assert counts.walk_steps == config.k_walks * config.walk_len
+    assert counts.pad_steps == counts.walk_steps - feats.walk_lengths.sum()
 
 
 def test_default_step_records_few_autodiff_nodes():

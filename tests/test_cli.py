@@ -221,6 +221,22 @@ def test_nonpositive_window_is_config_error(workspace, trained, capsys, command,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict", "ablate"])
+def test_out_naming_a_file_is_config_error(workspace, trained, tmp_path, capsys, command):
+    """A file where the output directory should be (ablate writes below it)."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [command, "--data", str(workspace / "data" / "cascades.tsv"), "--out", str(blocker)]
+    if command in ("eval", "predict"):
+        argv += ["--checkpoint", str(trained)]
+    else:
+        argv += ["--config", str(workspace / "tiny.json"), "--epochs", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use") and "output directory" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "change",
     [

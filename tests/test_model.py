@@ -8,10 +8,11 @@ from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascad
 from hienet.config import TrainConfig
 from hienet.errors import ConfigError, ShapeError
 from hienet.features import build_batch, featurize_corpus, from_log2p1, log2p1
-from hienet.model import HIENet, metrics_from_logs, msle_loss, msle_loss_value
+from hienet.model import HIENet, metrics_from_logs, msle_loss
 from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.tensor import Parameter, constant, mean_all, square
-from hienet.snapshots import snapshot_indices
+from hienet.snapshots import encoding_table, snapshot_indices
+from hienet.synth import SyntheticSpec, generate_synthetic
 
 from reference_ops import snapshot_blocks
 
@@ -83,7 +84,7 @@ def test_single_walk_batch(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     f = feats[1]
-    out = model.encode_cascade_sequence(f.walk_idx[:1], f.walk_lengths[:1])
+    out = model.encode_cascade_sequence(f.walk_idx[: f.walk_lengths[0]], f.walk_lengths[:1])
     assert out.shape == (1, 8)
 
 
@@ -91,10 +92,17 @@ def test_walk_lengths_must_fit_the_walks(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     f = feats[0]
-    k, n = f.walk_idx.shape
-    for lengths in (np.full(k, n + 1), np.full(k, -1), f.walk_lengths[:-1]):
+    negative = f.walk_lengths.copy()
+    negative[:2] = (-1, negative[0] + negative[1] + 1)  # the sum still fits
+    cases = [
+        (f.walk_lengths + 1, 1),
+        (f.walk_lengths[:-1], 1),
+        (negative, 1),
+        (f.walk_lengths, 2),  # 3 walks do not form 2 cascades
+    ]
+    for lengths, batch_size in cases:
         with pytest.raises(ShapeError):
-            model.encode_cascade_sequence(f.walk_idx, lengths)
+            model.encode_cascade_sequence(f.walk_idx, lengths, batch_size)
 
 
 def test_embedding_grad_sparsity_matches_walk_membership(corpus):
@@ -104,13 +112,23 @@ def test_embedding_grad_sparsity_matches_walk_membership(corpus):
     f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
     mean_all(square(f_cs)).backward()
     grad_rows = np.abs(model.cs_embed.table.grad).sum(axis=1)
-    real = np.arange(batch.walk_idx.shape[1]) < batch.walk_lengths[:, None]
-    visited = set(batch.walk_idx[real].tolist())
+    visited = set(batch.walk_idx.tolist())
     for row in range(grad_rows.size):
         if row in visited:
             assert grad_rows[row] > 0.0
         else:
             assert grad_rows[row] == 0.0
+
+
+def test_default_batches_hold_only_real_walk_steps():
+    """Every batch of the default corpus gathers one row per real walk step."""
+    config = TrainConfig()
+    records, _ = generate_synthetic(SyntheticSpec())
+    feats = featurize_corpus(records, config.window, build_global_graph(records), config)
+    table = encoding_table(config.pe_dim, config.time_bins)
+    for lo in range(0, len(feats), config.batch_size):
+        batch = build_batch(feats[lo : lo + config.batch_size], table)
+        assert batch.walk_idx.shape == (batch.walk_lengths.sum(),)
 
 
 def snapshots_of(k, feat):
@@ -246,15 +264,6 @@ def test_log_transform_round_trip():
     assert from_log2p1(3.0) == pytest.approx(7.0)
     assert log2p1(7) == pytest.approx(3.0)
     assert from_log2p1(0.0) == 0.0
-
-
-def test_msle_hand_values_and_errors():
-    assert msle_loss_value([3.0], [3]) == pytest.approx(1.0)
-    assert msle_loss_value([2.0, 3.0], [3, 7]) == pytest.approx(0.0)
-    with pytest.raises(ShapeError):
-        msle_loss_value([1.0, 2.0], [1])
-    with pytest.raises(ShapeError):
-        msle_loss_value([], [])
 
 
 def test_msle_gradient_matches_analytic_and_fd():

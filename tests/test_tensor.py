@@ -151,6 +151,17 @@ def test_fanout_accumulates():
     assert np.allclose(x.grad, 2.0 * x.data / x.data.size)
 
 
+def test_sibling_gradients_do_not_alias():
+    """``add`` hands both parents the upstream gradient itself, so summing
+    the second into the first must not write into the upstream node's."""
+    x = Parameter("x", np.arange(6, dtype=float).reshape(2, 3))
+    y = T.add(x, x)
+    T.mean_all(T.square(y)).backward()
+    upstream = 2.0 * y.data / y.data.size
+    assert np.allclose(y.grad, upstream)
+    assert np.allclose(x.grad, 2.0 * upstream)
+
+
 def test_backward_requires_scalar():
     x = Parameter("x", np.ones((2, 2)))
     with pytest.raises(ShapeError):

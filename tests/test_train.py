@@ -223,8 +223,8 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     model = HIENet(replace(cfg, seed=0), vocab=ggraph.num_users + 1)
     batch = build_batch(feats, model.enc_table)
     params = model.params()
-    # the cs embedding row of a real walk step (the PAD row 0 is never read)
-    params[0].data[batch.walk_idx[0, 0], 0] = np.nan
+    # the cs embedding row of the first walk step
+    params[0].data[batch.walk_idx[0], 0] = np.nan
     with pytest.raises(TrainingError, match="produced NaN"):
         with np.errstate(invalid="ignore"):
             _training_step(model, batch, Adam(params, lr=1e-3))

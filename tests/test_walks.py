@@ -165,7 +165,9 @@ def test_index_matrix():
     global_graph = build_global_graph([rec])
     batch = sample_walks(g, k=3, n=4, beta=0.8, seed=0)
     idx, lengths = batch.to_index_matrix(global_graph)
-    assert idx.shape == (3, 4) and lengths.shape == (3,) and lengths.dtype == np.int64
+    assert lengths.shape == (3,) and lengths.dtype == np.int64
     assert lengths.tolist() == [sum(node is not PAD for node in walk) for walk in batch.walks]
-    assert ((idx == 0) == (np.arange(4) >= lengths[:, None])).all()
+    # the real steps walk after walk; known users never take the unknown row 0
+    steps = [global_graph.embedding_index(n) for w in batch.walks for n in w if n is not PAD]
+    assert idx.dtype == np.int64 and idx.tolist() == steps and (idx > 0).all()
     assert (lengths < 4).any()  # some walk padded
