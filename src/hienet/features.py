@@ -1,14 +1,16 @@
 """Per-cascade feature extraction and minibatch assembly.
 
 ``featurize`` turns one cascade into plain numpy and scipy payloads (the
-embedding rows of its walks' real steps and each walk's step count, social
-weight vector, and its kept snapshots as one block-diagonal sparse
-propagation matrix with each snapshot node's time bin and pool weight), all
-computed once up front since none of them depend on model weights.
+embedding rows of its distinct walks' real steps, each distinct walk's step
+count and the distinct walk each sampled walk reads, social weight vector,
+and its kept snapshots as one block-diagonal sparse propagation matrix with
+each snapshot node's time bin and pool weight), all computed once up front
+since none of them depend on model weights.
 ``build_batch`` then stacks B cascades into the layout the model consumes:
 
-- the real walk steps of all cascades concatenated cascade-major into one
-  1-D index array, with the (B*K,) step counts that split it into walks,
+- the real steps of all cascades' distinct walks concatenated cascade-major
+  into one 1-D index array, with the step counts that split it into walks
+  and the (B*K,) distinct-walk position of every sampled walk,
 - social weight rows vstacked into a (B, vocab) sparse matrix,
 - the B propagation matrices stacked block-diagonally by concatenating
   their CSR arrays with offsets, with a (B, total_nodes) pooling matrix
@@ -38,8 +40,10 @@ from .walks import sample_walks, walk_seed
 @dataclass
 class CascadeFeatures:
     message_id: str
+    # distinct walks (equal row sequences sampled twice are stored once), first sampled first
     walk_idx: np.ndarray  # (walk_lengths.sum(),) embedding rows of the real steps, walk after walk
-    walk_lengths: np.ndarray  # (K,) real steps per walk
+    walk_lengths: np.ndarray  # (distinct walks,) real steps per distinct walk
+    walk_of: np.ndarray  # (K,) distinct walk of each sampled walk, in sampled order
     social_row: sp.csr_matrix  # (1, vocab) convex weights over user rows
     # kept snapshots: block-diagonal D^-1/2 (A+A^T+I) D^-1/2, time bins, pool weights 1/(m * n_j)
     propagation: sp.csr_matrix  # (nodes, nodes)
@@ -53,7 +57,8 @@ class CascadeFeatures:
 class FeatureBatch:
     size: int
     walk_idx: np.ndarray  # (walk_lengths.sum(),)
-    walk_lengths: np.ndarray  # (B*K,)
+    walk_lengths: np.ndarray  # (distinct walks of all B cascades,)
+    walk_of: np.ndarray  # (B*K,) indexes walk_lengths
     social: sp.csr_matrix  # (B, vocab)
     p_block: sp.csr_matrix  # (total_nodes, total_nodes)
     h_block: np.ndarray  # (total_nodes, pe_dim) constant node features
@@ -79,7 +84,7 @@ def featurize(
     walks = sample_walks(
         graph, k=c.k_walks, n=c.walk_len, beta=c.beta, seed=walk_seed(c.seed, graph.message_id)
     )
-    walk_idx, walk_lengths = walks.to_index_matrix(global_graph)
+    walk_idx, walk_lengths, walk_of = walks.to_index_matrix(global_graph)
 
     weights, _ = social_weight_vector(graph, global_graph, alpha=c.alpha, max_pairs=c.max_pairs)
     social_row = sp.csr_matrix(weights.reshape(1, -1))
@@ -91,6 +96,7 @@ def featurize(
         message_id=graph.message_id,
         walk_idx=walk_idx,
         walk_lengths=walk_lengths,
+        walk_of=walk_of,
         social_row=social_row,
         propagation=propagation,
         node_bins=node_bins,
@@ -135,10 +141,15 @@ def build_batch(feats: list[CascadeFeatures], enc_table: np.ndarray) -> FeatureB
         (pool_weights, np.arange(total), np.concatenate([[0], node_ends])),
         shape=(len(feats), total),
     )
+    # cascade b's distinct walks follow those of cascades < b
+    distinct = np.array([f.walk_lengths.size for f in feats])
+    walk_of = np.concatenate([f.walk_of for f in feats])
+    walk_of += np.repeat(np.cumsum(distinct) - distinct, [f.walk_of.size for f in feats])
     return FeatureBatch(
         size=len(feats),
         walk_idx=np.concatenate([f.walk_idx for f in feats]),
         walk_lengths=np.concatenate([f.walk_lengths for f in feats]),
+        walk_of=walk_of,
         social=sp.vstack([f.social_row for f in feats], format="csr"),
         p_block=p_block,
         h_block=enc_table[np.concatenate([f.node_bins for f in feats])],

@@ -2,7 +2,8 @@
 
 Branches, each emitting one d_model token per cascade:
 - cs: node embeddings of degree-biased walks through a two-level BiLSTM
-  (inner over each walk's real steps, outer across the K walk vectors),
+  (inner over each walk's real steps, outer across the K walk vectors in
+  sampled order),
 - sg: the cascade's convex social weight vector times a user embedding
   table (equivalent to averaging path-aware user representations),
 - cg: two graph-convolution layers over the snapshot sequence, node-mean
@@ -17,9 +18,14 @@ project baseline is available instead of the transformer, and disabled
 branches are replaced by learned null tokens so ablations keep the token
 count fixed.
 
-Batching: B cascades run as one graph. The real steps of all walks arrive
-packed, cascade-major and walk after walk, with one step count per walk;
-each LSTM direction of each level is one ``lstm_sequence`` op over them.
+Batching: B cascades run as one graph. A cascade's walks often repeat
+(a small tree has few distinct walks), so each distinct walk arrives once:
+the real steps of all distinct walks come packed, cascade-major and walk
+after walk, with one step count per distinct walk, and ``walk_of`` names
+the distinct walk behind each of the B*K sampled walks. Each LSTM
+direction of each level is one ``lstm_sequence`` op: the inner level runs
+over the distinct walks, one ``gather_rows`` expands its outputs to the
+sampled walks, and the outer level reads all K of each cascade.
 Each cascade's snapshots arrive as one prebuilt block-diagonal CSR
 propagation matrix, and ``build_batch`` stacks the B of them into one, so
 each GCN layer is one sparse matmul holding only the snapshots' nonzeros.
@@ -125,18 +131,22 @@ class HIENet:
     # branch encoders
 
     def encode_cascade_sequence(
-        self, walk_idx: np.ndarray, lengths: np.ndarray, batch_size: int = 1
+        self, walk_idx: np.ndarray, lengths: np.ndarray, walk_of: np.ndarray, batch_size: int = 1
     ) -> Tensor:
-        """Embedding rows of the real walk steps, walk after walk, and the
-        (B*K,) step counts that split them into walks -> (B, d_model)
-        sequence tokens."""
-        if len(lengths) % batch_size != 0:
-            raise ShapeError(f"{len(lengths)} walks do not form {batch_size} cascades")
+        """Embedding rows of the distinct walks' real steps, walk after walk,
+        the step counts that split them into distinct walks, and the (B*K,)
+        distinct walk of each sampled walk -> (B, d_model) sequence tokens."""
+        walk_of = np.asarray(walk_of, dtype=np.int64)
+        if len(walk_of) % batch_size != 0:
+            raise ShapeError(f"{len(walk_of)} walks do not form {batch_size} cascades")
+        if ((walk_of < 0) | (walk_of >= len(lengths))).any():
+            raise ShapeError(f"walk_of names a walk outside the {len(lengths)} distinct walks")
         steps = gather_rows(self.cs_embed.table, walk_idx)
-        per_walk = concat(
+        distinct = concat(
             [self.inner_f(steps, lengths), self.inner_b(steps, lengths, reverse=True)], axis=1
         )
-        walks = np.full(batch_size, len(lengths) // batch_size)
+        per_walk = gather_rows(distinct, walk_of)
+        walks = np.full(batch_size, len(walk_of) // batch_size)
         merged = concat(
             [self.outer_f(per_walk, walks), self.outer_b(per_walk, walks, reverse=True)], axis=1
         )
@@ -177,7 +187,9 @@ class HIENet:
         """(B,) batch -> (B, 1) unclamped predicted log-popularity."""
         c = self.config
         f_cs = (
-            self.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
+            self.encode_cascade_sequence(
+                batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size
+            )
             if c.use_cs
             else None
         )

@@ -237,17 +237,26 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
-    """Row lookup (embedding / reordering); duplicate indices sum gradients."""
+    """Row lookup (embedding / reordering); duplicate indices sum gradients.
+
+    The backward multiplies by the (rows, n) scatter matrix whose column i
+    holds a 1 at row ``idx[i]`` (the transpose of the one-hot selection).
+    Its CSC product adds the gradients of each row in index order, so the
+    sums are exactly those of ``np.add.at``.
+    """
     _need_2d("gather_rows", t)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows: index must be 1-D, got shape {idx.shape}")
+    # the scatter matrix's kernel trusts its indices: one out of range would write out of bounds
+    if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
+        raise ShapeError(f"gather_rows: index outside the {t.shape[0]} rows")
 
     def backward(g: np.ndarray) -> None:
         if t.requires_grad:
-            full = np.zeros_like(t.data)
-            np.add.at(full, idx, g)
-            t.accumulate(full)
+            n = idx.size
+            scatter = sp.csc_array((np.ones(n), idx, np.arange(n + 1)), shape=(t.shape[0], n))
+            t.accumulate(scatter @ g)
 
     return _result(t.data[idx], (t,), backward, "gather_rows")
 
@@ -311,9 +320,10 @@ def lstm_sequence(
     Sequences are sorted by length once (stable), so those still running at
     step t are a prefix of the sorted order and each step updates one slice.
     All steps are projected in one matmul. One tanh evaluates all four
-    gates through sigmoid(z) = (1 + tanh(z/2)) / 2. The backward pass
-    collects dZ for every packed step, then forms the weight gradients with
-    one matmul each.
+    gates through sigmoid(z) = (1 + tanh(z/2)) / 2. Step 0 reads the zero
+    initial state, so it skips ``h @ wh`` and the backward propagates
+    nothing out of it. The backward pass collects dZ for every packed step,
+    then forms the weight gradients with one matmul each.
     """
     _need_2d("lstm_sequence", x, wx, wh, b)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -358,7 +368,8 @@ def lstm_sequence(
         n, rows = counts[t], slice(bounds[t], bounds[t + 1])
         h_prev[rows] = h[:n]
         c_prev[rows] = c[:n]
-        a = np.tanh((z_in[rows] + h[:n] @ wh.data) * half) * half + shift
+        z = z_in[rows] if t == 0 else z_in[rows] + h[:n] @ wh.data
+        a = np.tanh(z * half) * half + shift
         gates[rows] = a
         c[:n] = a[:, hid : 2 * hid] * c[:n] + a[:, :hid] * a[:, 2 * hid : 3 * hid]
         tanh_c[rows] = np.tanh(c[:n])
@@ -382,8 +393,9 @@ def lstm_sequence(
             d[:, 2 * hid : 3 * hid] = dc_t * a[:, :hid]
             d[:, 3 * hid :] = dh[:n] * tc
             d *= slope[rows]
-            dc[:n] = dc_t * a[:, hid : 2 * hid]
-            dh[:n] = d @ wh.data.T
+            if t > 0:
+                dc[:n] = dc_t * a[:, hid : 2 * hid]
+                dh[:n] = d @ wh.data.T
         if wx.requires_grad:
             wx.accumulate(x_packed.T @ dz)
         if wh.requires_grad:

@@ -31,23 +31,33 @@ class WalkBatch:
     n: int
     beta: float
 
-    def to_index_matrix(self, global_graph: GlobalSocialGraph) -> tuple[np.ndarray, np.ndarray]:
-        """Embedding rows of the real steps, walk after walk, plus each walk's step count.
+    def to_index_matrix(
+        self, global_graph: GlobalSocialGraph
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Embedding rows of each distinct walk's real steps, their step
+        counts, and the (K,) distinct-walk position of each sampled walk.
 
-        A walk's real steps are a prefix; its PAD tail is dropped, so the
-        1-D index array holds ``lengths.sum()`` rows and walk i's rows follow
-        those of walks < i. A user missing from the global graph (possible
-        only when scoring unseen corpora) maps to row 0, the unknown-user row.
+        A walk's real steps are a prefix; its PAD tail is dropped. Two walks
+        are the same when their row sequences are, and the distinct walks
+        keep the order in which they are first sampled: the 1-D index array
+        holds ``lengths.sum()`` rows, distinct walk i's rows following those
+        of walks < i, and sampled walk j reads distinct walk ``walk_of[j]``.
+        A user missing from the global graph (possible only when scoring
+        unseen corpora) maps to row 0, the unknown-user row, so walks of
+        unknown users that differ only in who they are collapse into one.
         """
-        idx = []
-        lengths = np.zeros(self.k, dtype=np.int64)
+        position: dict[tuple[int, ...], int] = {}
+        walk_of = np.empty(self.k, dtype=np.int64)
         for i, walk in enumerate(self.walks):
+            rows = []
             for node in walk:
                 if node is PAD:
                     break
-                idx.append(global_graph.embedding_index(node))
-                lengths[i] += 1
-        return np.array(idx, dtype=np.int64), lengths
+                rows.append(global_graph.embedding_index(node))
+            walk_of[i] = position.setdefault(tuple(rows), len(position))
+        lengths = np.array([len(rows) for rows in position], dtype=np.int64)
+        idx = np.array([row for rows in position for row in rows], dtype=np.int64)
+        return idx, lengths, walk_of
 
 
 def start_distribution(graph: CascadeGraph, beta: float) -> np.ndarray:

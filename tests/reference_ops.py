@@ -5,6 +5,10 @@ attention as one ``attention`` op. The tests compare both against the
 per-step and per-head graphs composed from these elementwise ops, whose own
 backward rules ``test_tensor.py`` checks against finite differences.
 
+``encode_every_walk`` is the cs branch with no walk deduplication: every
+sampled walk runs through the inner BiLSTM, as the model did before it
+encoded each distinct walk once.
+
 ``temporal_positional_encoding`` computes one row of
 ``snapshots.encoding_table`` on its own. ``normalize_adjacency`` is the
 dense form of the snapshot propagation that
@@ -16,7 +20,7 @@ and GCN tests compare against these.
 import numpy as np
 
 from hienet.errors import ShapeError
-from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result
+from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -112,6 +116,23 @@ def tanh(t: Tensor) -> Tensor:
             t.accumulate(g * (1.0 - out_data * out_data))
 
     return _result(out_data, (t,), backward, "tanh")
+
+
+def encode_every_walk(model, walk_idx, lengths, walk_of, batch_size: int) -> Tensor:
+    """``model``'s (B, d_model) cs tokens with each sampled walk's rows
+    copied out of its distinct walk and encoded on their own."""
+    starts = np.cumsum(lengths) - lengths
+    rows = np.concatenate([walk_idx[starts[w] : starts[w] + lengths[w]] for w in walk_of])
+    sampled = lengths[walk_of]
+    steps = gather_rows(model.cs_embed.table, rows)
+    per_walk = concat(
+        [model.inner_f(steps, sampled), model.inner_b(steps, sampled, reverse=True)], axis=1
+    )
+    walks = np.full(batch_size, len(walk_of) // batch_size)
+    merged = concat(
+        [model.outer_f(per_walk, walks), model.outer_b(per_walk, walks, reverse=True)], axis=1
+    )
+    return model.cs_proj(merged)
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:

@@ -74,7 +74,7 @@ def test_featurize_calls_every_feature_hook():
         assert hooked in names
     # the traced walks.pad_frac counts the sampler's PAD slots, which the features drop
     assert counts.walk_steps == config.k_walks * config.walk_len
-    assert counts.pad_steps == counts.walk_steps - feats.walk_lengths.sum()
+    assert counts.pad_steps == counts.walk_steps - feats.walk_lengths[feats.walk_of].sum()
 
 
 def test_default_step_records_few_autodiff_nodes():
@@ -88,7 +88,9 @@ def test_default_step_records_few_autodiff_nodes():
     feats = featurize_corpus(records, config.window, graph, config)
     model = HIENet(config, vocab=graph.num_users + 1)
     batch = build_batch(feats, model.enc_table)
-    f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
+    f_cs = model.encode_cascade_sequence(
+        batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size
+    )
     loss = msle_loss(model.forward(batch), batch.true_logs)
     assert autodiff_nodes(f_cs) <= 12
     assert autodiff_nodes(loss) <= 60

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.config import TrainConfig
+from hienet.diagnostics import _end_to_end_setup
 from hienet.errors import ConfigError, ShapeError
 from hienet.features import build_batch, featurize_corpus, from_log2p1, log2p1
 from hienet.model import HIENet, metrics_from_logs, msle_loss
@@ -14,7 +15,7 @@ from hienet.nn.tensor import Parameter, constant, mean_all, square
 from hienet.snapshots import encoding_table, snapshot_indices
 from hienet.synth import SyntheticSpec, generate_synthetic
 
-from reference_ops import snapshot_blocks
+from reference_ops import encode_every_walk, snapshot_blocks
 
 LINES = [
     "a\tr1\t0\t9\tr1:0 r1/x1:50 r1/x2:300 r1/x2/x3:700",
@@ -76,7 +77,7 @@ def test_zeroed_sequence_branch_is_projection_bias(corpus):
     model.cs_proj.b.data[...] = 0.75
     model.cs_proj.w.data[...] = 0.0
     f = feats[0]
-    out = model.encode_cascade_sequence(f.walk_idx, f.walk_lengths)
+    out = model.encode_cascade_sequence(f.walk_idx, f.walk_lengths, f.walk_of)
     assert np.allclose(out.data, 0.75)
 
 
@@ -84,7 +85,7 @@ def test_single_walk_batch(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     f = feats[1]
-    out = model.encode_cascade_sequence(f.walk_idx[: f.walk_lengths[0]], f.walk_lengths[:1])
+    out = model.encode_cascade_sequence(f.walk_idx[: f.walk_lengths[0]], f.walk_lengths[:1], [0])
     assert out.shape == (1, 8)
 
 
@@ -92,24 +93,29 @@ def test_walk_lengths_must_fit_the_walks(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     f = feats[0]
+    assert f.walk_of.tolist() == [0, 1, 2]
     negative = f.walk_lengths.copy()
     negative[:2] = (-1, negative[0] + negative[1] + 1)  # the sum still fits
     cases = [
-        (f.walk_lengths + 1, 1),
-        (f.walk_lengths[:-1], 1),
-        (negative, 1),
-        (f.walk_lengths, 2),  # 3 walks do not form 2 cascades
+        (f.walk_lengths + 1, f.walk_of, 1),
+        (f.walk_lengths[:-1], f.walk_of, 1),
+        (negative, f.walk_of, 1),
+        (f.walk_lengths, f.walk_of, 2),  # 3 walks do not form 2 cascades
+        (f.walk_lengths, [0, -1, 2], 1),  # walk_of names no distinct walk
+        (f.walk_lengths, [0, 1, 3], 1),
     ]
-    for lengths, batch_size in cases:
+    for lengths, walk_of, batch_size in cases:
         with pytest.raises(ShapeError):
-            model.encode_cascade_sequence(f.walk_idx, lengths, batch_size)
+            model.encode_cascade_sequence(f.walk_idx, lengths, walk_of, batch_size)
 
 
 def test_embedding_grad_sparsity_matches_walk_membership(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
     batch = build_batch(feats, model.enc_table)
-    f_cs = model.encode_cascade_sequence(batch.walk_idx, batch.walk_lengths, batch.size)
+    f_cs = model.encode_cascade_sequence(
+        batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size
+    )
     mean_all(square(f_cs)).backward()
     grad_rows = np.abs(model.cs_embed.table.grad).sum(axis=1)
     visited = set(batch.walk_idx.tolist())
@@ -129,6 +135,41 @@ def test_default_batches_hold_only_real_walk_steps():
     for lo in range(0, len(feats), config.batch_size):
         batch = build_batch(feats[lo : lo + config.batch_size], table)
         assert batch.walk_idx.shape == (batch.walk_lengths.sum(),)
+
+
+def test_distinct_walk_encoding_matches_every_walk_reference():
+    """Encoding each distinct walk once gives the cs token and every cs
+    gradient of encoding each sampled walk on its own, on every default
+    batch, up to float summation order."""
+    config = TrainConfig()
+    records, _ = generate_synthetic(SyntheticSpec())
+    graph = build_global_graph(records)
+    feats = featurize_corpus(records, config.window, graph, config)
+    model = HIENet(config, vocab=graph.num_users + 1)
+    cs_params = [p for p in model.params() if p.name.startswith("cs.")]
+
+    def token_and_grads(encode, batch):
+        for p in cs_params:
+            p.grad = None
+        token = encode(model, batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size)
+        mean_all(square(token)).backward()
+        return token.data, [p.grad for p in cs_params]
+
+    for lo in range(0, len(feats), config.batch_size):
+        batch = build_batch(feats[lo : lo + config.batch_size], model.enc_table)
+        assert batch.walk_lengths.size < batch.walk_of.size  # some walk repeats
+        token, grads = token_and_grads(HIENet.encode_cascade_sequence, batch)
+        ref_token, ref_grads = token_and_grads(encode_every_walk, batch)
+        assert np.abs(token - ref_token).max() <= 1e-12
+        for p, g, ref in zip(cs_params, grads, ref_grads):
+            assert np.abs(g - ref).max() <= 1e-12, p.name
+
+
+def test_gradient_check_batch_repeats_a_walk():
+    """Criterion 1's end-to-end check runs on seed 0's batch, so it covers
+    the gather that expands a distinct walk to several sampled walks."""
+    _, batch = _end_to_end_setup(0)
+    assert np.unique(batch.walk_of).size < batch.walk_of.size
 
 
 def snapshots_of(k, feat):

@@ -164,10 +164,47 @@ def test_index_matrix():
     rec = parse_cascade_line("1\tA\t0\t1\tA:0 A/B:10")
     global_graph = build_global_graph([rec])
     batch = sample_walks(g, k=3, n=4, beta=0.8, seed=0)
-    idx, lengths = batch.to_index_matrix(global_graph)
-    assert lengths.shape == (3,) and lengths.dtype == np.int64
-    assert lengths.tolist() == [sum(node is not PAD for node in walk) for walk in batch.walks]
-    # the real steps walk after walk; known users never take the unknown row 0
-    steps = [global_graph.embedding_index(n) for w in batch.walks for n in w if n is not PAD]
-    assert idx.dtype == np.int64 and idx.tolist() == steps and (idx > 0).all()
+    idx, lengths, walk_of = batch.to_index_matrix(global_graph)
+    assert lengths.dtype == np.int64 and walk_of.shape == (3,) and walk_of.dtype == np.int64
+    assert lengths[walk_of].tolist() == [sum(n is not PAD for n in walk) for walk in batch.walks]
+    # known users never take the unknown row 0
+    assert idx.dtype == np.int64 and idx.shape == (lengths.sum(),) and (idx > 0).all()
     assert (lengths < 4).any()  # some walk padded
+
+
+def test_walk_of_rebuilds_every_sampled_walk():
+    """On a branching tree many of the K walks repeat: each distinct walk is
+    stored once, in the order it is first sampled, and ``walk_of`` gives
+    every sampled walk its exact rows back."""
+    edges = [("A", "B"), ("A", "C"), ("B", "D"), ("B", "E"), ("C", "F")]
+    g = graph_from_edges(edges, "A")
+    rec = parse_cascade_line("1\tA\t0\t5\tA:0 A/B:1 A/C:2 A/B/D:3 A/B/E:4 A/C/F:5")
+    global_graph = build_global_graph([rec])
+    batch = sample_walks(g, k=40, n=4, beta=0.8, seed=2)
+    idx, lengths, walk_of = batch.to_index_matrix(global_graph)
+    walks = [w.tolist() for w in np.split(idx, np.cumsum(lengths)[:-1])]
+    expected = [
+        [global_graph.embedding_index(n) for n in walk if n is not PAD] for walk in batch.walks
+    ]
+    assert [walks[w] for w in walk_of] == expected
+    assert len(walks) < batch.k
+    assert len({tuple(w) for w in walks}) == len(walks)  # pairwise different
+    firsts = [expected.index(w) for w in walks]
+    assert firsts == sorted(firsts)  # first-occurrence order
+
+
+def test_unknown_users_collapse_into_one_walk():
+    """Two users the global graph lacks both read row 0, so their one-step
+    walks are the same walk."""
+    g = graph_from_edges([("R", "U1"), ("R", "U2")], "R")
+    known = parse_cascade_line("1\tR\t0\t1\tR:0 R/X:10")
+    global_graph = build_global_graph([known])
+    batch = sample_walks(g, k=30, n=1, beta=0.8, seed=0)
+    starts = [walk[0] for walk in batch.walks]
+    assert {"U1", "U2"} <= set(starts)
+    idx, lengths, walk_of = batch.to_index_matrix(global_graph)
+    unknown = {walk_of[i] for i, v in enumerate(starts) if v != "R"}
+    assert len(unknown) == 1
+    (w,) = unknown
+    assert lengths[w] == 1 and idx[lengths[:w].sum()] == 0
+    assert lengths.size == 1 + ("R" in starts)
