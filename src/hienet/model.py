@@ -139,8 +139,6 @@ class HIENet:
         walk_of = np.asarray(walk_of, dtype=np.int64)
         if len(walk_of) % batch_size != 0:
             raise ShapeError(f"{len(walk_of)} walks do not form {batch_size} cascades")
-        if ((walk_of < 0) | (walk_of >= len(lengths))).any():
-            raise ShapeError(f"walk_of names a walk outside the {len(lengths)} distinct walks")
         steps = gather_rows(self.cs_embed.table, walk_idx)
         distinct = concat(
             [self.inner_f(steps, lengths), self.inner_b(steps, lengths, reverse=True)], axis=1

@@ -237,26 +237,20 @@ def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
-    """Row lookup (embedding / reordering); duplicate indices sum gradients.
-
-    The backward multiplies by the (rows, n) scatter matrix whose column i
-    holds a 1 at row ``idx[i]`` (the transpose of the one-hot selection).
-    Its CSC product adds the gradients of each row in index order, so the
-    sums are exactly those of ``np.add.at``.
-    """
+    """Row lookup (embedding / reordering); duplicate indices sum gradients."""
     _need_2d("gather_rows", t)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows: index must be 1-D, got shape {idx.shape}")
-    # the scatter matrix's kernel trusts its indices: one out of range would write out of bounds
+    # numpy would wrap a negative index silently and read some other row
     if idx.size and (idx.min() < 0 or idx.max() >= t.shape[0]):
         raise ShapeError(f"gather_rows: index outside the {t.shape[0]} rows")
 
     def backward(g: np.ndarray) -> None:
         if t.requires_grad:
-            n = idx.size
-            scatter = sp.csc_array((np.ones(n), idx, np.arange(n + 1)), shape=(t.shape[0], n))
-            t.accumulate(scatter @ g)
+            full = np.zeros_like(t.data)
+            np.add.at(full, idx, g)
+            t.accumulate(full)
 
     return _result(t.data[idx], (t,), backward, "gather_rows")
 

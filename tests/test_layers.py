@@ -136,6 +136,15 @@ def test_bilstm_empty_sequence():
         cell(T.constant(np.zeros((0, 2))), [0, 0])
 
 
+@pytest.mark.parametrize("rows", [4, 6])
+def test_lstm_sequence_rows_must_hold_the_steps(rows):
+    """Lengths 3 and 2 count 5 steps: fewer or more input rows are rejected."""
+    x = T.constant(np.zeros((rows, 2)))
+    wx, wh, b = (T.constant(np.zeros(shape)) for shape in [(2, 8), (2, 8), (1, 8)])
+    with pytest.raises(ShapeError, match="do not hold 5 steps"):
+        T.lstm_sequence(x, [3, 2], wx, wh, b)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_bilstm_gradcheck(seed):
     rng = np.random.default_rng(seed)

@@ -96,16 +96,17 @@ def test_walk_lengths_must_fit_the_walks(corpus):
     assert f.walk_of.tolist() == [0, 1, 2]
     negative = f.walk_lengths.copy()
     negative[:2] = (-1, negative[0] + negative[1] + 1)  # the sum still fits
+    # each case names the check it must reach, so an earlier one cannot mask it
     cases = [
-        (f.walk_lengths + 1, f.walk_of, 1),
-        (f.walk_lengths[:-1], f.walk_of, 1),
-        (negative, f.walk_of, 1),
-        (f.walk_lengths, f.walk_of, 2),  # 3 walks do not form 2 cascades
-        (f.walk_lengths, [0, -1, 2], 1),  # walk_of names no distinct walk
-        (f.walk_lengths, [0, 1, 3], 1),
+        (f.walk_lengths + 1, f.walk_of, 1, "do not hold"),
+        (f.walk_lengths[:-1], f.walk_of[:-1], 1, "do not hold"),
+        (negative, f.walk_of, 1, "counts >= 0"),
+        (f.walk_lengths, f.walk_of, 2, "do not form 2 cascades"),
+        (f.walk_lengths, [0, -1, 2], 1, "index outside"),  # walk_of names no distinct walk
+        (f.walk_lengths, [0, 1, 3], 1, "index outside"),
     ]
-    for lengths, walk_of, batch_size in cases:
-        with pytest.raises(ShapeError):
+    for lengths, walk_of, batch_size, message in cases:
+        with pytest.raises(ShapeError, match=message):
             model.encode_cascade_sequence(f.walk_idx, lengths, walk_of, batch_size)
 
 
