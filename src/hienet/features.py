@@ -15,7 +15,8 @@ since none of them depend on model weights.
 - the B propagation matrices stacked block-diagonally by concatenating
   their CSR arrays with offsets, with a (B, total_nodes) pooling matrix
   whose row b holds 1/(m_b * n_j) at snapshot j's nodes, composing the
-  node-mean and snapshot-mean in a single matmul.
+  node-mean and snapshot-mean in a single matmul, and the time bin of each
+  of those nodes (``node_bins``), whose feature row the model looks up.
 
 Every setting comes from the run's ``TrainConfig``. Walk randomness is
 seeded per (``config.seed``, message id), so features are reproducible
@@ -61,7 +62,7 @@ class FeatureBatch:
     walk_of: np.ndarray  # (B*K,) indexes walk_lengths
     social: sp.csr_matrix  # (B, vocab)
     p_block: sp.csr_matrix  # (total_nodes, total_nodes)
-    h_block: np.ndarray  # (total_nodes, pe_dim) constant node features
+    node_bins: np.ndarray  # (total_nodes,) time bin of each snapshot node
     pool: sp.csr_matrix  # (B, total_nodes)
     true_logs: np.ndarray  # (B, 1)
 
@@ -121,7 +122,7 @@ def featurize_corpus(
     return out
 
 
-def build_batch(feats: list[CascadeFeatures], enc_table: np.ndarray) -> FeatureBatch:
+def build_batch(feats: list[CascadeFeatures]) -> FeatureBatch:
     if not feats:
         raise ConfigError("build_batch: empty feature list")
     props = [f.propagation for f in feats]
@@ -152,7 +153,7 @@ def build_batch(feats: list[CascadeFeatures], enc_table: np.ndarray) -> FeatureB
         walk_of=walk_of,
         social=sp.vstack([f.social_row for f in feats], format="csr"),
         p_block=p_block,
-        h_block=enc_table[np.concatenate([f.node_bins for f in feats])],
+        node_bins=np.concatenate([f.node_bins for f in feats]),
         pool=pool,
         true_logs=np.array([[f.true_log] for f in feats]),
     )

@@ -29,6 +29,8 @@ sampled walks, and the outer level reads all K of each cascade.
 Each cascade's snapshots arrive as one prebuilt block-diagonal CSR
 propagation matrix, and ``build_batch`` stacks the B of them into one, so
 each GCN layer is one sparse matmul holding only the snapshots' nonzeros.
+Each node's features are the sinusoidal row of its time bin in
+``enc_table``, which the model owns.
 The 4 tokens of each cascade stack token-major into a (4B, d_model) matrix
 (row i belongs to cascade i mod B), and attention scores each cascade's 4
 tokens among themselves, as one (B, heads, 4, 4) array.
@@ -42,7 +44,7 @@ import scipy.sparse as sp
 from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .features import FeatureBatch
-from .nn.layers import LSTM, MLP, Embedding, Linear, TransformerEncoderLayer
+from .nn.layers import LSTM, MLP, Embedding, Linear, Module, TransformerEncoderLayer
 from .nn.tensor import (
     Parameter,
     Tensor,
@@ -60,9 +62,10 @@ from .nn.tensor import (
 from .snapshots import encoding_table
 
 
-class HIENet:
+class HIENet(Module):
     """All parameters are created in __init__ in a fixed order from
-    ``config.seed``, so (config, vocab) pins every weight. ``vocab`` rows:
+    ``config.seed``, so (config, vocab) pins every weight, and that order is
+    the order of ``params()`` and so the checkpoint layout. ``vocab`` rows:
     one per user of the global graph plus the unknown-user row 0."""
 
     def __init__(self, config: TrainConfig, vocab: int):
@@ -100,32 +103,12 @@ class HIENet:
             self.encoder = None
 
         self.head = MLP("head", d, c.mlp_sizes, rng)
-        # the (time_bins, pe_dim) node-feature rows build_batch looks up
+        # the (time_bins, pe_dim) node-feature row of each time bin
         self.enc_table = encoding_table(c.pe_dim, c.time_bins)
 
         names = [p.name for p in self.params()]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate parameter names in model")
-
-    # ------------------------------------------------------------------
-    # parameter registry
-
-    def params(self) -> list[Parameter]:
-        out = self.cs_embed.params()
-        for cell in (self.inner_f, self.inner_b, self.outer_f, self.outer_b):
-            out.extend(cell.params())
-        out.extend(self.cs_proj.params())
-        out.extend(self.sg_embed.params())
-        out.extend(self.sg_proj.params())
-        out.extend([self.gcn_w1, self.gcn_w2])
-        out.extend(self.cg_proj.params())
-        if self.encoder is not None:
-            out.extend(self.encoder.params())
-            out.extend([self.p_cas, self.null_cs, self.null_sg, self.null_cg])
-        if self.concat_proj is not None:
-            out.extend(self.concat_proj.params())
-        out.extend(self.head.params())
-        return out
 
     # ------------------------------------------------------------------
     # branch encoders
@@ -154,8 +137,8 @@ class HIENet:
         """(B, vocab) sparse convex weight rows -> (B, d_model) social tokens."""
         return self.sg_proj(sparse_matmul(social, self.sg_embed.table))
 
-    def _cg_from_blocks(self, p_block, h_block, pool) -> Tensor:
-        hidden = relu(sparse_matmul(p_block, matmul(constant(h_block), self.gcn_w1)))
+    def _cg_from_blocks(self, p_block, node_feats, pool) -> Tensor:
+        hidden = relu(sparse_matmul(p_block, matmul(constant(node_feats), self.gcn_w1)))
         out = sparse_matmul(p_block, matmul(hidden, self.gcn_w2))
         return self.cg_proj(sparse_matmul(pool, out))
 
@@ -193,7 +176,7 @@ class HIENet:
         )
         f_sg = self.encode_social(batch.social) if c.use_sg else None
         f_cg = (
-            self._cg_from_blocks(batch.p_block, batch.h_block, batch.pool)
+            self._cg_from_blocks(batch.p_block, self.enc_table[batch.node_bins], batch.pool)
             if c.use_cg
             else None
         )

@@ -1,9 +1,11 @@
 """Model building blocks on top of the autodiff tensor.
 
-Every layer owns named ``Parameter``s (name prefix passed at construction)
-and exposes ``params()`` so the model can assemble one flat registry for
-the optimizer and checkpoints. Initialization draws from the caller's
-``numpy`` Generator, so construction order plus one seed pins every weight.
+Every layer is a ``Module`` that owns named ``Parameter``s (name prefix
+passed at construction). ``Module.params()`` finds them among the layer's
+attributes in assignment order, so the flat list the optimizer and
+checkpoints use is declared once, in ``__init__``. Initialization draws
+from the caller's ``numpy`` Generator, so construction order plus one seed
+pins every weight and the checkpoint layout.
 """
 
 from __future__ import annotations
@@ -32,7 +34,22 @@ def _uniform(rng: np.random.Generator, shape: tuple[int, ...], k: float) -> np.n
     return rng.uniform(-k, k, size=shape)
 
 
-class Linear:
+class Module:
+    def params(self) -> list[Parameter]:
+        """Parameters among the attributes, in assignment order: a
+        ``Parameter`` as is, a ``Module`` expanded recursively and a list
+        expanded one level; anything else is skipped."""
+        out: list[Parameter] = []
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Parameter):
+                    out.append(item)
+                elif isinstance(item, Module):
+                    out.extend(item.params())
+        return out
+
+
+class Linear(Module):
     def __init__(self, name: str, in_dim: int, out_dim: int, rng: np.random.Generator):
         k = 1.0 / math.sqrt(in_dim)
         self.w = Parameter(f"{name}.w", _uniform(rng, (in_dim, out_dim), k))
@@ -41,20 +58,14 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return add_bias(matmul(x, self.w), self.b)
 
-    def params(self) -> list[Parameter]:
-        return [self.w, self.b]
 
-
-class Embedding:
+class Embedding(Module):
     def __init__(self, name: str, vocab: int, dim: int, rng: np.random.Generator):
         k = 1.0 / math.sqrt(dim)
         self.table = Parameter(f"{name}.table", _uniform(rng, (vocab, dim), k))
 
-    def params(self) -> list[Parameter]:
-        return [self.table]
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, name: str, dim: int):
         self.gamma = Parameter(f"{name}.gamma", np.ones((1, dim)))
         self.beta = Parameter(f"{name}.beta", np.zeros((1, dim)))
@@ -62,11 +73,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return add_bias(scale_cols(layer_norm_rows(x), self.gamma), self.beta)
 
-    def params(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
 
-
-class LSTM:
+class LSTM(Module):
     """One LSTM direction; gate columns ordered i, f, g, o.
 
     Weights and biases start uniform(-k, k) with k = 1/sqrt(hidden), then
@@ -88,11 +96,8 @@ class LSTM:
         (B, hidden) final states; see ``lstm_sequence``."""
         return lstm_sequence(x, lengths, self.wx, self.wh, self.b, reverse)
 
-    def params(self) -> list[Parameter]:
-        return [self.wx, self.wh, self.b]
 
-
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Module):
     """Post-norm encoder block: self-attention + FFN, residuals, layer norms.
 
     No positional encodings are added here; token order therefore cannot
@@ -114,26 +119,17 @@ class TransformerEncoderLayer:
         self.ff2 = Linear(f"{name}.ff2", ff_hidden, d_model, rng)
         self.ln2 = LayerNorm(f"{name}.ln2", d_model)
 
-    def __call__(
-        self, x: Tensor, attn_mask: np.ndarray | None = None, groups: int = 1
-    ) -> Tensor:
+    def __call__(self, x: Tensor, groups: int = 1) -> Tensor:
         """Rows of ``x`` form ``groups`` token-major sequences that attend only
-        within themselves (see ``attention``); ``attn_mask`` is an additive
-        constant on each group's scores (use -1e30 to block a pair)."""
+        within themselves (see ``attention``)."""
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
-        attended = self.wo(attention(q, k, v, self.heads, groups, attn_mask))
+        attended = self.wo(attention(q, k, v, self.heads, groups))
         x = self.ln1(add(x, attended))
         ff = self.ff2(relu(self.ff1(x)))
         return self.ln2(add(x, ff))
 
-    def params(self) -> list[Parameter]:
-        out = []
-        for part in (self.wq, self.wk, self.wv, self.wo, self.ln1, self.ff1, self.ff2, self.ln2):
-            out.extend(part.params())
-        return out
 
-
-class MLP:
+class MLP(Module):
     """Relu-activated stack ending in a linear scalar head.
 
     Hidden layers use a wider fan-in-scaled init plus a small positive bias
@@ -158,10 +154,3 @@ class MLP:
         for layer in self.layers:
             x = relu(layer(x))
         return self.out(x)
-
-    def params(self) -> list[Parameter]:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        out.extend(self.out.params())
-        return out

@@ -28,6 +28,9 @@ from ..errors import ShapeError, TrainingError
 # naming the first op that produced a NaN (used to re-run a diverged batch)
 _NAN_TRACE = False
 
+#: added to each row's variance in ``layer_norm_rows``
+LAYER_NORM_EPS = 1e-12
+
 
 def set_nan_trace(enabled: bool) -> None:
     global _NAN_TRACE
@@ -283,12 +286,12 @@ def mean_all(t: Tensor) -> Tensor:
     return _result(np.asarray(t.data.mean()), (t,), backward, "mean_all")
 
 
-def layer_norm_rows(t: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm_rows(t: Tensor) -> Tensor:
     """Normalize each row to mean 0 / variance 1 (no learned scale-shift here)."""
     _need_2d("layer_norm_rows", t)
     mu = t.data.mean(axis=1, keepdims=True)
     var = t.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (t.data - mu) * inv
 
     def backward(g: np.ndarray) -> None:
@@ -404,17 +407,14 @@ def lstm_sequence(
     return _result(out_data, (x, wx, wh, b), backward, "lstm_sequence")
 
 
-def attention(
-    q: Tensor, k: Tensor, v: Tensor, heads: int, groups: int = 1, mask=None
-) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, groups: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention within groups of rows.
 
     ``q``, ``k``, ``v`` are (S, d) with S = n * groups, stacked token-major:
     row ``t*groups + j`` is token t of group j, and a token attends only to
-    the n tokens of its own group. ``mask`` is an additive (n, n) constant on
-    every group's scores (-1e30 blocks a pair). All groups and heads are
-    scored at once, as one (groups, heads, n, n) array; the output keeps the
-    row layout and concatenates the heads' columns.
+    the n tokens of its own group. All groups and heads are scored at once,
+    as one (groups, heads, n, n) array; the output keeps the row layout and
+    concatenates the heads' columns.
     """
     _need_2d("attention", q, k, v)
     if not q.shape == k.shape == v.shape:
@@ -425,10 +425,6 @@ def attention(
     if heads < 1 or width % heads != 0:
         raise ShapeError(f"attention: width {width} does not split into {heads} heads")
     n, d_head = rows // groups, width // heads
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != (n, n):
-            raise ShapeError(f"attention: mask {mask.shape} does not fit {n} tokens per group")
 
     def split(a: np.ndarray) -> np.ndarray:  # (S, d) -> (groups, heads, n, d_head)
         return a.reshape(n, groups, heads, d_head).transpose(1, 2, 0, 3)
@@ -439,8 +435,6 @@ def attention(
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     s = 1.0 / np.sqrt(d_head)
     scores = (qh @ kh.swapaxes(-1, -2)) * s
-    if mask is not None:
-        scores = scores + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p = e / e.sum(axis=-1, keepdims=True)
 

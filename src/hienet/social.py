@@ -83,13 +83,6 @@ def path_coefficients(n: int, alpha: float) -> np.ndarray:
     return (1.0 - alpha) / (1.0 - alpha ** (n + 1)) * powers
 
 
-def path_aware_representation(path: CorrelationPath, embeddings: dict[str, np.ndarray], alpha: float) -> np.ndarray:
-    """Weighted average of the path users' embeddings (nearest user dominates)."""
-    coeffs = path_coefficients(path.n, alpha)
-    vectors = [embeddings[w] for w in path.users]
-    return np.einsum("i,ij->j", coeffs, np.stack(vectors))
-
-
 def diffusion_pairs(cascade: CascadeGraph, max_pairs: int) -> list[tuple[str, str]]:
     """Earliest observed (source, retweeter) pairs, ordered by (time, user)."""
     ordered = sorted(cascade.edges, key=lambda e: (e[2], e[1]))

@@ -79,16 +79,16 @@ class TrainResult:
     config: dict = field(default_factory=dict)
 
 
-def _batched_predict(model: HIENet, feats: list[CascadeFeatures], table: np.ndarray) -> np.ndarray:
+def _batched_predict(model: HIENet, feats: list[CascadeFeatures]) -> np.ndarray:
     preds = []
     for lo in range(0, len(feats), EVAL_BATCH):
-        batch = build_batch(feats[lo : lo + EVAL_BATCH], table)
+        batch = build_batch(feats[lo : lo + EVAL_BATCH])
         preds.append(model.predict_logs(batch))
     return np.concatenate(preds)
 
 
-def _eval_msle(model, feats, table) -> float:
-    preds = _batched_predict(model, feats, table)
+def _eval_msle(model, feats) -> float:
+    preds = _batched_predict(model, feats)
     true_logs = np.array([f.true_log for f in feats])
     return metrics_from_logs(preds, true_logs)["MSLE"]
 
@@ -172,7 +172,6 @@ def train(config: TrainConfig) -> TrainResult:
     feats = featurize_corpus(records, config.window, ggraph, config)
 
     model = HIENet(config, vocab=ggraph.num_users + 1)
-    table = model.enc_table
     params = model.params()
     if config.resume:
         restore_into(params, weights)
@@ -189,8 +188,8 @@ def train(config: TrainConfig) -> TrainResult:
     best_weights = {p.name: p.data.copy() for p in params}
 
     def log_epoch(epoch: int) -> float:
-        train_msle = _eval_msle(model, train_feats, table)
-        val_msle = _eval_msle(model, val_feats, table)
+        train_msle = _eval_msle(model, train_feats)
+        val_msle = _eval_msle(model, val_feats)
         result.history.append(
             {"epoch": epoch, "train_MSLE": train_msle, "val_MSLE": val_msle}
         )
@@ -204,7 +203,7 @@ def train(config: TrainConfig) -> TrainResult:
         order = np.random.default_rng([config.seed, epoch]).permutation(train_ids)
         for lo in range(0, order.size, config.batch_size):
             chunk = [feats[i] for i in order[lo : lo + config.batch_size]]
-            _training_step(model, build_batch(chunk, table), opt)
+            _training_step(model, build_batch(chunk), opt)
         val_msle = log_epoch(epoch)
         if val_msle < result.best_val_msle:
             result.best_epoch, result.best_val_msle = epoch, val_msle
@@ -317,7 +316,7 @@ def _score(
     if not chosen:
         raise DataError(f"no cascades in split {split!r} of {data_path}")
     feats = featurize_corpus(chosen, window, ggraph, config)
-    return config, extra, window, feats, _batched_predict(model, feats, model.enc_table)
+    return config, extra, window, feats, _batched_predict(model, feats)
 
 
 def evaluate(

@@ -15,12 +15,18 @@ dense form of the snapshot propagation that
 ``snapshots.build_snapshots`` builds sparsely, and ``snapshot_blocks`` splits
 that sparse output back into dense per-snapshot blocks; the snapshot, model
 and GCN tests compare against these.
+
+``path_aware_representation`` is one user's path-aware average of the
+embeddings along a correlation path, as the paper writes it; the social
+tests check its properties, and ``social.social_weight_vector`` folds it
+into one vocabulary weight vector per cascade.
 """
 
 import numpy as np
 
 from hienet.errors import ShapeError
 from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
+from hienet.social import CorrelationPath, path_coefficients
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -166,3 +172,10 @@ def temporal_positional_encoding(t: int, dim: int, bins: int) -> np.ndarray:
     out[0::2] = np.sin(angles)
     out[1::2] = np.cos(angles)
     return out
+
+
+def path_aware_representation(path: CorrelationPath, embeddings: dict, alpha: float) -> np.ndarray:
+    """Weighted average of the path users' embeddings (nearest user dominates)."""
+    coeffs = path_coefficients(path.n, alpha)
+    vectors = [embeddings[w] for w in path.users]
+    return np.einsum("i,ij->j", coeffs, np.stack(vectors))

@@ -27,12 +27,12 @@ from hienet.snapshots import (
     snapshot_feature_matrix,
     snapshot_indices,
 )
-from hienet.social import CorrelationPath, path_aware_representation, path_coefficients, shortest_correlation_path
+from hienet.social import CorrelationPath, path_coefficients, shortest_correlation_path
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import evaluate, train
 from hienet.walks import sample_walks, start_distribution, transition_distribution
 
-from reference_ops import snapshot_blocks
+from reference_ops import path_aware_representation, snapshot_blocks
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -242,11 +242,9 @@ def test_criterion_5_structural_invariants():
     B = 2
     toks = {name: constant(rng.normal(size=(B, 8))) for name in ("cs", "sg", "cg")}
     tile = gather_rows(model.p_cas, np.zeros(B, dtype=np.int64))
-    pos = np.arange(4 * B) % B
-    mask = np.where(pos[:, None] == pos[None, :], 0.0, -1e30)
 
     def summary(order):
-        out = model.encoder(concat([toks[o] for o in order] + [tile], axis=0), mask)
+        out = model.encoder(concat([toks[o] for o in order] + [tile], axis=0), groups=B)
         return out.data[3 * B : 4 * B]
 
     base = summary(("cs", "sg", "cg"))

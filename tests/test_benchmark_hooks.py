@@ -87,7 +87,7 @@ def test_default_step_records_few_autodiff_nodes():
     graph = build_global_graph(records)
     feats = featurize_corpus(records, config.window, graph, config)
     model = HIENet(config, vocab=graph.num_users + 1)
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
     f_cs = model.encode_cascade_sequence(
         batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size
     )

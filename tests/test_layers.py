@@ -14,6 +14,7 @@ from hienet.nn.layers import (
     Embedding,
     LayerNorm,
     Linear,
+    Module,
     TransformerEncoderLayer,
 )
 from hienet.nn.optim import Adam
@@ -249,40 +250,30 @@ def test_attention_head_split_guard():
         TransformerEncoderLayer("enc", 8, 3, 16, np.random.default_rng(0))
 
 
-def test_attention_mask_blocks_rows():
+def test_attention_groups_attend_within_themselves():
     rng = np.random.default_rng(9)
     layer = TransformerEncoderLayer("enc", 4, 2, 8, rng)
     x = rng.normal(size=(4, 4))
-    # block diagonal: tokens {0,1} and {2,3} cannot see each other
-    mask = np.full((4, 4), -1e30)
-    mask[:2, :2] = 0.0
-    mask[2:, 2:] = 0.0
-    joint = layer(T.constant(x), attn_mask=mask).data
-    first = layer(T.constant(x[:2]), attn_mask=np.zeros((2, 2))).data
-    second = layer(T.constant(x[2:]), attn_mask=np.zeros((2, 2))).data
-    assert np.allclose(joint, np.vstack([first, second]))
     # two token-major groups: rows {0,2} and {1,3}
     grouped = layer(T.constant(x), groups=2).data
     assert np.allclose(grouped[0::2], layer(T.constant(x[0::2])).data)
     assert np.allclose(grouped[1::2], layer(T.constant(x[1::2])).data)
 
 
-def reference_attention(q, k, v, heads, mask):
+def reference_attention(q, k, v, heads):
     """Per-head attention from elementwise ops: the reference for ``attention``."""
     d_head = q.shape[1] // heads
     outs = []
     for i in range(heads):
         qs, ks, vs = (R.slice_cols(t, i * d_head, (i + 1) * d_head) for t in (q, k, v))
         scores = R.scale(T.matmul(qs, R.transpose(ks)), 1.0 / np.sqrt(d_head))
-        outs.append(T.matmul(R.softmax_rows(T.add_const(scores, mask)), vs))
+        outs.append(T.matmul(R.softmax_rows(scores), vs))
     return T.concat(outs, axis=1)
 
 
 def test_attention_matches_per_head_reference():
     rng = np.random.default_rng(13)
     q, k, v = (Parameter(n, rng.normal(size=(5, 6))) for n in "qkv")
-    mask = np.where(rng.random((5, 5)) < 0.3, -1e30, 0.0)
-    np.fill_diagonal(mask, 0.0)
 
     def run(attend):
         for p in (q, k, v):
@@ -291,8 +282,8 @@ def test_attention_matches_per_head_reference():
         T.mean_all(T.square(out)).backward()
         return out.data, [p.grad.copy() for p in (q, k, v)]
 
-    got, got_grads = run(lambda: T.attention(q, k, v, heads=3, mask=mask))
-    want, want_grads = run(lambda: reference_attention(q, k, v, 3, mask))
+    got, got_grads = run(lambda: T.attention(q, k, v, heads=3))
+    want, want_grads = run(lambda: reference_attention(q, k, v, 3))
     assert rel_err(got, want) < 1e-12
     for g, w in zip(got_grads, want_grads):
         assert rel_err(g, w) < 1e-9
@@ -334,6 +325,36 @@ def test_mlp_shapes_and_zero_weights():
     assert np.allclose(out.data, 0.25)
     with pytest.raises(ConfigError):
         MLP("bad", 4, [], rng)
+
+
+def test_module_params_follow_assignment_order():
+    """Parameters, nested layers and a list of layers, in assignment order;
+    None and non-layer attributes are skipped."""
+    rng = np.random.default_rng(0)
+
+    class Inner(Module):
+        def __init__(self):
+            self.lin = Linear("inner.lin", 2, 2, rng)
+            self.scale = Parameter("inner.scale", np.ones((1, 2)))
+
+    class Outer(Module):
+        def __init__(self):
+            self.first = Parameter("first", np.zeros((1, 1)))
+            self.missing = None
+            self.config = TrainConfig()
+            self.table = np.zeros((3, 2))
+            self.width = 4
+            self.inner = Inner()
+            self.stack = [Linear(f"stack{i}", 2, 2, rng) for i in range(2)]
+            self.sizes = [4, 5]
+            self.norm = LayerNorm("norm", 2)
+
+    assert [p.name for p in Outer().params()] == [
+        "first",
+        "inner.lin.w", "inner.lin.b", "inner.scale",
+        "stack0.w", "stack0.b", "stack1.w", "stack1.b",
+        "norm.gamma", "norm.beta",
+    ]
 
 
 def test_adam_zero_grad_no_change():

@@ -12,7 +12,7 @@ from hienet.features import build_batch, featurize_corpus, from_log2p1, log2p1
 from hienet.model import HIENet, metrics_from_logs, msle_loss
 from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.tensor import Parameter, constant, mean_all, square
-from hienet.snapshots import encoding_table, snapshot_indices
+from hienet.snapshots import snapshot_indices
 from hienet.synth import SyntheticSpec, generate_synthetic
 
 from reference_ops import encode_every_walk, snapshot_blocks
@@ -68,6 +68,38 @@ def test_config_validation():
         tiny_config(pe_dim=5)
 
 
+BRANCH_PARAMS = [
+    "cs.embed.table",
+    "cs.inner_f.wx", "cs.inner_f.wh", "cs.inner_f.b",
+    "cs.inner_b.wx", "cs.inner_b.wh", "cs.inner_b.b",
+    "cs.outer_f.wx", "cs.outer_f.wh", "cs.outer_f.b",
+    "cs.outer_b.wx", "cs.outer_b.wh", "cs.outer_b.b",
+    "cs.proj.w", "cs.proj.b",
+    "sg.embed.table", "sg.proj.w", "sg.proj.b",
+    "cg.w1", "cg.w2", "cg.proj.w", "cg.proj.b",
+]
+TRANSFORMER_PARAMS = [
+    "fuse.enc.wq.w", "fuse.enc.wq.b", "fuse.enc.wk.w", "fuse.enc.wk.b",
+    "fuse.enc.wv.w", "fuse.enc.wv.b", "fuse.enc.wo.w", "fuse.enc.wo.b",
+    "fuse.enc.ln1.gamma", "fuse.enc.ln1.beta",
+    "fuse.enc.ff1.w", "fuse.enc.ff1.b", "fuse.enc.ff2.w", "fuse.enc.ff2.b",
+    "fuse.enc.ln2.gamma", "fuse.enc.ln2.beta",
+    "fuse.cas", "fuse.null_cs", "fuse.null_sg", "fuse.null_cg",
+]
+HEAD_PARAMS = ["head.h0.w", "head.h0.b", "head.h1.w", "head.h1.b", "head.out.w", "head.out.b"]
+
+
+@pytest.mark.parametrize(
+    "fusion, fuse_params",
+    [("transformer", TRANSFORMER_PARAMS), ("concat", ["fuse.concat.w", "fuse.concat.b"])],
+)
+def test_param_order_pins_the_checkpoint_layout(fusion, fuse_params):
+    """``params()`` order is the ``weights.bin`` layout: reordering the
+    model's ``__init__`` would make older checkpoints load wrong."""
+    model = HIENet(tiny_config(fusion_mode=fusion), vocab=5)
+    assert [p.name for p in model.params()] == BRANCH_PARAMS + fuse_params + HEAD_PARAMS
+
+
 def test_zeroed_sequence_branch_is_projection_bias(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
@@ -113,7 +145,7 @@ def test_walk_lengths_must_fit_the_walks(corpus):
 def test_embedding_grad_sparsity_matches_walk_membership(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
     f_cs = model.encode_cascade_sequence(
         batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size
     )
@@ -132,9 +164,8 @@ def test_default_batches_hold_only_real_walk_steps():
     config = TrainConfig()
     records, _ = generate_synthetic(SyntheticSpec())
     feats = featurize_corpus(records, config.window, build_global_graph(records), config)
-    table = encoding_table(config.pe_dim, config.time_bins)
     for lo in range(0, len(feats), config.batch_size):
-        batch = build_batch(feats[lo : lo + config.batch_size], table)
+        batch = build_batch(feats[lo : lo + config.batch_size])
         assert batch.walk_idx.shape == (batch.walk_lengths.sum(),)
 
 
@@ -157,7 +188,7 @@ def test_distinct_walk_encoding_matches_every_walk_reference():
         return token.data, [p.grad for p in cs_params]
 
     for lo in range(0, len(feats), config.batch_size):
-        batch = build_batch(feats[lo : lo + config.batch_size], model.enc_table)
+        batch = build_batch(feats[lo : lo + config.batch_size])
         assert batch.walk_lengths.size < batch.walk_of.size  # some walk repeats
         token, grads = token_and_grads(HIENet.encode_cascade_sequence, batch)
         ref_token, ref_grads = token_and_grads(encode_every_walk, batch)
@@ -189,8 +220,8 @@ def graph_token(model, feat, snaps):
         node_bins=np.concatenate([bins for _, bins in snaps]),
         pool_weights=np.repeat([1.0 / (len(snaps) * n) for n in sizes], sizes),
     )
-    batch = build_batch([replaced], model.enc_table)
-    return model._cg_from_blocks(batch.p_block, batch.h_block, batch.pool)
+    batch = build_batch([replaced])
+    return model._cg_from_blocks(batch.p_block, model.enc_table[batch.node_bins], batch.pool)
 
 
 def test_subcascade_shape_and_duplicate_pooling(corpus):
@@ -258,7 +289,7 @@ def test_concat_single_branch_is_linear_map(corpus):
 def test_null_tokens_replace_disabled_branches(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph, use_sg=False)
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
     out = model.forward(batch)
     assert out.shape == (3, 1)
     loss = msle_loss(out, batch.true_logs)
@@ -271,7 +302,7 @@ def test_null_tokens_replace_disabled_branches(corpus):
 def test_disabled_branch_gets_no_gradient(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph, use_sg=False)
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
     msle_loss(model.forward(batch), batch.true_logs).backward()
     assert model.sg_embed.table.grad is None
     assert model.sg_proj.w.grad is None and model.sg_proj.b.grad is None
@@ -282,22 +313,22 @@ def test_disabled_branch_gets_no_gradient(corpus):
 def test_batched_forward_matches_single(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
     batched = model.forward(batch).data[:, 0]
-    singles = [model.forward(build_batch([f], model.enc_table)).data[0, 0] for f in feats]
+    singles = [model.forward(build_batch([f])).data[0, 0] for f in feats]
     assert np.abs(batched - np.array(singles)).max() < 1e-9
 
 
 def test_prediction_determinism_and_clamp(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
-    first = model.predict_logs(build_batch(feats[:1], model.enc_table))
-    second = model.predict_logs(build_batch(feats[:1], model.enc_table))
+    first = model.predict_logs(build_batch(feats[:1]))
+    second = model.predict_logs(build_batch(feats[:1]))
     assert first == second
     # force a negative raw output; the reported log-popularity clamps to 0
     model.head.out.w.data[...] = 0.0
     model.head.out.b.data[...] = -0.3
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
     assert np.allclose(model.predict_logs(batch), 0.0)
     assert model.forward(batch).data.min() == -0.3
 
@@ -341,7 +372,7 @@ def test_metrics_hand_values():
 def test_end_to_end_gradcheck_tiny(corpus, fusion):
     ggraph, feats = corpus
     model = build_model(ggraph, fusion_mode=fusion)
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
 
     def loss():
         return msle_loss(model.forward(batch), batch.true_logs)

@@ -242,7 +242,7 @@ def test_batch_propagation_stores_no_zeros():
     records = records[: config.batch_size]
     graph = build_global_graph(records)
     feats = featurize_corpus(records, config.window, graph, config)
-    batch = build_batch(feats, encoding_table(config.pe_dim, config.time_bins))
+    batch = build_batch(feats)
     p = batch.p_block
     assert p.nnz == np.count_nonzero(p.data)
     # each snapshot of i nodes is a tree prefix: 3i - 2 nonzeros

@@ -5,11 +5,12 @@ from hienet.cascade import GlobalSocialGraph
 from hienet.errors import GraphError
 from hienet.social import (
     CorrelationPath,
-    path_aware_representation,
     path_coefficients,
     shortest_correlation_path,
     social_weight_vector,
 )
+
+from reference_ops import path_aware_representation
 
 
 def social_graph(users, undirected_edges):

@@ -221,7 +221,7 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     ggraph = build_global_graph(records)
     feats = featurize_corpus(records, cfg.window, ggraph, cfg)
     model = HIENet(replace(cfg, seed=0), vocab=ggraph.num_users + 1)
-    batch = build_batch(feats, model.enc_table)
+    batch = build_batch(feats)
     params = model.params()
     # the cs embedding row of the first walk step
     params[0].data[batch.walk_idx[0], 0] = np.nan
