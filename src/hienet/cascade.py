@@ -349,27 +349,25 @@ def compute_label(record: CascadeRecord, window: int) -> int:
     return label
 
 
+def graph_from_pairs(users: list[str], pairs) -> GlobalSocialGraph:
+    """The graph over ``users`` whose neighbour lists join each ``(i, j)``
+    index pair both ways, sorted, with self-pairs and repeats dropped."""
+    adj: list[set[int]] = [set() for _ in users]
+    for i, j in pairs:
+        if i != j:
+            adj[i].add(j)
+            adj[j].add(i)
+    index = {u: i for i, u in enumerate(users)}
+    return GlobalSocialGraph(users=users, index=index, adj=[sorted(s) for s in adj])
+
+
 def build_global_graph(records: list[CascadeRecord]) -> GlobalSocialGraph:
     """Symmetric social graph over every adoption pair of the corpus.
 
     Nodes are indexed by sorted user id; self-loops are dropped. Built once,
     single-threaded, then treated as read-only.
     """
-    users: set[str] = set()
-    pairs: set[tuple[str, str]] = set()
-    for record in records:
-        users.add(record.root_user)
-        for event in record.events[1:]:
-            users.add(event.retweeter)
-            users.add(event.source)
-            if event.source != event.retweeter:
-                a, b = sorted((event.source, event.retweeter))
-                pairs.add((a, b))
-    ordered = sorted(users)
-    index = {u: i for i, u in enumerate(ordered)}
-    adj: list[set[int]] = [set() for _ in ordered]
-    for a, b in pairs:
-        ia, ib = index[a], index[b]
-        adj[ia].add(ib)
-        adj[ib].add(ia)
-    return GlobalSocialGraph(users=ordered, index=index, adj=[sorted(s) for s in adj])
+    users = sorted({u for r in records for e in r.events for u in (e.source, e.retweeter)} - {None})
+    index = {u: i for i, u in enumerate(users)}
+    pairs = [(index[e.source], index[e.retweeter]) for r in records for e in r.events[1:]]
+    return graph_from_pairs(users, pairs)

@@ -22,7 +22,7 @@ from .config import FUSION_MODES, TrainConfig, resolve_config
 from .diagnostics import PASS_THRESHOLD, worst_over_seeds
 from .errors import CascadeParseError, ConfigError, DataError, HienetError, UsageError
 from .synth import SyntheticSpec, generate_synthetic, write_corpus
-from .train import evaluate, load_corpus, predict, train
+from .train import _output_dir, evaluate, load_corpus, predict, train
 
 BRANCHES = ("cs", "sg", "cg")
 
@@ -116,8 +116,9 @@ def _cmd_synth(args) -> int:
         horizon=args.horizon,
         seed=args.seed,
     )
+    out = _output_dir(args.out)
     records, manifest = generate_synthetic(spec)
-    path = write_corpus(args.out, records, manifest)
+    path = write_corpus(out, records, manifest)
     sizes = [r.final_size for r in records]
     print(f"wrote {len(records)} cascades to {path}")
     print(f"final size: median {sorted(sizes)[len(sizes) // 2]}, max {max(sizes)}")

@@ -122,7 +122,7 @@ def resolve_config(config_path: str | Path | None = None, overrides: dict | None
         with open(path, encoding="utf-8") as fh:
             try:
                 raw = json.load(fh)
-            except json.JSONDecodeError as e:
+            except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
                 raise DataError(f"config file {path} is not valid JSON: {e}") from None
         if not isinstance(raw, dict):
             raise DataError(f"config file {path} must hold a JSON object")

@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cascade import CascadeGraph, GlobalSocialGraph
 from .errors import GraphError
@@ -94,15 +95,15 @@ def social_weight_vector(
     global_graph: GlobalSocialGraph,
     alpha: float,
     max_pairs: int,
-) -> tuple[np.ndarray, int]:
+) -> tuple[sp.csr_matrix, int]:
     """Vocabulary-weight form of the cascade's social feature.
 
-    Returns (weights, pair_count) where weights has one entry per embedding
-    row (the unknown-user row 0 included) and sums to 1. Pairs disconnected
-    on the global graph are skipped; if none survive (including the
-    root-only cascade), all weight falls on the root's own embedding.
+    Returns (weights, pair_count) where weights is a (1, vocab) sparse row,
+    one column per embedding row (the unknown-user row 0 included), that
+    sums to 1. Pairs disconnected on the global graph are skipped; if none
+    survive (including the root-only cascade), all weight falls on the
+    root's own embedding.
     """
-    weights = np.zeros(global_graph.num_users + 1, dtype=np.float64)
     pair_paths: list[CorrelationPath] = []
     for u, v in diffusion_pairs(cascade, max_pairs):
         if not (global_graph.has_user(u) and global_graph.has_user(v)):
@@ -110,15 +111,15 @@ def social_weight_vector(
         path = shortest_correlation_path(global_graph, u, v)
         if path is not None:
             pair_paths.append(path)
-    if not pair_paths:
-        weights[global_graph.embedding_index(cascade.root)] = 1.0
-        return weights, 0
-    pair_share = 1.0 / len(pair_paths)
+    weights = {} if pair_paths else {global_graph.embedding_index(cascade.root): 1.0}
+    pair_share = 1.0 / max(len(pair_paths), 1)
     for path in pair_paths:
         coeffs = path_coefficients(path.n, alpha)
         # endpoint representations share one path; averaging them pairs each
         # position's forward coefficient with its reversed counterpart
         for i, user in enumerate(path.users):
-            w = 0.5 * (coeffs[i] + coeffs[path.n - i]) * pair_share
-            weights[global_graph.embedding_index(user)] += w
-    return weights, len(pair_paths)
+            row = global_graph.embedding_index(user)
+            weights[row] = weights.get(row, 0.0) + 0.5 * (coeffs[i] + coeffs[path.n - i]) * pair_share
+    cols = sorted(weights)
+    shape = (1, global_graph.num_users + 1)
+    return sp.csr_matrix(([weights[c] for c in cols], cols, [0, len(cols)]), shape=shape), len(pair_paths)

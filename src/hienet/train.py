@@ -31,6 +31,7 @@ from .cascade import (
     DatasetManifest,
     GlobalSocialGraph,
     build_global_graph,
+    graph_from_pairs,
     load_cascades,
     load_manifest,
 )
@@ -168,13 +169,12 @@ def train(config: TrainConfig) -> TrainResult:
     if config.resume and resumed_graph.users != ggraph.users:
         # embedding row i belongs to user i, so other users would inherit its rows
         raise DataError(f"checkpoint {config.resume} holds other users than {config.data}")
-    out_dir = _output_dir(config.out)
-    feats = featurize_corpus(records, config.window, ggraph, config)
-
     model = HIENet(config, vocab=ggraph.num_users + 1)
     params = model.params()
     if config.resume:
         restore_into(params, weights)
+    out_dir = _output_dir(config.out)
+    feats = featurize_corpus(records, config.window, ggraph, config)
     opt = Adam(params, lr=config.lr)
 
     train_feats = [feats[i] for i in splits["train"]]
@@ -251,32 +251,32 @@ def train(config: TrainConfig) -> TrainResult:
 
 def _checkpoint_graph(users, adjacency) -> GlobalSocialGraph:
     """The social graph a checkpoint stores, checked before featurization reads it:
-    the symmetric adjacency ``build_global_graph`` writes, each row sorted
-    and free of self-loops."""
+    its adjacency must be the one ``graph_from_pairs`` builds from its own rows,
+    as ``build_global_graph`` wrote it."""
     if not isinstance(users, list) or not all(isinstance(u, str) for u in users):
         raise DataError("checkpoint users must be a list of user ids")
-    index = {u: i for i, u in enumerate(users)}
-    if len(index) != len(users):
+    if len(set(users)) != len(users):
         raise DataError("checkpoint users repeat an id")
     if not isinstance(adjacency, list) or len(adjacency) != len(users):
         raise DataError(f"checkpoint adjacency must hold one neighbour list per user ({len(users)})")
-    for i, row in enumerate(adjacency):
+    for row in adjacency:
         if not isinstance(row, list) or not all(
             type(v) is int and 0 <= v < len(users) for v in row
         ):
             raise DataError(f"checkpoint adjacency row {row!r} must list user indices")
-        if i in row or any(a >= b for a, b in zip(row, row[1:])):
-            raise DataError(f"checkpoint adjacency row {i} must list other users in increasing order")
-    edges = {(i, j) for i, row in enumerate(adjacency) for j in row}
-    if any((j, i) not in edges for i, j in edges):
-        raise DataError("checkpoint adjacency is not symmetric")
-    return GlobalSocialGraph(users=users, index=index, adj=adjacency)
+    graph = graph_from_pairs(users, [(i, j) for i, row in enumerate(adjacency) for j in row])
+    if graph.adj != adjacency:
+        raise DataError(
+            "checkpoint adjacency is not symmetric, sorted and free of self-loops and repeats"
+        )
+    return graph
 
 
 def _open_checkpoint(
     checkpoint_dir: str | Path,
-) -> tuple[TrainConfig, dict, GlobalSocialGraph, dict[str, np.ndarray]]:
-    """A checkpoint's run config, extra fields, social graph and weights.
+) -> tuple[TrainConfig, dict, GlobalSocialGraph, tuple[object, bytes]]:
+    """A checkpoint's run config, extra fields, social graph and stored weights,
+    which ``restore_into`` checks against the model it restores into.
 
     evaluate, predict and a resumed train all open checkpoints here, so a
     corrupt one is a ``DataError`` wherever it is read.

@@ -221,15 +221,16 @@ def test_nonpositive_window_is_config_error(workspace, trained, capsys, command,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "predict", "ablate"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "predict", "ablate"])
 def test_out_naming_a_file_is_config_error(workspace, trained, tmp_path, capsys, command):
     """A file where the output directory should be (ablate writes below it)."""
     blocker = tmp_path / "file"
     blocker.write_text("")
-    argv = [command, "--data", str(workspace / "data" / "cascades.tsv"), "--out", str(blocker)]
+    argv = [command, "--out", str(blocker)]
     if command in ("eval", "predict"):
-        argv += ["--checkpoint", str(trained)]
-    else:
+        argv += ["--data", str(workspace / "data" / "cascades.tsv"), "--checkpoint", str(trained)]
+    elif command != "synth":
+        argv += ["--data", str(workspace / "data" / "cascades.tsv")]
         argv += ["--config", str(workspace / "tiny.json"), "--epochs", "1"]
     assert main(argv) == 1
     err = capsys.readouterr().err
@@ -341,6 +342,12 @@ def self_loop(manifest):
     adjacency[i] = sorted(adjacency[i] + [i])
 
 
+def repeated_neighbour(manifest):
+    adjacency = manifest["adjacency"]
+    i = user_with_neighbours(adjacency, 1)
+    adjacency[i] = sorted(adjacency[i] + adjacency[i][:1])
+
+
 @pytest.mark.parametrize(
     "command, name, damage",
     [
@@ -362,6 +369,8 @@ def self_loop(manifest):
         ("predict", "manifest.json", edit_manifest(one_way_edge)),
         ("eval", "manifest.json", edit_manifest(unsorted_row)),
         ("predict", "manifest.json", edit_manifest(self_loop)),
+        ("eval", "manifest.json", edit_manifest(repeated_neighbour)),
+        ("predict", "weights.bin", lambda raw: raw + bytes(8)),
     ],
     ids=[
         "truncated-weights",
@@ -382,6 +391,8 @@ def self_loop(manifest):
         "one-way-edge",
         "unsorted-adjacency-row",
         "self-loop",
+        "repeated-neighbour",
+        "weights-too-long",
     ],
 )
 def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, command, name, damage):
@@ -423,6 +434,40 @@ def test_resume_on_other_users_is_data_error(workspace, trained, tmp_path, capsy
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: checkpoint") and "other users" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_resume_onto_other_layout_is_data_error(workspace, trained, tmp_path, capsys):
+    """Weights are restored before any output is made, so a checkpoint whose
+    params are not the model's layout leaves no output directory behind."""
+    ckpt = corrupt_copy(
+        trained, tmp_path, "manifest.json", edit_manifest(lambda m: m["params"][0]["shape"].append(1))
+    )
+    rc = main(
+        [
+            "train",
+            "--data", str(workspace / "data" / "cascades.tsv"),
+            "--out", str(tmp_path / "run"),
+            "--config", str(workspace / "tiny.json"),
+            "--resume", str(ckpt),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: checkpoint params")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_file_not_utf8_is_data_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b'{"epochs": 1, "seed": "\xff"}')
+    data = str(workspace / "data" / "cascades.tsv")
+    rc = main(["train", "--data", data, "--out", str(tmp_path / "run"), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: config file") and "not valid JSON" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 

@@ -170,7 +170,7 @@ def table_for(graph, dim=2, seed=0):
 def pooled_feature(cas, g, table, alpha=0.9, max_pairs=4):
     """The social token before projection: the weight vector applied to the table."""
     weights, pair_count = social_weight_vector(cas, g, alpha=alpha, max_pairs=max_pairs)
-    return weights @ table, pair_count
+    return (weights @ table)[0], pair_count
 
 
 def test_root_only_cascade_feature():
@@ -218,7 +218,8 @@ def test_weight_vector_sums_to_one():
     users = [f"u{i}" for i in range(5)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(4)])
     cas = cascade_graph([(users[0], users[2]), (users[2], users[4])], "u0")
-    weights, pairs = social_weight_vector(cas, g, alpha=0.9, max_pairs=8)
+    row, pairs = social_weight_vector(cas, g, alpha=0.9, max_pairs=8)
+    weights = row.toarray()
     assert pairs == 2
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (weights >= 0).all()

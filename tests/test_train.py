@@ -8,8 +8,13 @@ import pytest
 
 from hienet.config import TrainConfig, resolve_config
 from hienet.errors import ConfigError, DataError, TrainingError
+from hienet.model import HIENet
+from hienet.nn.checkpoint import restore_into, save_checkpoint
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
-from hienet.train import evaluate, predict, split_indices, split_of, train
+from hienet.train import _open_checkpoint, evaluate, predict, split_indices, split_of, train
+
+#: a tiny checkpoint written by an earlier release (30 users, the 48-parameter transformer model)
+OLD_CHECKPOINT = Path(__file__).parent / "fixtures" / "tiny_checkpoint"
 
 TINY = dict(
     epochs=3,
@@ -190,6 +195,18 @@ def test_resume_with_zero_epochs_is_identity(corpus, tmp_path):
     w1 = (tmp_path / "a" / "checkpoint" / "weights.bin").read_bytes()
     w2 = (tmp_path / "b" / "checkpoint" / "weights.bin").read_bytes()
     assert w1 == w2
+
+
+def test_old_checkpoint_restores_and_saves_byte_identically(tmp_path):
+    """A checkpoint written before the current layout code still restores into
+    the model its config builds, and saving it again reproduces both files, so
+    a change of parameter order, naming or packing fails here."""
+    config, extra, graph, weights = _open_checkpoint(OLD_CHECKPOINT)
+    model = HIENet(config, vocab=graph.num_users + 1)
+    restore_into(model.params(), weights)
+    save_checkpoint(tmp_path / "again", model.params(), extra=extra)
+    for name in ("manifest.json", "weights.bin"):
+        assert (tmp_path / "again" / name).read_bytes() == (OLD_CHECKPOINT / name).read_bytes()
 
 
 def test_checkpoint_carries_run_context(corpus, tmp_path):
