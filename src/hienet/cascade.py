@@ -143,7 +143,8 @@ def parse_cascade_line(line: str, line_no: int | None = None) -> CascadeRecord:
     """Parse one cascade line into a record.
 
     Duplicate adopters keep their earliest event; events come out sorted by
-    (elapsed, user). Raises CascadeParseError naming the line and field for
+    (elapsed, user), except that an adoption follows its source's when the two
+    share ``elapsed``. Raises CascadeParseError naming the line and field for
     malformed input.
     """
     parts = line.rstrip("\n").split("\t")
@@ -196,8 +197,16 @@ def parse_cascade_line(line: str, line_no: int | None = None) -> CascadeRecord:
             earliest[adopter] = (elapsed, source)
 
     events = [CascadeEvent(root_user, None, 0)]
-    for adopter, (elapsed, source) in sorted(earliest.items(), key=lambda kv: (kv[1][0], kv[0])):
-        events.append(CascadeEvent(adopter, source, elapsed))
+    placed: set[str] = set()
+    for adopter in sorted(earliest, key=lambda u: (earliest[u][0], u)):
+        # climb to the first unplaced same-time ancestor, then place the chain
+        # top-down; ``placed`` grows as it climbs, so a same-time cycle ends
+        elapsed, chain, user = earliest[adopter][0], [], adopter
+        while user in earliest and user not in placed and earliest[user][0] == elapsed:
+            placed.add(user)
+            chain.append(user)
+            user = earliest[user][1]
+        events.extend(CascadeEvent(u, earliest[u][1], elapsed) for u in reversed(chain))
     return CascadeRecord(message_id, root_user, publish_time, events, final_size)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .cascade import build_cascade_graph, build_global_graph, compute_label
 from .config import FUSION_MODES, TrainConfig, resolve_config
 from .diagnostics import PASS_THRESHOLD, worst_over_seeds
-from .errors import CascadeParseError, ConfigError, DataError, HienetError, UsageError
+from .errors import CascadeParseError, DataError, HienetError, UsageError
 from .synth import SyntheticSpec, generate_synthetic, write_corpus
 from .train import _output_dir, evaluate, load_corpus, predict, train
 
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except (CascadeParseError, DataError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, HienetError) as e:
+    except HienetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

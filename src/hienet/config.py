@@ -11,6 +11,7 @@ same object, so every default and every range rule is written once, here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -23,11 +24,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-#: what a value of each ``TrainConfig`` annotation must be; a float field keeps an int as written
+#: what a value of each ``TrainConfig`` annotation must be; a float field keeps an int as
+#: written and takes no NaN or infinity, which every range check below would let through
 _FIELD_TYPES = {
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": ("a finite number", lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
     "str": ("a string", lambda v: isinstance(v, str)),
     "tuple[int, ...]": (
         "a list of integers",

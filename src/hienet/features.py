@@ -87,7 +87,7 @@ def featurize(
     )
     walk_idx, walk_lengths, walk_of = walks.to_index_matrix(global_graph)
 
-    social_row, _ = social_weight_vector(graph, global_graph, alpha=c.alpha, max_pairs=c.max_pairs)
+    social_row = social_weight_vector(graph, global_graph, alpha=c.alpha, max_pairs=c.max_pairs)
     propagation, node_bins, pool_weights = build_snapshots(
         *snapshot_feature_matrix(graph, c.time_bins), c.m_max
     )

@@ -95,14 +95,13 @@ def social_weight_vector(
     global_graph: GlobalSocialGraph,
     alpha: float,
     max_pairs: int,
-) -> tuple[sp.csr_matrix, int]:
+) -> sp.csr_matrix:
     """Vocabulary-weight form of the cascade's social feature.
 
-    Returns (weights, pair_count) where weights is a (1, vocab) sparse row,
-    one column per embedding row (the unknown-user row 0 included), that
-    sums to 1. Pairs disconnected on the global graph are skipped; if none
-    survive (including the root-only cascade), all weight falls on the
-    root's own embedding.
+    A (1, vocab) sparse row, one column per embedding row (the unknown-user
+    row 0 included), that sums to 1. Pairs disconnected on the global graph
+    are skipped; if none survive (including the root-only cascade), all
+    weight falls on the root's own embedding.
     """
     pair_paths: list[CorrelationPath] = []
     for u, v in diffusion_pairs(cascade, max_pairs):
@@ -122,4 +121,4 @@ def social_weight_vector(
             weights[row] = weights.get(row, 0.0) + 0.5 * (coeffs[i] + coeffs[path.n - i]) * pair_share
     cols = sorted(weights)
     shape = (1, global_graph.num_users + 1)
-    return sp.csr_matrix(([weights[c] for c in cols], cols, [0, len(cols)]), shape=shape), len(pair_paths)
+    return sp.csr_matrix(([weights[c] for c in cols], cols, [0, len(cols)]), shape=shape)

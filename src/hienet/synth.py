@@ -16,6 +16,7 @@ spec maps to a byte-stable corpus file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -47,10 +48,10 @@ class SyntheticSpec:
             raise ConfigError(f"num_users must be >= 2, got {self.num_users}")
         if self.num_cascades < 1:
             raise ConfigError(f"num_cascades must be >= 1, got {self.num_cascades}")
-        if self.mean_branching < 0:
-            raise ConfigError(f"mean_branching must be >= 0, got {self.mean_branching}")
-        if self.decay < 0:
-            raise ConfigError(f"decay must be >= 0, got {self.decay}")
+        for name in ("mean_branching", "decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be a finite number >= 0, got {value}")
         if self.horizon < 2:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         if self.attachment_edges < 1:

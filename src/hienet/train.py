@@ -152,7 +152,7 @@ def train(config: TrainConfig) -> TrainResult:
         raise ConfigError("config.data must point at a cascade file")
     time_unit = None
     if config.resume:
-        _, extra, resumed_graph, weights = _open_checkpoint(config.resume)
+        model, extra, resumed_graph = _open_checkpoint(config.resume, config)
         time_unit = extra["time_unit"]
     records, manifest = load_corpus(config.data, config.window, time_unit)
     if len(records) < 2:
@@ -166,13 +166,12 @@ def train(config: TrainConfig) -> TrainResult:
     val_ids = splits["val"] or splits["train"]
 
     ggraph = build_global_graph(records)
-    if config.resume and resumed_graph.users != ggraph.users:
+    if not config.resume:
+        model = HIENet(config, vocab=ggraph.num_users + 1)
+    elif resumed_graph.users != ggraph.users:
         # embedding row i belongs to user i, so other users would inherit its rows
         raise DataError(f"checkpoint {config.resume} holds other users than {config.data}")
-    model = HIENet(config, vocab=ggraph.num_users + 1)
     params = model.params()
-    if config.resume:
-        restore_into(params, weights)
     out_dir = _output_dir(config.out)
     feats = featurize_corpus(records, config.window, ggraph, config)
     opt = Adam(params, lr=config.lr)
@@ -185,62 +184,44 @@ def train(config: TrainConfig) -> TrainResult:
     )["MSLE"]
 
     result = TrainResult(config=config.to_dict(), baseline_val_msle=baseline_val)
-    best_weights = {p.name: p.data.copy() for p in params}
-
-    def log_epoch(epoch: int) -> float:
+    train_ids = np.array(splits["train"])
+    for epoch in range(config.epochs + 1):
+        if epoch > 0:
+            order = np.random.default_rng([config.seed, epoch]).permutation(train_ids)
+            for lo in range(0, order.size, config.batch_size):
+                chunk = [feats[i] for i in order[lo : lo + config.batch_size]]
+                _training_step(model, build_batch(chunk), opt)
         train_msle = _eval_msle(model, train_feats)
         val_msle = _eval_msle(model, val_feats)
-        result.history.append(
-            {"epoch": epoch, "train_MSLE": train_msle, "val_MSLE": val_msle}
-        )
-        return val_msle
-
-    val_msle = log_epoch(0)
-    result.best_epoch, result.best_val_msle = 0, val_msle
-
-    train_ids = np.array(splits["train"])
-    for epoch in range(1, config.epochs + 1):
-        order = np.random.default_rng([config.seed, epoch]).permutation(train_ids)
-        for lo in range(0, order.size, config.batch_size):
-            chunk = [feats[i] for i in order[lo : lo + config.batch_size]]
-            _training_step(model, build_batch(chunk), opt)
-        val_msle = log_epoch(epoch)
-        if val_msle < result.best_val_msle:
+        result.history.append({"epoch": epoch, "train_MSLE": train_msle, "val_MSLE": val_msle})
+        # epoch 0 always sets the best, so a NaN val MSLE still leaves weights to restore
+        if epoch == 0 or val_msle < result.best_val_msle:
             result.best_epoch, result.best_val_msle = epoch, val_msle
-            best_weights = {p.name: p.data.copy() for p in params}
+            best_weights = [p.data.copy() for p in params]
 
-    for p in params:
-        p.data[...] = best_weights[p.name]
+    for p, data in zip(params, best_weights):
+        p.data[...] = data
 
-    ckpt_dir = out_dir / "checkpoint"
+    summary = {
+        "config": result.config,
+        "best_epoch": result.best_epoch,
+        "best_val_MSLE": result.best_val_msle,
+        "baseline_val_MSLE": baseline_val,
+    }
+    result.checkpoint_dir = out_dir / "checkpoint"
     save_checkpoint(
-        ckpt_dir,
+        result.checkpoint_dir,
         params,
         extra={
-            "config": config.to_dict(),
+            **summary,
             "users": ggraph.users,
             "adjacency": ggraph.adj,
             "time_unit": manifest.time_unit,
             "train_mean_log": train_mean_log,
-            "best_epoch": result.best_epoch,
-            "best_val_MSLE": result.best_val_msle,
-            "baseline_val_MSLE": baseline_val,
         },
     )
-    result.checkpoint_dir = ckpt_dir
     with open(out_dir / "training_log.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "config": result.config,
-                "history": result.history,
-                "best_epoch": result.best_epoch,
-                "best_val_MSLE": result.best_val_msle,
-                "baseline_val_MSLE": baseline_val,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump({**summary, "history": result.history}, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return result
 
@@ -273,42 +254,44 @@ def _checkpoint_graph(users, adjacency) -> GlobalSocialGraph:
 
 
 def _open_checkpoint(
-    checkpoint_dir: str | Path,
-) -> tuple[TrainConfig, dict, GlobalSocialGraph, tuple[object, bytes]]:
-    """A checkpoint's run config, extra fields, social graph and stored weights,
-    which ``restore_into`` checks against the model it restores into.
+    checkpoint_dir: str | Path, config: TrainConfig | None = None
+) -> tuple[HIENet, dict, GlobalSocialGraph]:
+    """The model a checkpoint restores, its extra fields and its social graph.
 
-    evaluate, predict and a resumed train all open checkpoints here, so a
-    corrupt one is a ``DataError`` wherever it is read.
+    The model is built from ``config``, or from the checkpoint's own run
+    config when none is given, and ``restore_into`` checks the stored weights
+    against its layout. evaluate, predict and a resumed train all open
+    checkpoints here, so a corrupt one is a ``DataError`` wherever it is read.
     """
     extra, weights = load_checkpoint(checkpoint_dir)
     for key in ("config", "users", "adjacency", "time_unit", "train_mean_log"):
         if key not in extra:
             raise DataError(f"checkpoint manifest missing {key!r}")
     try:
-        config = TrainConfig.from_dict(extra["config"])
+        stored = TrainConfig.from_dict(extra["config"])
     except (TypeError, ConfigError) as e:
         raise DataError(f"checkpoint config is invalid: {e}") from None
     mean_log = extra["train_mean_log"]
     if not (isinstance(mean_log, float) and math.isfinite(mean_log)):
         raise DataError(f"checkpoint train_mean_log {mean_log!r} is not a finite number")
-    return config, extra, _checkpoint_graph(extra["users"], extra["adjacency"]), weights
+    graph = _checkpoint_graph(extra["users"], extra["adjacency"])
+    model = HIENet(config or stored, vocab=graph.num_users + 1)
+    restore_into(model.params(), weights)
+    return model, extra, graph
 
 
 def _score(
     checkpoint_dir: str | Path, data_path: str | Path, window: int | None, split: str
-) -> tuple[TrainConfig, dict, int, list[CascadeFeatures], np.ndarray]:
+) -> tuple[HIENet, dict, int, list[CascadeFeatures], np.ndarray]:
     """Open a checkpoint and predict the cascades of ``split`` in ``data_path``.
 
     evaluate and predict both load through here, so they check the
-    checkpoint, the time unit and the window the same way. Returns the run
-    config, the checkpoint's extra fields, the window used, the features and
-    the predicted log-popularities.
+    checkpoint, the time unit and the window the same way. Returns the
+    restored model, the checkpoint's extra fields, the window used, the
+    features and the predicted log-popularities.
     """
-    config, extra, ggraph, weights = _open_checkpoint(checkpoint_dir)
-    model = HIENet(config, vocab=ggraph.num_users + 1)
-    restore_into(model.params(), weights)
-
+    model, extra, ggraph = _open_checkpoint(checkpoint_dir)
+    config = model.config
     # an overriding window passes the checks of the config's own
     window = (config if window is None else replace(config, window=window)).window
     records, _ = load_corpus(data_path, window, time_unit=extra["time_unit"])
@@ -316,7 +299,7 @@ def _score(
     if not chosen:
         raise DataError(f"no cascades in split {split!r} of {data_path}")
     feats = featurize_corpus(chosen, window, ggraph, config)
-    return config, extra, window, feats, _batched_predict(model, feats)
+    return model, extra, window, feats, _batched_predict(model, feats)
 
 
 def evaluate(
@@ -328,8 +311,7 @@ def evaluate(
 ) -> dict:
     if split not in ("train", "val", "test", "all"):
         raise ConfigError(f"split must be train/val/test/all, got {split!r}")
-    out = None if out_dir is None else _output_dir(out_dir)
-    config, extra, window, feats, pred_logs = _score(checkpoint_dir, data_path, window, split)
+    model, extra, window, feats, pred_logs = _score(checkpoint_dir, data_path, window, split)
     true_logs = np.array([f.true_log for f in feats])
     metrics = metrics_from_logs(pred_logs, true_logs)
     baseline = metrics_from_logs(np.full_like(true_logs, extra["train_mean_log"]), true_logs)
@@ -340,9 +322,10 @@ def evaluate(
         "MSLE": metrics["MSLE"],
         "mSLE": metrics["mSLE"],
         "baseline_MSLE": baseline["MSLE"],
-        "config": config.to_dict(),
+        "config": model.config.to_dict(),
     }
-    if out is not None:
+    if out_dir is not None:
+        out = _output_dir(out_dir)
         with open(out / "metrics.json", "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -360,13 +343,12 @@ def predict(
     window: int | None = None,
     out_dir: str | Path | None = None,
 ) -> list[tuple[str, float, float]]:
-    out = None if out_dir is None else _output_dir(out_dir)
     _, _, _, feats, pred_logs = _score(checkpoint_dir, data_path, window, split="all")
     rows = [
         (f.message_id, float(p), float(from_log2p1(p))) for f, p in zip(feats, pred_logs)
     ]
-    if out is not None:
-        with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
+    if out_dir is not None:
+        with open(_output_dir(out_dir) / "predictions.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["message_id", "predicted_log", "predicted"])
             for mid, plog, psize in rows:

@@ -47,6 +47,21 @@ def test_parse_duplicate_retweeter_keeps_earliest():
     assert rec.events[1].elapsed == 120
 
 
+def test_same_time_reshare_follows_its_source():
+    """``b`` adopts from ``z`` in the time unit ``z`` adopted in, and sorts before it by name."""
+    line = "1\tr\t0\t2\tr:0 r/z:5 r/z/b:5"
+    rec = parse_cascade_line(line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = build_cascade_graph(rec, 10)
+    assert g.nodes == ["r", "z", "b"]
+    assert g.edges == [("r", "z", 5), ("z", "b", 5)]
+    assert serialize_cascade_line(rec) == line
+    # a same-time cycle (each adopts from the other) still parses, in finite time
+    cycle = parse_cascade_line("1\tr\t0\t2\tr:0 r/a/b:5 r/b/a:5")
+    assert sorted(e.retweeter for e in cycle.events[1:]) == ["a", "b"]
+
+
 @pytest.mark.parametrize(
     "line,field",
     [

@@ -257,11 +257,38 @@ def test_config_value_of_wrong_type_is_config_error(workspace, tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "change",
-    [{"mlp_sizes": [0]}, {"mlp_sizes": [-3, 8]}],
-    ids=["zero-size", "negative-size"],
+    [
+        {"mlp_sizes": [0]},
+        {"mlp_sizes": [-3, 8]},
+        {"lr": float("nan")},
+        {"lr": float("inf")},
+        {"beta": float("nan")},
+        {"beta": float("inf")},
+    ],
+    ids=["zero-size", "negative-size", "nan-lr", "inf-lr", "nan-beta", "inf-beta"],
 )
 def test_config_value_out_of_range_is_config_error(workspace, tmp_path, capsys, change):
     assert_train_rejects_config(workspace, tmp_path, capsys, change)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["train", "--lr", "nan", "--epochs", "1"], "lr"),
+        (["synth", "--decay", "nan"], "decay"),
+        (["synth", "--branching", "inf"], "mean_branching"),
+    ],
+    ids=["train-lr-nan", "synth-decay-nan", "synth-branching-inf"],
+)
+def test_non_finite_flag_is_config_error(workspace, tmp_path, capsys, argv, key):
+    """A NaN or infinite flag value is rejected by name before any output is made."""
+    if argv[0] == "train":
+        argv = argv + ["--data", str(workspace / "data" / "cascades.tsv"), "--config", str(workspace / "tiny.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be a finite number")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def assert_train_rejects_config(workspace, tmp_path, capsys, change):
@@ -396,13 +423,15 @@ def repeated_neighbour(manifest):
     ],
 )
 def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, command, name, damage):
+    """The checkpoint is checked before any output is made, so ``--out`` is not created."""
     ckpt = corrupt_copy(trained, tmp_path, name, damage)
     data = workspace / "data" / "cascades.tsv"
-    rc = main([command, "--checkpoint", str(ckpt), "--data", str(data)])
+    rc = main([command, "--checkpoint", str(ckpt), "--data", str(data), "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
     assert "data error" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_resume_on_other_users_is_data_error(workspace, trained, tmp_path, capsys):

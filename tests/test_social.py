@@ -169,16 +169,14 @@ def table_for(graph, dim=2, seed=0):
 
 def pooled_feature(cas, g, table, alpha=0.9, max_pairs=4):
     """The social token before projection: the weight vector applied to the table."""
-    weights, pair_count = social_weight_vector(cas, g, alpha=alpha, max_pairs=max_pairs)
-    return (weights @ table)[0], pair_count
+    return (social_weight_vector(cas, g, alpha=alpha, max_pairs=max_pairs) @ table)[0]
 
 
 def test_root_only_cascade_feature():
     g = social_graph(["r", "x"], [("r", "x")])
     cas = cascade_graph([], "r")
     table = table_for(g)
-    vector, pair_count = pooled_feature(cas, g, table)
-    assert pair_count == 0
+    vector = pooled_feature(cas, g, table)
     assert np.allclose(vector, table[g.embedding_index("r")])
 
 
@@ -188,8 +186,7 @@ def test_single_pair_over_global_edge():
     table = np.zeros((3, 2))
     table[g.embedding_index("u")] = [1.0, 0.0]
     table[g.embedding_index("v")] = [0.0, 1.0]
-    vector, pair_count = pooled_feature(cas, g, table)
-    assert pair_count == 1
+    vector = pooled_feature(cas, g, table)
     # mean of the endpoint representations (0.52632, 0.47368) and its mirror
     assert vector == pytest.approx([0.5, 0.5], abs=1e-9)
 
@@ -199,8 +196,7 @@ def test_disconnected_pairs_fall_back_to_root():
     g = social_graph(["u", "v", "z"], [("u", "z")])
     cas = cascade_graph([("u", "v")], "u")
     table = table_for(g, dim=3, seed=5)
-    vector, pair_count = pooled_feature(cas, g, table)
-    assert pair_count == 0
+    vector = pooled_feature(cas, g, table)
     assert np.allclose(vector, table[g.embedding_index("u")])
 
 
@@ -208,9 +204,9 @@ def test_feature_width_fixed_across_cascade_sizes():
     users = [f"u{i}" for i in range(6)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(5)])
     table = table_for(g, dim=4, seed=1)
-    small, _ = pooled_feature(cascade_graph([], "u0"), g, table, max_pairs=8)
+    small = pooled_feature(cascade_graph([], "u0"), g, table, max_pairs=8)
     big_edges = [(users[0], users[1]), (users[1], users[2]), (users[2], users[3])]
-    big, _ = pooled_feature(cascade_graph(big_edges, "u0"), g, table, max_pairs=8)
+    big = pooled_feature(cascade_graph(big_edges, "u0"), g, table, max_pairs=8)
     assert small.shape == big.shape == (4,)
 
 
@@ -218,8 +214,6 @@ def test_weight_vector_sums_to_one():
     users = [f"u{i}" for i in range(5)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(4)])
     cas = cascade_graph([(users[0], users[2]), (users[2], users[4])], "u0")
-    row, pairs = social_weight_vector(cas, g, alpha=0.9, max_pairs=8)
-    weights = row.toarray()
-    assert pairs == 2
+    weights = social_weight_vector(cas, g, alpha=0.9, max_pairs=8).toarray()
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (weights >= 0).all()

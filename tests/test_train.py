@@ -8,8 +8,7 @@ import pytest
 
 from hienet.config import TrainConfig, resolve_config
 from hienet.errors import ConfigError, DataError, TrainingError
-from hienet.model import HIENet
-from hienet.nn.checkpoint import restore_into, save_checkpoint
+from hienet.nn.checkpoint import save_checkpoint
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import _open_checkpoint, evaluate, predict, split_indices, split_of, train
 
@@ -201,9 +200,7 @@ def test_old_checkpoint_restores_and_saves_byte_identically(tmp_path):
     """A checkpoint written before the current layout code still restores into
     the model its config builds, and saving it again reproduces both files, so
     a change of parameter order, naming or packing fails here."""
-    config, extra, graph, weights = _open_checkpoint(OLD_CHECKPOINT)
-    model = HIENet(config, vocab=graph.num_users + 1)
-    restore_into(model.params(), weights)
+    model, extra, _ = _open_checkpoint(OLD_CHECKPOINT)
     save_checkpoint(tmp_path / "again", model.params(), extra=extra)
     for name in ("manifest.json", "weights.bin"):
         assert (tmp_path / "again" / name).read_bytes() == (OLD_CHECKPOINT / name).read_bytes()
