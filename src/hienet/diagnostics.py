@@ -38,7 +38,8 @@ def _random_final_norm(layer: TransformerEncoderLayer, rng) -> None:
 
 
 def _check_primitives(rng) -> float:
-    """One composite graph routing through every differentiable op."""
+    """A composite graph through every op but ``lstm_sequence`` and ``attention``,
+    not ending in a unit-gain layer norm, whose mean square is constant."""
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     bias = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
@@ -48,14 +49,11 @@ def _check_primitives(rng) -> float:
         x = T.matmul(a, b)
         x = T.add_bias(x, bias)
         x = T.add(x, T.square(x))
-        x = T.scale_cols(x, bias)
-        x = T.add_const(x, 0.3)
+        x = T.layer_norm_rows(x, bias, bias)
         x = T.sparse_matmul(spmat, x)
         y = T.concat([x, T.matmul(x, b)], axis=1)
         y = T.concat([y, T.relu(y)], axis=0)
-        y = T.slice_rows(y, 1, 5)
-        y = T.gather_rows(y, np.array([0, 2, 2, 3]))
-        y = T.layer_norm_rows(y)
+        y = T.gather_rows(y, np.array([1, 3, 3, 4]))
         return mean_all(square(y))
 
     return max_relative_error(loss, [a, b, bias])
@@ -107,12 +105,12 @@ def _check_gcn(rng, seed: int) -> float:
     """The model's snapshot GCN, two sparse propagations then pooling, on the
     batch ``featurize_corpus`` and ``build_batch`` make of a 6-node cascade
     capped at 3 snapshots, its nodes in random time bins (8 units, 8 bins)."""
-    config = _tiny_config(seed, k_walks=1, walk_len=2, max_pairs=1, m_max=3)
+    config = _tiny_config(seed, k_walks=1, walk_len=2, max_pairs=1, m_max=3, window=8)
     model = HIENet(config, vocab=9)
     t = np.sort(rng.integers(0, 8, size=5))
     paths = f"r:0 r/a:{t[0]} r/a/b:{t[1]} r/c:{t[2]} r/a/b/d:{t[3]} r/e:{t[4]}"
     records = [parse_cascade_line(f"m\tr\t0\t9\t{paths}")]
-    feats = featurize_corpus(records, 8, build_global_graph(records), config)
+    feats = featurize_corpus(records, build_global_graph(records), config)
     batch = build_batch(feats)
     node_feats = model.enc_table[batch.node_bins]
     tensors = [model.gcn_w1, model.gcn_w2] + model.cg_proj.params()
@@ -142,7 +140,7 @@ def _end_to_end_setup(seed: int):
     records = sorted(records, key=lambda r: (-r.final_size, r.message_id))[:3]
     ggraph = build_global_graph(records)
     config = _tiny_config(seed, k_walks=2, walk_len=4, max_pairs=4, m_max=3)
-    feats = featurize_corpus(records, 21600, ggraph, config)
+    feats = featurize_corpus(records, ggraph, config)
     model = HIENet(config, vocab=ggraph.num_users + 1)
     return model, build_batch(feats)
 

@@ -107,17 +107,13 @@ def featurize(
 
 
 def featurize_corpus(
-    records: list[CascadeRecord],
-    window: int,
-    global_graph: GlobalSocialGraph,
-    config: TrainConfig,
+    records: list[CascadeRecord], global_graph: GlobalSocialGraph, config: TrainConfig
 ) -> list[CascadeFeatures]:
-    """Features of every record observed for ``window``, which may differ
-    from ``config.window`` when evaluate or predict override it."""
+    """Features of every record observed for ``config.window``."""
     out = []
     for rec in records:
-        graph = build_cascade_graph(rec, window)
-        out.append(featurize(graph, compute_label(rec, window), global_graph, config))
+        graph = build_cascade_graph(rec, config.window)
+        out.append(featurize(graph, compute_label(rec, config.window), global_graph, config))
     return out
 
 

@@ -48,14 +48,13 @@ from .nn.layers import LSTM, MLP, Embedding, Linear, Module, TransformerEncoderL
 from .nn.tensor import (
     Parameter,
     Tensor,
-    add_const,
+    add,
     concat,
     constant,
     gather_rows,
     matmul,
     mean_all,
     relu,
-    slice_rows,
     sparse_matmul,
     square,
 )
@@ -159,7 +158,7 @@ class HIENet(Module):
         ]
         tokens.append(self._tile(self.p_cas, batch_size))
         out = self.encoder(concat(tokens, axis=0), groups=batch_size)
-        return slice_rows(out, 3 * batch_size, 4 * batch_size)
+        return gather_rows(out, np.arange(3 * batch_size, 4 * batch_size))
 
     def predict_from_state(self, cas_state: Tensor) -> Tensor:
         return self.head(cas_state)
@@ -202,7 +201,7 @@ def msle_loss(pred: Tensor, true_logs: np.ndarray) -> Tensor:
     true_logs = np.asarray(true_logs, dtype=np.float64)
     if pred.shape != true_logs.shape:
         raise ShapeError(f"msle_loss: predictions {pred.shape} vs targets {true_logs.shape}")
-    return mean_all(square(add_const(pred, -true_logs)))
+    return mean_all(square(add(pred, constant(-true_logs))))
 
 
 def metrics_from_logs(pred_logs, true_logs) -> dict[str, float]:

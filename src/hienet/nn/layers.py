@@ -26,7 +26,6 @@ from .tensor import (
     lstm_sequence,
     matmul,
     relu,
-    scale_cols,
 )
 
 
@@ -66,12 +65,15 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
+    """Row normalization with a learned gain (starts at 1) and shift (starts
+    at 0), applied inside the one ``layer_norm_rows`` op."""
+
     def __init__(self, name: str, dim: int):
         self.gamma = Parameter(f"{name}.gamma", np.ones((1, dim)))
         self.beta = Parameter(f"{name}.beta", np.zeros((1, dim)))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add_bias(scale_cols(layer_norm_rows(x), self.gamma), self.beta)
+        return layer_norm_rows(x, self.gamma, self.beta)
 
 
 class LSTM(Module):

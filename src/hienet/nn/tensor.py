@@ -8,10 +8,11 @@ allocated after its inputs.
 
 Conventions kept deliberately narrow so every backward rule stays obvious:
 no implicit broadcasting between two Tensors (only the explicit ``add_bias``
-/ ``scale_cols`` forms), everything 2-D except the scalar produced by
-``mean_all``. The recurrent and attention layers are one op each
-(``lstm_sequence``, ``attention``) with hand-written backward rules, so a
-model step records a few dozen nodes rather than one per gate and step.
+form and the gain and shift rows of ``layer_norm_rows``), everything 2-D
+except the scalar produced by ``mean_all``. The recurrent and attention
+layers are one op each (``lstm_sequence``, ``attention``) with hand-written
+backward rules, so a model step records a few dozen nodes rather than one
+per gate and step.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class Tensor:
         return self.data.shape
 
     def accumulate(self, g: np.ndarray) -> None:
-        # never in place: add, add_bias, add_const and concat hand their
+        # never in place: add, add_bias and concat hand their
         # parents the upstream gradient itself or a view of it
         self.grad = g if self.grad is None else self.grad + g
 
@@ -179,37 +180,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return _result(x.data + b.data, (x, b), backward, "add_bias")
 
 
-def scale_cols(x: Tensor, v: Tensor) -> Tensor:
-    """(n, d) * (1, d) column-wise scaling (layer-norm gain etc.)."""
-    _need_2d("scale_cols", x, v)
-    if v.shape != (1, x.shape[1]):
-        raise ShapeError(f"scale_cols: scale {v.shape} does not fit rows of {x.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        if x.requires_grad:
-            x.accumulate(g * v.data)
-        if v.requires_grad:
-            v.accumulate((g * x.data).sum(axis=0, keepdims=True))
-
-    return _result(x.data * v.data, (x, v), backward, "scale_cols")
-
-
-def add_const(t: Tensor, c) -> Tensor:
-    c = np.asarray(c, dtype=np.float64)
-    try:
-        out_data = t.data + c
-    except ValueError:
-        raise ShapeError(f"add_const: constant {c.shape} does not broadcast to {t.shape}") from None
-    if out_data.shape != t.shape:
-        raise ShapeError(f"add_const: constant {c.shape} changes shape of {t.shape}")
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            t.accumulate(g)
-
-    return _result(out_data, (t,), backward, "add_const")
-
-
 def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
     if not ts:
         raise ShapeError("concat: empty input list")
@@ -225,18 +195,6 @@ def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
                 t.accumulate(piece)
 
     return _result(np.concatenate([t.data for t in ts], axis=axis), ts, backward, "concat")
-
-
-def slice_rows(t: Tensor, start: int, stop: int) -> Tensor:
-    _need_2d("slice_rows", t)
-
-    def backward(g: np.ndarray) -> None:
-        if t.requires_grad:
-            full = np.zeros_like(t.data)
-            full[start:stop] = g
-            t.accumulate(full)
-
-    return _result(t.data[start:stop].copy(), (t,), backward, "slice_rows")
 
 
 def gather_rows(t: Tensor, idx) -> Tensor:
@@ -286,21 +244,31 @@ def mean_all(t: Tensor) -> Tensor:
     return _result(np.asarray(t.data.mean()), (t,), backward, "mean_all")
 
 
-def layer_norm_rows(t: Tensor) -> Tensor:
-    """Normalize each row to mean 0 / variance 1 (no learned scale-shift here)."""
-    _need_2d("layer_norm_rows", t)
+def layer_norm_rows(t: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize each row to mean 0 / variance 1, then scale the columns by
+    the (1, d) gain ``gamma`` and shift them by the (1, d) ``beta``."""
+    _need_2d("layer_norm_rows", t, gamma, beta)
+    if not gamma.shape == beta.shape == (1, t.shape[1]):
+        raise ShapeError(
+            f"layer_norm_rows: gain {gamma.shape} / shift {beta.shape} do not fit rows of {t.shape}"
+        )
     mu = t.data.mean(axis=1, keepdims=True)
     var = t.data.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     y = (t.data - mu) * inv
 
     def backward(g: np.ndarray) -> None:
+        if beta.requires_grad:
+            beta.accumulate(g.sum(axis=0, keepdims=True))
+        if gamma.requires_grad:
+            gamma.accumulate((g * y).sum(axis=0, keepdims=True))
         if t.requires_grad:
-            g_mean = g.mean(axis=1, keepdims=True)
-            gy_mean = (g * y).mean(axis=1, keepdims=True)
-            t.accumulate(inv * (g - g_mean - y * gy_mean))
+            gn = g * gamma.data  # the gradient at the normalized rows
+            gn_mean = gn.mean(axis=1, keepdims=True)
+            gny_mean = (gn * y).mean(axis=1, keepdims=True)
+            t.accumulate(inv * (gn - gn_mean - y * gny_mean))
 
-    return _result(y, (t,), backward, "layer_norm_rows")
+    return _result(y * gamma.data + beta.data, (t, gamma, beta), backward, "layer_norm_rows")
 
 
 def lstm_sequence(

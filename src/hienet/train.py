@@ -111,10 +111,22 @@ def _training_step(model: HIENet, batch, opt: Adam) -> float:
     return float(loss.data)
 
 
+def _check_output_dir(path: str | Path) -> Path:
+    """``path`` if it can be a directory, creating nothing: its nearest
+    existing part must be one, else a ``ConfigError``."""
+    out = Path(path)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(
+            f"cannot use {str(path)!r} as the output directory: {str(nearest)!r} is not a directory"
+        )
+    return out
+
+
 def _output_dir(path: str | Path) -> Path:
     """``path`` as a directory, created with its parents if missing; a path
     that cannot be one (it or a parent is a file) is a ``ConfigError``."""
-    out = Path(path)
+    out = _check_output_dir(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -173,7 +185,7 @@ def train(config: TrainConfig) -> TrainResult:
         raise DataError(f"checkpoint {config.resume} holds other users than {config.data}")
     params = model.params()
     out_dir = _output_dir(config.out)
-    feats = featurize_corpus(records, config.window, ggraph, config)
+    feats = featurize_corpus(records, ggraph, config)
     opt = Adam(params, lr=config.lr)
 
     train_feats = [feats[i] for i in splits["train"]]
@@ -291,15 +303,14 @@ def _score(
     features and the predicted log-popularities.
     """
     model, extra, ggraph = _open_checkpoint(checkpoint_dir)
-    config = model.config
     # an overriding window passes the checks of the config's own
-    window = (config if window is None else replace(config, window=window)).window
-    records, _ = load_corpus(data_path, window, time_unit=extra["time_unit"])
+    config = model.config if window is None else replace(model.config, window=window)
+    records, _ = load_corpus(data_path, config.window, time_unit=extra["time_unit"])
     chosen = [r for r in records if split == "all" or split_of(r.message_id) == split]
     if not chosen:
         raise DataError(f"no cascades in split {split!r} of {data_path}")
-    feats = featurize_corpus(chosen, window, ggraph, config)
-    return model, extra, window, feats, _batched_predict(model, feats)
+    feats = featurize_corpus(chosen, ggraph, config)
+    return model, extra, config.window, feats, _batched_predict(model, feats)
 
 
 def evaluate(
@@ -311,6 +322,8 @@ def evaluate(
 ) -> dict:
     if split not in ("train", "val", "test", "all"):
         raise ConfigError(f"split must be train/val/test/all, got {split!r}")
+    if out_dir is not None:
+        _check_output_dir(out_dir)
     model, extra, window, feats, pred_logs = _score(checkpoint_dir, data_path, window, split)
     true_logs = np.array([f.true_log for f in feats])
     metrics = metrics_from_logs(pred_logs, true_logs)
@@ -343,6 +356,8 @@ def predict(
     window: int | None = None,
     out_dir: str | Path | None = None,
 ) -> list[tuple[str, float, float]]:
+    if out_dir is not None:
+        _check_output_dir(out_dir)
     _, _, _, feats, pred_logs = _score(checkpoint_dir, data_path, window, split="all")
     rows = [
         (f.message_id, float(p), float(from_log2p1(p))) for f, p in zip(feats, pred_logs)

@@ -28,8 +28,6 @@ class WalkBatch:
 
     walks: list[list[str | None]]
     k: int
-    n: int
-    beta: float
 
     def to_index_matrix(
         self, global_graph: GlobalSocialGraph
@@ -100,7 +98,7 @@ def sample_walks(graph: CascadeGraph, k: int, n: int, beta: float, seed: int) ->
             node = neighbors[rng.choice(len(neighbors), p=probs)]
             walk.append(node)
         walks.append(walk)
-    return WalkBatch(walks=walks, k=k, n=n, beta=beta)
+    return WalkBatch(walks=walks, k=k)
 
 
 def walk_seed(global_seed: int, message_id: str) -> int:

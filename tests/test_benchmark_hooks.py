@@ -66,7 +66,7 @@ def test_featurize_calls_every_feature_hook():
     counts = LayerCounts()
     install_layers(tracer, counts)
     try:
-        (feats,) = featurize_corpus(records[:1], config.window, graph, config)
+        (feats,) = featurize_corpus(records[:1], graph, config)
     finally:
         tracer.restore()
     names = {span.name for span in tracer.spans}
@@ -85,7 +85,7 @@ def test_default_step_records_few_autodiff_nodes():
     records, _ = generate_synthetic(SyntheticSpec())
     records = records[: config.batch_size]
     graph = build_global_graph(records)
-    feats = featurize_corpus(records, config.window, graph, config)
+    feats = featurize_corpus(records, graph, config)
     model = HIENet(config, vocab=graph.num_users + 1)
     batch = build_batch(feats)
     f_cs = model.encode_cascade_sequence(

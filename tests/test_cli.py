@@ -222,13 +222,15 @@ def test_nonpositive_window_is_config_error(workspace, trained, capsys, command,
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "eval", "predict", "ablate"])
-def test_out_naming_a_file_is_config_error(workspace, trained, tmp_path, capsys, command):
-    """A file where the output directory should be (ablate writes below it)."""
+def test_out_naming_a_file_is_config_error(workspace, tmp_path, capsys, command):
+    """A file where the output directory should be (ablate writes below it).
+    eval and predict name a missing checkpoint: they check ``--out`` first."""
     blocker = tmp_path / "file"
     blocker.write_text("")
     argv = [command, "--out", str(blocker)]
     if command in ("eval", "predict"):
-        argv += ["--data", str(workspace / "data" / "cascades.tsv"), "--checkpoint", str(trained)]
+        argv += ["--data", str(workspace / "data" / "cascades.tsv")]
+        argv += ["--checkpoint", str(tmp_path / "missing")]
     elif command != "synth":
         argv += ["--data", str(workspace / "data" / "cascades.tsv")]
         argv += ["--config", str(workspace / "tiny.json"), "--epochs", "1"]

@@ -310,7 +310,7 @@ def test_layer_norm_module_scale_shift():
     ln.beta.data[...] = -1.0
     x = T.constant(np.random.default_rng(0).normal(size=(3, 4)))
     out = ln(x).data
-    base = T.layer_norm_rows(x).data
+    base = T.layer_norm_rows(x, T.constant(np.ones((1, 4))), T.constant(np.zeros((1, 4)))).data
     assert np.allclose(out, 2.0 * base - 1.0)
 
 

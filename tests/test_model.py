@@ -23,14 +23,14 @@ LINES = [
     "c\tx2\t0\t6\tx2:0 x2/r1:40 x2/x4:90 x2/x4/x5:200 x2/x1:600",
 ]
 WINDOW = 1000
-FEATURES = TrainConfig(k_walks=3, walk_len=4, max_pairs=4, m_max=3, time_bins=8, seed=7)
+FEATURES = TrainConfig(window=WINDOW, k_walks=3, walk_len=4, max_pairs=4, m_max=3, time_bins=8, seed=7)
 
 
 @pytest.fixture(scope="module")
 def corpus():
     records = [parse_cascade_line(line) for line in LINES]
     ggraph = build_global_graph(records)
-    feats = featurize_corpus(records, WINDOW, ggraph, FEATURES)
+    feats = featurize_corpus(records, ggraph, FEATURES)
     return ggraph, feats
 
 
@@ -163,7 +163,7 @@ def test_default_batches_hold_only_real_walk_steps():
     """Every batch of the default corpus gathers one row per real walk step."""
     config = TrainConfig()
     records, _ = generate_synthetic(SyntheticSpec())
-    feats = featurize_corpus(records, config.window, build_global_graph(records), config)
+    feats = featurize_corpus(records, build_global_graph(records), config)
     for lo in range(0, len(feats), config.batch_size):
         batch = build_batch(feats[lo : lo + config.batch_size])
         assert batch.walk_idx.shape == (batch.walk_lengths.sum(),)
@@ -176,7 +176,7 @@ def test_distinct_walk_encoding_matches_every_walk_reference():
     config = TrainConfig()
     records, _ = generate_synthetic(SyntheticSpec())
     graph = build_global_graph(records)
-    feats = featurize_corpus(records, config.window, graph, config)
+    feats = featurize_corpus(records, graph, config)
     model = HIENet(config, vocab=graph.num_users + 1)
     cs_params = [p for p in model.params() if p.name.startswith("cs.")]
 

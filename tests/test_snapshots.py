@@ -241,7 +241,7 @@ def test_batch_propagation_stores_no_zeros():
     records, _ = generate_synthetic(SyntheticSpec())
     records = records[: config.batch_size]
     graph = build_global_graph(records)
-    feats = featurize_corpus(records, config.window, graph, config)
+    feats = featurize_corpus(records, graph, config)
     batch = build_batch(feats)
     p = batch.p_block
     assert p.nnz == np.count_nonzero(p.data)

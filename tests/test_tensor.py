@@ -45,14 +45,16 @@ def case_add_bias(rng):
 
 
 def case_scale_cols(rng):
-    x, v = _leaves(rng, (3, 4), (1, 4))
-    return lambda: T.mean_all(T.square(T.scale_cols(x, v))), [x, v]
+    """Column scaling is the gain of ``layer_norm_rows``, checked with a shift."""
+    x, v, s = _leaves(rng, (3, 4), (1, 4), (1, 4))
+    return lambda: T.mean_all(T.square(T.layer_norm_rows(x, v, s))), [x, v, s]
 
 
 def case_consts_and_scale(rng):
     (x,) = _leaves(rng, (3, 4))
     m = (rng.random((3, 1)) < 0.5).astype(float)
-    return lambda: T.mean_all(T.square(T.add_const(R.mul_const(R.scale(x, 0.7), m), 1.5))), [x]
+    c = T.constant(np.full((3, 4), 1.5))
+    return lambda: T.mean_all(T.square(T.add(R.mul_const(R.scale(x, 0.7), m), c))), [x]
 
 
 def case_concat(rng):
@@ -62,7 +64,8 @@ def case_concat(rng):
 
 def case_slices(rng):
     (x,) = _leaves(rng, (4, 6))
-    return lambda: T.mean_all(T.square(R.slice_cols(T.slice_rows(x, 1, 3), 2, 5))), [x]
+    rows = np.arange(1, 3)
+    return lambda: T.mean_all(T.square(R.slice_cols(T.gather_rows(x, rows), 2, 5))), [x]
 
 
 def case_gather_rows(rng):
@@ -87,9 +90,16 @@ def case_relu(rng):
     return lambda: T.mean_all(T.square(T.relu(x))), [x]
 
 
+def _unit_norm(x):
+    """``layer_norm_rows`` with constant unit gain and zero shift."""
+    d = x.shape[1]
+    return T.layer_norm_rows(x, T.constant(np.ones((1, d))), T.constant(np.zeros((1, d))))
+
+
 def case_layer_norm(rng):
+    # a whole unit-norm row has mean square 1 whatever x is, so keep part of it
     (x,) = _leaves(rng, (3, 6))
-    return lambda: T.mean_all(T.square(T.layer_norm_rows(x))), [x]
+    return lambda: T.mean_all(T.square(R.slice_cols(_unit_norm(x), 1, 4))), [x]
 
 
 CASES = [
@@ -131,6 +141,8 @@ def test_elementwise_shape_guards():
         T.add(a, Parameter("b", np.ones((3, 2))))
     with pytest.raises(ShapeError, match="add_bias"):
         T.add_bias(a, Parameter("b", np.ones((1, 2))))
+    with pytest.raises(ShapeError, match="layer_norm_rows"):
+        T.layer_norm_rows(a, Parameter("g", np.ones((1, 3))), Parameter("s", np.ones((1, 2))))
     with pytest.raises(ShapeError, match="mul_const"):
         R.mul_const(a, np.ones(5))
 
@@ -179,7 +191,7 @@ def test_backward_requires_scalar():
 def test_layer_norm_statistics():
     rng = np.random.default_rng(5)
     x = T.constant(rng.normal(loc=3.0, scale=2.5, size=(6, 32)))
-    y = T.layer_norm_rows(x).data
+    y = _unit_norm(x).data
     assert np.abs(y.mean(axis=1)).max() < 1e-9
     assert np.abs(y.var(axis=1) - 1.0).max() < 1e-6
 

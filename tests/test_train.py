@@ -233,7 +233,7 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     cfg = tiny_config(corpus, tmp_path / "run")
     records = load_cascades(corpus)[:4]
     ggraph = build_global_graph(records)
-    feats = featurize_corpus(records, cfg.window, ggraph, cfg)
+    feats = featurize_corpus(records, ggraph, cfg)
     model = HIENet(replace(cfg, seed=0), vocab=ggraph.num_users + 1)
     batch = build_batch(feats)
     params = model.params()
