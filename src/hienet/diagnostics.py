@@ -60,9 +60,21 @@ def _check_primitives(rng) -> float:
 
 
 def _check_embedding(rng) -> float:
+    """The table read both ways the model reads one, by ``gather_rows`` and by
+    ``sparse_matmul``, so both row-sparse gradients and their coalescing into
+    one are checked."""
     emb = Embedding("emb", vocab=7, dim=5, rng=rng)
     idx = np.array([0, 3, 3, 6, 1])  # duplicate row exercises grad accumulation
-    return max_relative_error(lambda: _sq_mean(gather_rows(emb.table, idx)), emb.params())
+    # row 3 is also gathered; row 5 is read by both weight rows
+    weights = sp.csr_matrix(
+        np.array([[0.0, 0.0, 0.0, 0.7, 0.0, 0.3, 0.0], [0.0, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0]])
+    )
+
+    def loss():
+        lookups = [gather_rows(emb.table, idx), T.sparse_matmul(weights, emb.table)]
+        return _sq_mean(concat(lookups, axis=0))
+
+    return max_relative_error(loss, emb.params())
 
 
 def _check_bilstm(rng) -> float:

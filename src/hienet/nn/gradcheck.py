@@ -2,10 +2,10 @@
 
 ``max_relative_error`` perturbs every entry of every checked tensor by
 ±step, rebuilds the scalar loss, and compares the numeric slope against the
-gradient produced by ``backward()``. Relative error uses max(|analytic|,
-|numeric|) as denominator; when both are below ``tiny`` the comparison
-falls back to absolute error, since the ratio of two rounding-noise values
-is meaningless.
+gradient produced by ``backward()`` (densified when it is row-sparse).
+Relative error uses max(|analytic|, |numeric|) as denominator; when both
+are below ``tiny`` the comparison falls back to absolute error, since the
+ratio of two rounding-noise values is meaningless.
 """
 
 from __future__ import annotations
@@ -37,10 +37,7 @@ def max_relative_error(
         t.grad = None
     loss = loss_fn()
     loss.backward()
-    analytic = []
-    for t in tensors:
-        g = t.grad if t.grad is not None else np.zeros_like(t.data)
-        analytic.append(g.copy())
+    analytic = [t.dense_grad().copy() for t in tensors]
 
     worst = 0.0
     for t, grad in zip(tensors, analytic):

@@ -59,9 +59,16 @@ class Linear(Module):
 
 
 class Embedding(Module):
+    """A (vocab, dim) table read by row lookups.
+
+    The table is declared ``row_sparse``: its gradient is the rows a step
+    touched, and ``Adam`` updates only those rows (lazy Adam), so a step's
+    cost does not grow with the vocabulary.
+    """
+
     def __init__(self, name: str, vocab: int, dim: int, rng: np.random.Generator):
         k = 1.0 / math.sqrt(dim)
-        self.table = Parameter(f"{name}.table", _uniform(rng, (vocab, dim), k))
+        self.table = Parameter(f"{name}.table", _uniform(rng, (vocab, dim), k), row_sparse=True)
 
 
 class LayerNorm(Module):

@@ -11,6 +11,16 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
+    """Adam with the global step ``t`` in the bias correction.
+
+    A parameter whose gradient arrives row-sparse (``grad_rows`` set, as for
+    the ``Embedding`` tables) is updated lazily: only the touched rows'
+    moments decay and only their weights move, so a step costs the rows a
+    batch reads, not the vocabulary. From fresh moments the first step
+    equals the dense update; later, an untouched row keeps its moments
+    instead of decaying them (PyTorch ``SparseAdam``, TF-Addons ``LazyAdam``).
+    """
+
     def __init__(self, params: list[Parameter], lr: float = 1e-4):
         if lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")
@@ -25,7 +35,7 @@ class Adam:
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.grad = None
+            p.grad = p.grad_rows = None
 
     def step(self) -> None:
         self.t += 1
@@ -34,10 +44,19 @@ class Adam:
         for p in self.params:
             if p.grad is None:
                 continue
-            m = self.m[p.name]
-            v = self.v[p.name]
-            m *= BETA1
-            m += (1.0 - BETA1) * p.grad
-            v *= BETA2
-            v += (1.0 - BETA2) * p.grad * p.grad
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            if p.grad_rows is None:
+                m = self.m[p.name]
+                v = self.v[p.name]
+                m *= BETA1
+                m += (1.0 - BETA1) * p.grad
+                v *= BETA2
+                v += (1.0 - BETA2) * p.grad * p.grad
+                p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            else:
+                # the same arithmetic on the touched rows only
+                rows = p.grad_rows
+                m = BETA1 * self.m[p.name][rows] + (1.0 - BETA1) * p.grad
+                v = BETA2 * self.v[p.name][rows] + (1.0 - BETA2) * p.grad * p.grad
+                self.m[p.name][rows] = m
+                self.v[p.name][rows] = v
+                p.data[rows] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

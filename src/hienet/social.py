@@ -16,6 +16,7 @@ vocabulary (applied to the embedding table by the model).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -63,6 +64,12 @@ def shortest_correlation_path(graph: GlobalSocialGraph, u: str, v: str) -> Corre
     ui, vi = graph.index[u], graph.index[v]
     if ui == vi:
         return CorrelationPath([u])
+    # v is the only node at distance 0 from v, so an adjacent pair's path is
+    # the one hop, and needs no search
+    nbrs = graph.adj[ui]
+    at = bisect_left(nbrs, vi)
+    if at < len(nbrs) and nbrs[at] == vi:
+        return CorrelationPath([u, v])
     dist_to_v = bfs_distances(graph, vi)
     if ui not in dist_to_v:
         return None

@@ -16,6 +16,11 @@ dense form of the snapshot propagation that
 that sparse output back into dense per-snapshot blocks; the snapshot, model
 and GCN tests compare against these.
 
+``dense_adam_update`` is Adam on a whole parameter from its densified
+gradient, every row's moments decaying: the update ``nn.optim.Adam`` made
+to every parameter before it updated the embedding tables lazily. From
+fresh moments its first step is the lazy one's, bit for bit.
+
 ``path_aware_representation`` is one user's path-aware average of the
 embeddings along a correlation path, as the paper writes it; the social
 tests check its properties, and ``social.social_weight_vector`` folds it
@@ -25,6 +30,7 @@ into one vocabulary weight vector per cascade.
 import numpy as np
 
 from hienet.errors import ShapeError
+from hienet.nn.optim import BETA1, BETA2, EPS
 from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
 from hienet.social import CorrelationPath, path_coefficients
 
@@ -139,6 +145,18 @@ def encode_every_walk(model, walk_idx, lengths, walk_of, batch_size: int) -> Ten
         [model.outer_f(per_walk, walks), model.outer_b(per_walk, walks, reverse=True)], axis=1
     )
     return model.cs_proj(merged)
+
+
+def dense_adam_update(p, m: np.ndarray, v: np.ndarray, t: int, lr: float) -> None:
+    """Step ``t`` of Adam on all of ``p`` (moments ``m``, ``v`` updated in place)."""
+    g = p.dense_grad()
+    bc1 = 1.0 - BETA1**t
+    bc2 = 1.0 - BETA2**t
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
 
 def normalize_adjacency(a: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ would otherwise only fail a benchmark run.
 """
 
 import importlib
+import math
 
 from perfbench.layers import LayerCounts, autodiff_nodes, install_layers
 from perfbench.trace import Tracer
@@ -19,6 +20,7 @@ from hienet.cascade import build_global_graph
 from hienet.config import TrainConfig
 from hienet.features import build_batch, featurize_corpus
 from hienet.model import HIENet, msle_loss
+from hienet.nn.optim import Adam
 from hienet.synth import SyntheticSpec, generate_synthetic
 
 
@@ -77,20 +79,40 @@ def test_featurize_calls_every_feature_hook():
     assert counts.pad_steps == counts.walk_steps - feats.walk_lengths[feats.walk_of].sum()
 
 
-def test_default_step_records_few_autodiff_nodes():
-    """Each LSTM direction and the fusion attention are one node each, so a
-    default-config step (B=32, K=N=10) records a fixed, small graph."""
+def _default_batch():
+    """A default-config model and its first B=32 batch of the default corpus."""
     config = TrainConfig(seed=0)
-    assert (config.batch_size, config.k_walks, config.walk_len) == (32, 10, 10)
     records, _ = generate_synthetic(SyntheticSpec())
     records = records[: config.batch_size]
     graph = build_global_graph(records)
     feats = featurize_corpus(records, graph, config)
-    model = HIENet(config, vocab=graph.num_users + 1)
-    batch = build_batch(feats)
+    return config, HIENet(config, vocab=graph.num_users + 1), build_batch(feats)
+
+
+def test_default_step_records_few_autodiff_nodes():
+    """Each LSTM direction and the fusion attention are one node each, so a
+    default-config step (B=32, K=N=10) records a fixed, small graph."""
+    config, model, batch = _default_batch()
+    assert (config.batch_size, config.k_walks, config.walk_len) == (32, 10, 10)
     f_cs = model.encode_cascade_sequence(
         batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size
     )
     loss = msle_loss(model.forward(batch), batch.true_logs)
     assert autodiff_nodes(f_cs) <= 12
     assert autodiff_nodes(loss) <= 60
+
+
+def test_traced_optimizer_counts_read_a_real_step():
+    """The traced run reads each gradient's size and the embedding tables'
+    touched rows at ``Adam.step``; a gradient form it cannot read would
+    otherwise only fail a ``--trace 1`` benchmark run."""
+    config, model, batch = _default_batch()
+    opt = Adam(model.params(), lr=config.lr)
+    msle_loss(model.forward(batch), batch.true_logs).backward()
+    opt.step()
+    counts = LayerCounts()
+    counts.on_adam(None, (opt,))
+    (grad_bytes,) = counts.grad_bytes
+    (touched,) = counts.touched
+    assert 0 < grad_bytes < math.inf
+    assert 0 < touched <= 1

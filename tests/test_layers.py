@@ -35,9 +35,10 @@ def test_embedding_grad_sparsity():
     emb = Embedding("emb", 6, 3, rng)
     out = T.gather_rows(emb.table, np.array([1, 3, 3]))
     T.mean_all(T.square(out)).backward()
-    grad_rows = np.abs(emb.table.grad).sum(axis=1)
-    assert grad_rows[1] > 0 and grad_rows[3] > 0
-    assert grad_rows[0] == grad_rows[2] == grad_rows[4] == grad_rows[5] == 0.0
+    # the gradient holds the touched rows only, each once
+    assert emb.table.grad_rows.tolist() == [1, 3]
+    assert emb.table.grad.shape == (2, 3)
+    assert (np.abs(emb.table.grad).sum(axis=1) > 0).all()
 
 
 def reference_lstm(cell, steps, mask=None, reverse=False):
@@ -382,6 +383,48 @@ def test_adam_converges_to_lr_magnitude_steps():
         p.grad = np.array([[0.7]])
         opt.step()
     assert abs(abs(p.data[0, 0] - prev) - 0.01) < 2e-4
+
+
+def test_adam_dense_update_matches_reference():
+    """A dense gradient gets the dense update, step after step, bit for bit."""
+    rng = np.random.default_rng(0)
+    p = Parameter("p", rng.normal(size=(5, 4)))
+    ref = Parameter("ref", p.data.copy())
+    m, v = np.zeros_like(p.data), np.zeros_like(p.data)
+    opt = Adam([p], lr=0.01)
+    for t in range(1, 6):
+        p.grad = ref.grad = rng.normal(size=p.shape)
+        opt.step()
+        R.dense_adam_update(ref, m, v, t, 0.01)
+        assert p.data.tobytes() == ref.data.tobytes()
+        assert opt.m["p"].tobytes() == m.tobytes() and opt.v["p"].tobytes() == v.tobytes()
+
+
+def test_lazy_adam_leaves_untouched_rows_alone():
+    """A step moves only the rows it touched: every other row keeps its
+    weights, m and v bit for bit, including a row an earlier step moved."""
+    emb = Embedding("emb", 8, 3, np.random.default_rng(2))
+    opt = Adam(emb.params(), lr=0.01)
+    start = emb.table.data.copy()
+
+    def step(idx):
+        opt.zero_grad()
+        T.mean_all(T.square(T.gather_rows(emb.table, np.array(idx)))).backward()
+        opt.step()
+
+    def state():
+        return [emb.table.data, opt.m["emb.table"], opt.v["emb.table"]]
+
+    step([1, 2, 2])
+    before = [a.copy() for a in state()]
+    step([2, 5])
+    kept = [0, 1, 3, 4, 6, 7]
+    for old, new in zip(before, state()):
+        assert old[kept].tobytes() == new[kept].tobytes()
+        assert not np.array_equal(old[[2, 5]], new[[2, 5]])
+    never = [0, 3, 4, 6, 7]
+    assert emb.table.data[never].tobytes() == start[never].tobytes()
+    assert not opt.m["emb.table"][never].any() and not opt.v["emb.table"][never].any()
 
 
 def test_adam_duplicate_names_rejected():

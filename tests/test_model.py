@@ -11,11 +11,12 @@ from hienet.errors import ConfigError, ShapeError
 from hienet.features import build_batch, featurize_corpus, from_log2p1, log2p1
 from hienet.model import HIENet, metrics_from_logs, msle_loss
 from hienet.nn.gradcheck import max_relative_error
+from hienet.nn.optim import Adam
 from hienet.nn.tensor import Parameter, constant, mean_all, square
 from hienet.snapshots import snapshot_indices
 from hienet.synth import SyntheticSpec, generate_synthetic
 
-from reference_ops import encode_every_walk, snapshot_blocks
+from reference_ops import dense_adam_update, encode_every_walk, snapshot_blocks
 
 LINES = [
     "a\tr1\t0\t9\tr1:0 r1/x1:50 r1/x2:300 r1/x2/x3:700",
@@ -150,13 +151,45 @@ def test_embedding_grad_sparsity_matches_walk_membership(corpus):
         batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size
     )
     mean_all(square(f_cs)).backward()
-    grad_rows = np.abs(model.cs_embed.table.grad).sum(axis=1)
-    visited = set(batch.walk_idx.tolist())
-    for row in range(grad_rows.size):
-        if row in visited:
-            assert grad_rows[row] > 0.0
-        else:
-            assert grad_rows[row] == 0.0
+    table = model.cs_embed.table
+    assert table.grad_rows.tolist() == sorted(set(batch.walk_idx.tolist()))
+    assert (np.abs(table.grad).sum(axis=1) > 0.0).all()
+
+
+def test_first_lazy_adam_step_matches_dense_adam(corpus):
+    """From fresh moments, one step leaves every parameter, the row-sparse
+    tables included, bit-identical to dense Adam on the densified gradients."""
+    ggraph, feats = corpus
+    batch = build_batch(feats)
+    model, reference = build_model(ggraph), build_model(ggraph)
+    for m in (model, reference):
+        msle_loss(m.forward(batch), batch.true_logs).backward()
+    assert model.cs_embed.table.grad_rows is not None
+    assert model.sg_embed.table.grad_rows is not None
+    opt = Adam(model.params(), lr=0.05)
+    opt.step()
+    for p, ref in zip(model.params(), reference.params()):
+        dense_adam_update(ref, np.zeros_like(ref.data), np.zeros_like(ref.data), 1, 0.05)
+        assert p.data.tobytes() == ref.data.tobytes(), p.name
+
+
+def test_table_gradients_hold_only_the_touched_rows(corpus):
+    """The table gradients Adam receives have one row per row the batch
+    reads, and the same size at V=1k as at V=100k."""
+    ggraph, feats = corpus
+    batch = build_batch(feats)
+    sizes = []
+    for vocab in (1_000, 100_000):
+        wide = batch.social
+        social = sp.csr_matrix((wide.data, wide.indices, wide.indptr), (batch.size, vocab))
+        model = HIENet(tiny_config(), vocab=vocab)
+        msle_loss(model.forward(replace(batch, social=social)), batch.true_logs).backward()
+        Adam(model.params(), lr=1e-3).step()
+        cs, sg = model.cs_embed.table, model.sg_embed.table
+        assert cs.grad_rows.tolist() == np.unique(batch.walk_idx).tolist()
+        assert sg.grad_rows.tolist() == np.unique(social.indices).tolist()
+        sizes.append((cs.grad.nbytes, sg.grad.nbytes))
+    assert sizes[0] == sizes[1]
 
 
 def test_default_batches_hold_only_real_walk_steps():
@@ -185,7 +218,7 @@ def test_distinct_walk_encoding_matches_every_walk_reference():
             p.grad = None
         token = encode(model, batch.walk_idx, batch.walk_lengths, batch.walk_of, batch.size)
         mean_all(square(token)).backward()
-        return token.data, [p.grad for p in cs_params]
+        return token.data, [p.dense_grad() for p in cs_params]
 
     for lo in range(0, len(feats), config.batch_size):
         batch = build_batch(feats[lo : lo + config.batch_size])

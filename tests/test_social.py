@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+import hienet.social as social
 from hienet.cascade import GlobalSocialGraph
 from hienet.errors import GraphError
 from hienet.social import (
     CorrelationPath,
+    bfs_distances,
     path_coefficients,
     shortest_correlation_path,
     social_weight_vector,
@@ -44,6 +46,28 @@ def test_adjacent_pair():
     g = social_graph(["a", "b"], [("a", "b")])
     path = shortest_correlation_path(g, "a", "b")
     assert path.users == ["a", "b"] and path.n == 1
+
+
+def test_adjacent_pair_skips_the_search(monkeypatch):
+    """An adjacent pair's path is its one hop, the path the search would
+    pick (v is the only node at distance 0 from v), found without a BFS;
+    a pair further apart still searches."""
+    g = social_graph("abcde", [("c", "a"), ("c", "b"), ("c", "e"), ("a", "b"), ("e", "d")])
+    searched = []
+
+    def counted_bfs(graph, source):
+        searched.append(source)
+        return bfs_distances(graph, source)
+
+    monkeypatch.setattr(social, "bfs_distances", counted_bfs)
+    for u, v in [("c", "e"), ("e", "c"), ("c", "a"), ("b", "a"), ("d", "e")]:
+        path = shortest_correlation_path(g, u, v)
+        dist_to_v = bfs_distances(g, g.index[v])
+        first_hop = next(n for n in g.adj[g.index[u]] if dist_to_v.get(n) == 0)
+        assert path.users == [u, g.users[first_hop]] == [u, v]
+    assert searched == []
+    assert shortest_correlation_path(g, "a", "d").users == ["a", "c", "e", "d"]
+    assert searched == [g.index["d"]]
 
 
 def test_same_user_zero_path():

@@ -174,6 +174,57 @@ def test_sibling_gradients_do_not_alias():
     assert np.allclose(x.grad, 2.0 * upstream)
 
 
+# which reads of a (6, 3) table each case makes, and the rows they touch
+TABLE_READS = {
+    "gather": (True, False, False, [0, 1, 4]),
+    "sparse_matmul": (False, True, False, [0, 1, 3, 5]),
+    "both": (True, True, False, [0, 1, 3, 4, 5]),
+    "both_and_dense": (True, True, True, None),
+}
+
+
+@pytest.mark.parametrize("reads", TABLE_READS)
+def test_row_sparse_gradient_densifies_to_the_dense_gradient(reads):
+    """Duplicate gathered rows and sparse-matmul columns shared by several
+    rows coalesce into one row each; a dense read makes the gradient dense."""
+    gather, spmm, dense, rows = TABLE_READS[reads]
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(6, 3))
+    idx = np.array([4, 1, 4, 4, 0])
+    # columns 3 and 5 are each read by two rows; columns 0 and 1 are gathered too
+    mat = sp.csr_matrix(
+        np.array(
+            [
+                [0.0, 0.5, 0.0, 0.0, 0.0, 2.0],
+                [0.0, 0.0, 0.0, 1.5, 0.0, -1.0],
+                [0.3, 0.0, 0.0, 1.0, 0.0, 0.0],
+            ]
+        )
+    )
+    weights = T.constant(rng.normal(size=(2, 6)))
+
+    def table_after_backward(row_sparse):
+        table = Parameter("table", data.copy(), row_sparse=row_sparse)
+        parts = []
+        if gather:
+            parts.append(T.gather_rows(table, idx))
+        if spmm:
+            parts.append(T.sparse_matmul(mat, table))
+        if dense:
+            parts.append(T.matmul(weights, table))
+        T.mean_all(T.square(T.concat(parts, axis=0))).backward()
+        return table
+
+    sparse, reference = table_after_backward(True), table_after_backward(False)
+    assert reference.grad_rows is None and reference.grad.shape == data.shape
+    if rows is None:
+        assert sparse.grad_rows is None
+    else:
+        assert sparse.grad_rows.tolist() == rows
+        assert sparse.grad.shape == (len(rows), 3)
+    assert np.array_equal(sparse.dense_grad(), reference.grad)
+
+
 @pytest.mark.parametrize("idx", [[0, -1], [3], [-4]])
 def test_gather_rows_rejects_rows_outside_the_table(idx):
     """A negative index would wrap and read another row; one past the end
