@@ -14,7 +14,9 @@ Conventions adopted here and documented in the README:
   * popularity counts retweets only; the root is never included;
   * a user appearing several times in one cascade keeps the earliest adoption
     (each cascade graph is a tree of first exposures);
-  * the corpus-wide social graph is undirected.
+  * the corpus-wide social graph is undirected;
+  * a cascade graph numbers its users in adoption order, and its edges are
+    node-index pairs; ``build_cascade_graph`` alone maps users to nodes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from .errors import CascadeParseError, DataError
@@ -78,24 +81,28 @@ class CascadeRecord:
 class CascadeGraph:
     """Directed first-exposure tree of one cascade restricted to [0, window).
 
-    Nodes are kept in activation order (root first); ``out_adj`` lists are
-    sorted by user id so every traversal is deterministic.
+    Node i is user ``nodes[i]``, the i-th to adopt (the root is node 0), at
+    ``elapsed[i]`` (Python ints, which no window overflows). ``edges`` holds
+    (source, adopter) node pairs in adoption order; ``children[i]`` lists
+    node i's adopters by user id, so every traversal is deterministic.
     """
 
     message_id: str
-    root: str
     window: int
-    nodes: list[str] = field(default_factory=list)
-    activation: dict[str, int] = field(default_factory=dict)
-    edges: list[tuple[str, str, int]] = field(default_factory=list)
-    out_adj: dict[str, list[str]] = field(default_factory=dict)
+    nodes: list[str]
+    elapsed: list[int]
+    edges: list[tuple[int, int]]
 
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def out_degree(self, user: str) -> int:
-        return len(self.out_adj[user])
+    @cached_property
+    def children(self) -> list[list[int]]:
+        children: list[list[int]] = [[] for _ in self.nodes]
+        for source, adopter in self.edges:
+            children[source].append(adopter)
+        return [sorted(kids, key=self.nodes.__getitem__) for kids in children]
 
 
 @dataclass
@@ -320,27 +327,21 @@ def build_cascade_graph(record: CascadeRecord, window: int) -> CascadeGraph:
     """
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    g = CascadeGraph(message_id=record.message_id, root=record.root_user, window=window)
-    g.nodes.append(record.root_user)
-    g.activation[record.root_user] = 0
-    g.out_adj[record.root_user] = []
+    index = {record.root_user: 0}  # insertion order is node order
+    elapsed, edges = [0], []
     for event in record.observed_events(window):
-        if event.source not in g.activation:
+        source = index.get(event.source)
+        if source is None:
             warnings.warn(
                 f"cascade {record.message_id}: dropping event for {event.retweeter} "
                 f"whose source {event.source} is not in the observed graph"
             )
             continue
-        if event.retweeter in g.activation:
-            continue
-        g.nodes.append(event.retweeter)
-        g.activation[event.retweeter] = event.elapsed
-        g.out_adj[event.retweeter] = []
-        g.out_adj[event.source].append(event.retweeter)
-        g.edges.append((event.source, event.retweeter, event.elapsed))
-    for user in g.out_adj:
-        g.out_adj[user].sort()
-    return g
+        if event.retweeter not in index:
+            edges.append((source, len(index)))
+            index[event.retweeter] = len(index)
+            elapsed.append(event.elapsed)
+    return CascadeGraph(record.message_id, window, list(index), elapsed, edges)
 
 
 def compute_label(record: CascadeRecord, window: int) -> int:

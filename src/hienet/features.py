@@ -85,7 +85,8 @@ def featurize(
     walks = sample_walks(
         graph, k=c.k_walks, n=c.walk_len, beta=c.beta, seed=walk_seed(c.seed, graph.message_id)
     )
-    walk_idx, walk_lengths, walk_of = walks.to_index_matrix(global_graph)
+    rows = [global_graph.embedding_index(user) for user in graph.nodes]
+    walk_idx, walk_lengths, walk_of = walks.to_index_matrix(rows)
 
     social_row = social_weight_vector(graph, global_graph, alpha=c.alpha, max_pairs=c.max_pairs)
     propagation, node_bins, pool_weights = build_snapshots(

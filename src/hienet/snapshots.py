@@ -7,7 +7,7 @@ retweet event (node plus its incoming edge). Long cascades are capped to
 intermediates, so the early growth phase is never dropped.
 
 The GCN reads snapshot i as the sparse D^-1/2 (A + A^T + I) D^-1/2 of its
-undirected tree (Kipf & Welling). With nodes in activation order, it is the
+undirected tree (Kipf & Welling). With nodes in adoption order, it is the
 first i rows and columns of the cascade's A + A^T + I, so all kept snapshots
 come out as one block-diagonal CSR matrix in time linear in its 3i - 2
 nonzeros per snapshot.
@@ -62,24 +62,19 @@ def snapshot_indices(m: int, m_max: int) -> list[int]:
 
 
 def snapshot_feature_matrix(cascade: CascadeGraph, bins: int) -> tuple[np.ndarray, ...]:
-    """(rows, cols, node_bins) of the whole observed cascade, in activation order.
+    """(rows, cols, node_bins) of the whole observed cascade, in adoption order.
 
     (rows, cols) are the (row, col)-sorted nonzeros of A + A^T + I, where
     A[i, j] = 1 for a diffusion edge i -> j: the GCN treats the cascade as
     undirected, so information also flows leaf -> root. node_bins[i] is
-    node i's binned activation time, the row of ``encoding_table`` that
+    node i's binned adoption time, the row of ``encoding_table`` that
     serves as its feature. Nodes sharing a bin share a feature row.
     """
-    local = {u: i for i, u in enumerate(cascade.nodes)}
-    edges = [(local[src], local[dst]) for src, dst, _ in cascade.edges]
-    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    src, dst = np.array(cascade.edges, dtype=np.int64).reshape(-1, 2).T
     loops = np.arange(cascade.num_nodes)
     rows, cols = np.concatenate([src, dst, loops]), np.concatenate([dst, src, loops])
     order = np.lexsort((cols, rows))
-    node_bins = np.array(
-        [time_bin(cascade.activation[u], cascade.window, bins) for u in cascade.nodes],
-        dtype=np.int64,
-    )
+    node_bins = np.array([time_bin(t, cascade.window, bins) for t in cascade.elapsed], dtype=np.int64)
     return rows[order], cols[order], node_bins
 
 

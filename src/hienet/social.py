@@ -92,9 +92,9 @@ def path_coefficients(n: int, alpha: float) -> np.ndarray:
 
 
 def diffusion_pairs(cascade: CascadeGraph, max_pairs: int) -> list[tuple[str, str]]:
-    """Earliest observed (source, retweeter) pairs, ordered by (time, user)."""
-    ordered = sorted(cascade.edges, key=lambda e: (e[2], e[1]))
-    return [(src, dst) for src, dst, _ in ordered[:max_pairs]]
+    """Earliest observed (source, adopter) user pairs, ordered by the adopter's (time, user)."""
+    ordered = sorted(cascade.edges, key=lambda e: (cascade.elapsed[e[1]], cascade.nodes[e[1]]))
+    return [(cascade.nodes[src], cascade.nodes[dst]) for src, dst in ordered[:max_pairs]]
 
 
 def social_weight_vector(
@@ -117,7 +117,7 @@ def social_weight_vector(
         path = shortest_correlation_path(global_graph, u, v)
         if path is not None:
             pair_paths.append(path)
-    weights = {} if pair_paths else {global_graph.embedding_index(cascade.root): 1.0}
+    weights = {} if pair_paths else {global_graph.embedding_index(cascade.nodes[0]): 1.0}
     pair_share = 1.0 / max(len(pair_paths), 1)
     for path in pair_paths:
         coeffs = path_coefficients(path.n, alpha)

@@ -16,6 +16,7 @@ spec maps to a byte-stable corpus file.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -89,8 +90,8 @@ def _spread(
 ) -> list[tuple[int, int, int]]:
     """Simulate one cascade; returns (user, source, elapsed) sorted by time.
 
-    Activation attempts happen once per (active user, neighbor) pair, in
-    activation-time order; adoption probability is branching/degree scaled
+    Adoption attempts happen once per (active user, neighbor) pair, in
+    adoption-time order; adoption probability is branching/degree scaled
     by exp(-decay * t / horizon), and adoption delays are geometric-ish
     integer draws so every event lands strictly after its source.
     """
@@ -99,8 +100,7 @@ def _spread(
     events: list[tuple[int, int, int]] = []
     mean_delay = max(spec.horizon / 12.0, 1.0)
     while frontier:
-        frontier.sort()
-        t, u = frontier.pop(0)
+        t, u = heapq.heappop(frontier)
         neighbors = sorted(adj[u])
         if not neighbors:
             continue
@@ -117,7 +117,7 @@ def _spread(
                 continue
             infected[v] = t_v
             events.append((v, u, t_v))
-            frontier.append((t_v, v))
+            heapq.heappush(frontier, (t_v, v))
     events.sort(key=lambda e: (e[2], e[0]))
     return events
 

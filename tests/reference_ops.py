@@ -25,10 +25,18 @@ fresh moments its first step is the lazy one's, bit for bit.
 embeddings along a correlation path, as the paper writes it; the social
 tests check its properties, and ``social.social_weight_vector`` folds it
 into one vocabulary weight vector per cascade.
+
+``hand_graph`` builds a cascade graph with exactly the edges a test names,
+which ``build_cascade_graph`` would not (a node with two sources, an edge
+back into the root). ``choice_walks`` is the walk sampler on user ids, with
+every node's transition probabilities built up front and one
+``Generator.choice`` per draw; ``walks.sample_walks`` draws node indices
+from the same stream and must give the same walks.
 """
 
 import numpy as np
 
+from hienet.cascade import CascadeGraph
 from hienet.errors import ShapeError
 from hienet.nn.optim import BETA1, BETA2, EPS
 from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
@@ -197,3 +205,46 @@ def path_aware_representation(path: CorrelationPath, embeddings: dict, alpha: fl
     coeffs = path_coefficients(path.n, alpha)
     vectors = [embeddings[w] for w in path.users]
     return np.einsum("i,ij->j", coeffs, np.stack(vectors))
+
+
+def hand_graph(edges, root: str, window: int = 100) -> CascadeGraph:
+    """The cascade graph with exactly ``edges``, (source, adopter) user pairs
+    in adoption order: users are numbered as they first appear, the root
+    first, and node i adopts at time i."""
+    nodes = [root]
+    for edge in edges:
+        nodes.extend(u for u in edge if u not in nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    return CascadeGraph(
+        "g", window, nodes, list(range(len(nodes))), [(index[u], index[v]) for u, v in edges]
+    )
+
+
+def choice_walks(graph: CascadeGraph, k: int, n: int, beta: float, seed: int) -> list[list]:
+    """K walks of N user ids, None after a dead end, one ``rng.choice`` per draw."""
+    out_adj = {u: [] for u in graph.nodes}
+    for src, dst in graph.edges:
+        out_adj[graph.nodes[src]].append(graph.nodes[dst])
+    for neighbors in out_adj.values():
+        neighbors.sort()
+
+    def probabilities(users):
+        weights = np.array([len(out_adj[u]) + beta for u in users], dtype=np.float64)
+        return weights / weights.sum()
+
+    start = probabilities(graph.nodes)
+    transitions = {u: (nbrs, probabilities(nbrs)) for u, nbrs in out_adj.items() if nbrs}
+    rng = np.random.default_rng(seed)
+    walks = []
+    for _ in range(k):
+        node = graph.nodes[rng.choice(len(start), p=start)]
+        walk = [node]
+        while len(walk) < n:
+            if node not in transitions:
+                walk.extend([None] * (n - len(walk)))
+                break
+            neighbors, probs = transitions[node]
+            node = neighbors[rng.choice(len(neighbors), p=probs)]
+            walk.append(node)
+        walks.append(walk)
+    return walks

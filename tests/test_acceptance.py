@@ -11,12 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hienet.cascade import (
-    CascadeGraph,
-    GlobalSocialGraph,
-    build_cascade_graph,
-    parse_cascade_line,
-)
+from hienet.cascade import GlobalSocialGraph, build_cascade_graph, parse_cascade_line
 from hienet.config import TrainConfig
 from hienet.diagnostics import gradient_check_report
 from hienet.model import HIENet
@@ -32,27 +27,12 @@ from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import evaluate, train
 from hienet.walks import sample_walks, start_distribution, transition_distribution
 
-from reference_ops import path_aware_representation, snapshot_blocks
+from reference_ops import hand_graph, path_aware_representation, snapshot_blocks
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"{criterion}: {detail}"
-
-
-def _cascade_graph(edges, root, window=100) -> CascadeGraph:
-    g = CascadeGraph(message_id="g", root=root, window=window)
-    nodes = sorted({u for e in edges for u in e} | {root})
-    nodes.remove(root)
-    g.nodes = [root] + nodes
-    g.activation = {v: i for i, v in enumerate(g.nodes)}
-    g.out_adj = {v: [] for v in g.nodes}
-    for t, (u, v) in enumerate(edges):
-        g.out_adj[u].append(v)
-        g.edges.append((u, v, t))
-    for v in g.out_adj:
-        g.out_adj[v].sort()
-    return g
 
 
 def _social_graph(users, undirected_edges) -> GlobalSocialGraph:
@@ -93,16 +73,16 @@ def test_criterion_2_sampler_statistics():
 
     def empirical_tv(graph):
         batch = sample_walks(graph, k=draws, n=2, beta=beta, seed=11)
-        starts = {v: 0 for v in graph.nodes}
-        nexts = {v: {} for v in graph.nodes}
+        starts = {v: 0 for v in range(graph.num_nodes)}
+        nexts = {v: {} for v in range(graph.num_nodes)}
         for walk in batch.walks:
             starts[walk[0]] += 1
             if walk[1] is not None:
                 nexts[walk[0]][walk[1]] = nexts[walk[0]].get(walk[1], 0) + 1
-        start_emp = np.array([starts[v] / draws for v in graph.nodes])
+        start_emp = np.array([starts[v] / draws for v in range(graph.num_nodes)])
         tv = 0.5 * np.abs(start_emp - start_distribution(graph, beta)).sum()
         tvs = [tv]
-        for v in graph.nodes:
+        for v in range(graph.num_nodes):
             neighbors, probs = transition_distribution(graph, v, beta)
             if not neighbors:
                 continue
@@ -112,16 +92,16 @@ def test_criterion_2_sampler_statistics():
         return max(tvs)
 
     # hand-derived distributions on the three-node example
-    g3 = _cascade_graph([("A", "B"), ("A", "C"), ("B", "C")], "A")
+    g3 = hand_graph([("A", "B"), ("A", "C"), ("B", "C")], "A")
     hand_start = np.array([2.8 / 5.4, 1.8 / 5.4, 0.8 / 5.4])
     assert np.abs(start_distribution(g3, beta) - hand_start).max() < 1e-12
-    nbrs, probs = transition_distribution(g3, "A", beta)
-    assert nbrs == ["B", "C"]
+    nbrs, probs = transition_distribution(g3, 0, beta)
+    assert [g3.nodes[u] for u in nbrs] == ["B", "C"]
     assert np.abs(probs - np.array([1.8 / 2.6, 0.8 / 2.6])).max() < 1e-12
     tv3 = empirical_tv(g3)
 
     # fixed five-node graph against the same closed forms
-    g5 = _cascade_graph([("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")], "r")
+    g5 = hand_graph([("r", "a"), ("r", "b"), ("a", "c"), ("a", "d")], "r")
     tv5 = empirical_tv(g5)
 
     elapsed = time.time() - t0

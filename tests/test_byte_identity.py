@@ -23,9 +23,6 @@ from hienet.train import evaluate, predict, train
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tiny_checkpoint"
 
-#: cascades of 100 or more nodes whose walks rarely repeat
-LARGE_CASCADES = SyntheticSpec(num_users=3000, num_cascades=120, mean_branching=6.0, decay=0.5)
-
 #: criterion 8's run: at this learning rate the best epoch is not epoch 0
 TINY = dict(
     seed=2, epochs=3, batch_size=8, lr=3e-3, k_walks=4, walk_len=5, m_max=4, pe_dim=8,
@@ -70,14 +67,13 @@ def file_digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_pinned_digests(tmp_path, monkeypatch):
+def test_pinned_digests(large_cascades, tmp_path, monkeypatch):
     # relative paths keep the tmp directory out of the configs that metrics.json records
     monkeypatch.chdir(tmp_path)
     digests = {}
     config = TrainConfig()
 
     default, _ = generate_synthetic(SyntheticSpec())
-    large, _ = generate_synthetic(LARGE_CASCADES)
     known = build_global_graph(default[:100])
     unknown_feats = featurize_corpus(default, known, config)
     assert any((f.walk_idx == 0).any() for f in unknown_feats)  # unknown users occur
@@ -85,7 +81,7 @@ def test_pinned_digests(tmp_path, monkeypatch):
         featurize_corpus(default, build_global_graph(default), config)
     )
     digests["features/large-cascades"] = features_digest(
-        featurize_corpus(large, build_global_graph(large), config)
+        featurize_corpus(large_cascades, build_global_graph(large_cascades), config)
     )
     digests["features/unknown-users"] = features_digest(unknown_feats)
 

@@ -54,8 +54,8 @@ def test_same_time_reshare_follows_its_source():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = build_cascade_graph(rec, 10)
-    assert g.nodes == ["r", "z", "b"]
-    assert g.edges == [("r", "z", 5), ("z", "b", 5)]
+    assert g.nodes == ["r", "z", "b"] and g.elapsed == [0, 5, 5]
+    assert g.edges == [(0, 1), (1, 2)]
     assert serialize_cascade_line(rec) == line
     # a same-time cycle (each adopts from the other) still parses, in finite time
     cycle = parse_cascade_line("1\tr\t0\t2\tr:0 r/a/b:5 r/b/a:5")
@@ -195,12 +195,12 @@ def test_window_monotonicity_property(rec, w1, dw):
 def test_graph_connected_through_root():
     rec = parse_cascade_line("1\tu1\t0\t3\tu1:0 u1/u2:10 u1/u2/u3:20 u1/u4:30")
     g = build_cascade_graph(rec, 100)
-    reachable = {g.root}
-    frontier = [g.root]
+    reachable = {0}
+    frontier = [0]
     while frontier:
         u = frontier.pop()
-        for v in g.out_adj[u]:
+        for v in g.children[u]:
             if v not in reachable:
                 reachable.add(v)
                 frontier.append(v)
-    assert reachable == set(g.nodes)
+    assert reachable == set(range(g.num_nodes)) and g.nodes[0] == "u1"

@@ -131,7 +131,7 @@ def test_capped_sizes_first_and_last_kept():
 
 def test_nesting_and_edge_consistency():
     cascade = make_cascade(17)
-    cascade_edges = {(a, b) for a, b, _ in cascade.edges}
+    cascade_edges = set(cascade.edges)
     for m_max in (1, 2, 3, 5, 32):
         seq = snapshots_of(cascade, m_max=m_max)
         for (prev, prev_bins), (cur, cur_bins) in zip(seq, seq[1:]):
@@ -142,7 +142,7 @@ def test_nesting_and_edge_consistency():
             assert np.array_equal(block, block.T) and (np.diag(block) > 0).all()
             # each nonzero above the diagonal is a diffusion edge, from the earlier node
             src, dst = np.nonzero(np.triu(block, 1))
-            edges = {(cascade.nodes[i], cascade.nodes[j]) for i, j in zip(src, dst)}
+            edges = set(zip(src.tolist(), dst.tolist()))
             assert edges <= cascade_edges
             # every non-root node has exactly one incoming edge
             assert (np.triu(block, 1) != 0).sum(axis=0).tolist() == [0] + [1] * (block.shape[0] - 1)
@@ -193,19 +193,17 @@ def per_prefix_snapshots(cascade, time_bins, m_max):
     """Reference: each kept snapshot built from its own nodes and edges.
 
     Snapshot i holds the first i nodes in activation order and the incoming
-    edge of each non-root member; its adjacency is filled in snapshot-local
-    indexing and symmetrized before normalization, as the GCN reads it.
+    edge of each non-root member; its adjacency is symmetrized before
+    normalization, as the GCN reads it.
     """
-    incoming = {dst: (src, dst) for src, dst, _ in cascade.edges}
+    source = {dst: src for src, dst in cascade.edges}
     out = []
     for i in snapshot_indices(cascade.num_nodes, m_max):
-        nodes = cascade.nodes[:i]
-        local = {u: j for j, u in enumerate(nodes)}
         adjacency = np.zeros((i, i), dtype=np.float64)
-        for src, dst in (incoming[u] for u in nodes[1:]):
-            adjacency[local[src], local[dst]] = 1.0
+        for dst in range(1, i):
+            adjacency[source[dst], dst] = 1.0
         bins = np.array(
-            [time_bin(cascade.activation[u], cascade.window, time_bins) for u in nodes],
+            [time_bin(t, cascade.window, time_bins) for t in cascade.elapsed[:i]],
             dtype=np.int64,
         )
         out.append((normalize_adjacency(adjacency + adjacency.T), bins))

@@ -12,7 +12,7 @@ from hienet.social import (
     social_weight_vector,
 )
 
-from reference_ops import path_aware_representation
+from reference_ops import hand_graph, path_aware_representation
 
 
 def social_graph(users, undirected_edges):
@@ -23,23 +23,6 @@ def social_graph(users, undirected_edges):
         adj[index[a]].add(index[b])
         adj[index[b]].add(index[a])
     return GlobalSocialGraph(users=users, index=index, adj=[sorted(s) for s in adj])
-
-
-def cascade_graph(edges, root, window=100):
-    from hienet.cascade import CascadeGraph
-
-    g = CascadeGraph(message_id="c", root=root, window=window)
-    g.nodes = [root]
-    g.activation = {root: 0}
-    g.out_adj = {root: []}
-    for t, (u, v) in enumerate(edges, start=1):
-        g.nodes.append(v)
-        g.activation[v] = t
-        g.out_adj.setdefault(u, [])
-        g.out_adj[v] = []
-        g.out_adj[u].append(v)
-        g.edges.append((u, v, t))
-    return g
 
 
 def test_adjacent_pair():
@@ -198,7 +181,7 @@ def pooled_feature(cas, g, table, alpha=0.9, max_pairs=4):
 
 def test_root_only_cascade_feature():
     g = social_graph(["r", "x"], [("r", "x")])
-    cas = cascade_graph([], "r")
+    cas = hand_graph([], "r")
     table = table_for(g)
     vector = pooled_feature(cas, g, table)
     assert np.allclose(vector, table[g.embedding_index("r")])
@@ -206,7 +189,7 @@ def test_root_only_cascade_feature():
 
 def test_single_pair_over_global_edge():
     g = social_graph(["u", "v"], [("u", "v")])
-    cas = cascade_graph([("u", "v")], "u")
+    cas = hand_graph([("u", "v")], "u")
     table = np.zeros((3, 2))
     table[g.embedding_index("u")] = [1.0, 0.0]
     table[g.embedding_index("v")] = [0.0, 1.0]
@@ -218,7 +201,7 @@ def test_single_pair_over_global_edge():
 def test_disconnected_pairs_fall_back_to_root():
     # cascade edge u->v but the global graph lacks any u-v path
     g = social_graph(["u", "v", "z"], [("u", "z")])
-    cas = cascade_graph([("u", "v")], "u")
+    cas = hand_graph([("u", "v")], "u")
     table = table_for(g, dim=3, seed=5)
     vector = pooled_feature(cas, g, table)
     assert np.allclose(vector, table[g.embedding_index("u")])
@@ -228,16 +211,16 @@ def test_feature_width_fixed_across_cascade_sizes():
     users = [f"u{i}" for i in range(6)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(5)])
     table = table_for(g, dim=4, seed=1)
-    small = pooled_feature(cascade_graph([], "u0"), g, table, max_pairs=8)
+    small = pooled_feature(hand_graph([], "u0"), g, table, max_pairs=8)
     big_edges = [(users[0], users[1]), (users[1], users[2]), (users[2], users[3])]
-    big = pooled_feature(cascade_graph(big_edges, "u0"), g, table, max_pairs=8)
+    big = pooled_feature(hand_graph(big_edges, "u0"), g, table, max_pairs=8)
     assert small.shape == big.shape == (4,)
 
 
 def test_weight_vector_sums_to_one():
     users = [f"u{i}" for i in range(5)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(4)])
-    cas = cascade_graph([(users[0], users[2]), (users[2], users[4])], "u0")
+    cas = hand_graph([(users[0], users[2]), (users[2], users[4])], "u0")
     weights = social_weight_vector(cas, g, alpha=0.9, max_pairs=8).toarray()
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (weights >= 0).all()
