@@ -16,7 +16,9 @@ Conventions adopted here and documented in the README:
     (each cascade graph is a tree of first exposures);
   * the corpus-wide social graph is undirected;
   * a cascade graph numbers its users in adoption order, and its edges are
-    node-index pairs; ``build_cascade_graph`` alone maps users to nodes.
+    node-index pairs; ``build_cascade_graph`` alone maps users to nodes;
+  * ``features.featurize`` looks each node's embedding row up once, and
+    walks and the social weights read those rows, never user ids.
 """
 
 from __future__ import annotations
@@ -112,7 +114,9 @@ class GlobalSocialGraph:
     ``users`` is sorted, giving every user a stable dense index; adjacency
     lists hold neighbor indices in ascending order. Embedding tables reserve
     row 0 for users the graph does not hold (the unknown-user row), so
-    ``embedding_index`` is the graph index shifted by 1.
+    ``embedding_index`` is the graph index shifted by 1 and a table has
+    ``vocab`` rows. ``featurize`` calls it once per cascade node; walks and
+    the social weights read those rows, the path search their indices.
     """
 
     users: list[str]
@@ -123,13 +127,14 @@ class GlobalSocialGraph:
     def num_users(self) -> int:
         return len(self.users)
 
+    @property
+    def vocab(self) -> int:
+        return len(self.users) + 1
+
     def embedding_index(self, user: str) -> int:
         """Dense embedding row for ``user``; 0 (the unknown-user row) if unknown."""
         i = self.index.get(user)
         return 0 if i is None else i + 1
-
-    def has_user(self, user: str) -> bool:
-        return user in self.index
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def _end_to_end_setup(seed: int):
     ggraph = build_global_graph(records)
     config = _tiny_config(seed, k_walks=2, walk_len=4, max_pairs=4, m_max=3)
     feats = featurize_corpus(records, ggraph, config)
-    model = HIENet(config, vocab=ggraph.num_users + 1)
+    model = HIENet(config, vocab=ggraph.vocab)
     return model, build_batch(feats)
 
 

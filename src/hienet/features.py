@@ -88,7 +88,7 @@ def featurize(
     rows = [global_graph.embedding_index(user) for user in graph.nodes]
     walk_idx, walk_lengths, walk_of = walks.to_index_matrix(rows)
 
-    social_row = social_weight_vector(graph, global_graph, alpha=c.alpha, max_pairs=c.max_pairs)
+    social_row = social_weight_vector(graph, rows, global_graph, alpha=c.alpha, max_pairs=c.max_pairs)
     propagation, node_bins, pool_weights = build_snapshots(
         *snapshot_feature_matrix(graph, c.time_bins), c.m_max
     )

@@ -44,19 +44,14 @@ class Adam:
         for p in self.params:
             if p.grad is None:
                 continue
-            if p.grad_rows is None:
-                m = self.m[p.name]
-                v = self.v[p.name]
-                m *= BETA1
-                m += (1.0 - BETA1) * p.grad
-                v *= BETA2
-                v += (1.0 - BETA2) * p.grad * p.grad
-                p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-            else:
-                # the same arithmetic on the touched rows only
-                rows = p.grad_rows
-                m = BETA1 * self.m[p.name][rows] + (1.0 - BETA1) * p.grad
-                v = BETA2 * self.v[p.name][rows] + (1.0 - BETA2) * p.grad * p.grad
-                self.m[p.name][rows] = m
-                self.v[p.name][rows] = v
-                p.data[rows] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            # a row-sparse gradient's touched rows (copies, written back below), else views of the whole
+            rows = slice(None) if p.grad_rows is None else p.grad_rows
+            m = self.m[p.name][rows]
+            v = self.v[p.name][rows]
+            m *= BETA1
+            m += (1.0 - BETA1) * p.grad
+            v *= BETA2
+            v += (1.0 - BETA2) * p.grad * p.grad
+            self.m[p.name][rows] = m
+            self.v[p.name][rows] = v
+            p.data[rows] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

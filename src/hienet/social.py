@@ -12,6 +12,10 @@ feature averages both endpoints of the earliest observed diffusion pairs;
 because every representation is a convex combination of user embeddings,
 the whole aggregate reduces to a single weight vector over the user
 vocabulary (applied to the embedding table by the model).
+
+No user id is read here: pairs are cascade node indices, each node's
+embedding row comes from ``featurize`` (row 0, an unknown user, skips the
+pair), and paths hold global-graph indices, one less than the rows.
 """
 
 from __future__ import annotations
@@ -24,18 +28,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cascade import CascadeGraph, GlobalSocialGraph
-from .errors import GraphError
 
 
 @dataclass
 class CorrelationPath:
-    """Minimum-hop user chain between two users on the global graph."""
+    """Minimum-hop chain of global-graph indices between two users."""
 
-    users: list[str]
+    nodes: list[int]
 
     @property
     def n(self) -> int:
-        return len(self.users) - 1
+        return len(self.nodes) - 1
 
 
 def bfs_distances(graph: GlobalSocialGraph, source_idx: int) -> dict[int, int]:
@@ -51,36 +54,31 @@ def bfs_distances(graph: GlobalSocialGraph, source_idx: int) -> dict[int, int]:
     return dist
 
 
-def shortest_correlation_path(graph: GlobalSocialGraph, u: str, v: str) -> CorrelationPath | None:
-    """Deterministic shortest path from u to v, or None when disconnected.
+def shortest_correlation_path(graph: GlobalSocialGraph, u: int, v: int) -> CorrelationPath | None:
+    """Deterministic shortest path from graph index u to v, or None when disconnected.
 
     Among equally short paths, each hop greedily takes the neighbor with the
     smallest user index that still decreases the remaining distance.
     """
-    if u not in graph.index:
-        raise GraphError(f"unknown user '{u}'")
-    if v not in graph.index:
-        raise GraphError(f"unknown user '{v}'")
-    ui, vi = graph.index[u], graph.index[v]
-    if ui == vi:
+    if u == v:
         return CorrelationPath([u])
     # v is the only node at distance 0 from v, so an adjacent pair's path is
     # the one hop, and needs no search
-    nbrs = graph.adj[ui]
-    at = bisect_left(nbrs, vi)
-    if at < len(nbrs) and nbrs[at] == vi:
+    nbrs = graph.adj[u]
+    at = bisect_left(nbrs, v)
+    if at < len(nbrs) and nbrs[at] == v:
         return CorrelationPath([u, v])
-    dist_to_v = bfs_distances(graph, vi)
-    if ui not in dist_to_v:
+    dist_to_v = bfs_distances(graph, v)
+    if u not in dist_to_v:
         return None
-    path = [ui]
-    cur = ui
-    while cur != vi:
+    path = [u]
+    cur = u
+    while cur != v:
         # adjacency lists are sorted, so the first qualifying neighbor is the
         # smallest-index one
         cur = next(nbr for nbr in graph.adj[cur] if dist_to_v.get(nbr, -1) == dist_to_v[cur] - 1)
         path.append(cur)
-    return CorrelationPath([graph.users[i] for i in path])
+    return CorrelationPath(path)
 
 
 def path_coefficients(n: int, alpha: float) -> np.ndarray:
@@ -91,41 +89,41 @@ def path_coefficients(n: int, alpha: float) -> np.ndarray:
     return (1.0 - alpha) / (1.0 - alpha ** (n + 1)) * powers
 
 
-def diffusion_pairs(cascade: CascadeGraph, max_pairs: int) -> list[tuple[str, str]]:
-    """Earliest observed (source, adopter) user pairs, ordered by the adopter's (time, user)."""
-    ordered = sorted(cascade.edges, key=lambda e: (cascade.elapsed[e[1]], cascade.nodes[e[1]]))
-    return [(cascade.nodes[src], cascade.nodes[dst]) for src, dst in ordered[:max_pairs]]
+def diffusion_pairs(cascade: CascadeGraph, max_pairs: int) -> list[tuple[int, int]]:
+    """Earliest observed (source, adopter) node pairs, ordered by the adopter's (time, user)."""
+    return sorted(cascade.edges, key=lambda e: (cascade.elapsed[e[1]], cascade.nodes[e[1]]))[:max_pairs]
 
 
 def social_weight_vector(
     cascade: CascadeGraph,
+    rows: list[int],
     global_graph: GlobalSocialGraph,
     alpha: float,
     max_pairs: int,
 ) -> sp.csr_matrix:
     """Vocabulary-weight form of the cascade's social feature.
 
-    A (1, vocab) sparse row, one column per embedding row (the unknown-user
-    row 0 included), that sums to 1. Pairs disconnected on the global graph
-    are skipped; if none survive (including the root-only cascade), all
-    weight falls on the root's own embedding.
+    ``rows[i]`` is node i's embedding row. A (1, vocab) sparse row, one
+    column per embedding row (the unknown-user row 0 included), that sums
+    to 1. Pairs with an unknown endpoint (row 0) or disconnected on the
+    global graph are skipped; if none survive (including the root-only
+    cascade), all weight falls on the root's own row.
     """
     pair_paths: list[CorrelationPath] = []
-    for u, v in diffusion_pairs(cascade, max_pairs):
-        if not (global_graph.has_user(u) and global_graph.has_user(v)):
-            continue
-        path = shortest_correlation_path(global_graph, u, v)
-        if path is not None:
-            pair_paths.append(path)
-    weights = {} if pair_paths else {global_graph.embedding_index(cascade.nodes[0]): 1.0}
+    for src, dst in diffusion_pairs(cascade, max_pairs):
+        if rows[src] and rows[dst]:
+            path = shortest_correlation_path(global_graph, rows[src] - 1, rows[dst] - 1)
+            if path is not None:
+                pair_paths.append(path)
+    weights = {} if pair_paths else {rows[0]: 1.0}
     pair_share = 1.0 / max(len(pair_paths), 1)
     for path in pair_paths:
         coeffs = path_coefficients(path.n, alpha)
         # endpoint representations share one path; averaging them pairs each
         # position's forward coefficient with its reversed counterpart
-        for i, user in enumerate(path.users):
-            row = global_graph.embedding_index(user)
+        for i, node in enumerate(path.nodes):
+            row = node + 1
             weights[row] = weights.get(row, 0.0) + 0.5 * (coeffs[i] + coeffs[path.n - i]) * pair_share
     cols = sorted(weights)
-    shape = (1, global_graph.num_users + 1)
+    shape = (1, global_graph.vocab)
     return sp.csr_matrix(([weights[c] for c in cols], cols, [0, len(cols)]), shape=shape)

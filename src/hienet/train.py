@@ -179,7 +179,7 @@ def train(config: TrainConfig) -> TrainResult:
 
     ggraph = build_global_graph(records)
     if not config.resume:
-        model = HIENet(config, vocab=ggraph.num_users + 1)
+        model = HIENet(config, vocab=ggraph.vocab)
     elif resumed_graph.users != ggraph.users:
         # embedding row i belongs to user i, so other users would inherit its rows
         raise DataError(f"checkpoint {config.resume} holds other users than {config.data}")
@@ -287,7 +287,7 @@ def _open_checkpoint(
     if not (isinstance(mean_log, float) and math.isfinite(mean_log)):
         raise DataError(f"checkpoint train_mean_log {mean_log!r} is not a finite number")
     graph = _checkpoint_graph(extra["users"], extra["adjacency"])
-    model = HIENet(config or stored, vocab=graph.num_users + 1)
+    model = HIENet(config or stored, vocab=graph.vocab)
     restore_into(model.params(), weights)
     return model, extra, graph
 

@@ -200,10 +200,11 @@ def temporal_positional_encoding(t: int, dim: int, bins: int) -> np.ndarray:
     return out
 
 
-def path_aware_representation(path: CorrelationPath, embeddings: dict, alpha: float) -> np.ndarray:
-    """Weighted average of the path users' embeddings (nearest user dominates)."""
+def path_aware_representation(path: CorrelationPath, embeddings, alpha: float) -> np.ndarray:
+    """Weighted average of the path users' embeddings (nearest user dominates);
+    ``embeddings[i]`` is the embedding of graph index i."""
     coeffs = path_coefficients(path.n, alpha)
-    vectors = [embeddings[w] for w in path.users]
+    vectors = [embeddings[w] for w in path.nodes]
     return np.einsum("i,ij->j", coeffs, np.stack(vectors))
 
 

@@ -120,9 +120,9 @@ def test_criterion_3_path_coefficient_identities():
         for alpha in (0.1, 0.5, 0.9):
             worst_sum = max(worst_sum, abs(path_coefficients(n, alpha).sum() - 1.0))
 
-    table = {"u": np.array([1.5, -2.0, 0.25])}
-    rep = path_aware_representation(CorrelationPath(users=["u"]), table, alpha=0.9)
-    zero_hop_exact = (rep == table["u"]).all()
+    table = {0: np.array([1.5, -2.0, 0.25])}
+    rep = path_aware_representation(CorrelationPath(nodes=[0]), table, alpha=0.9)
+    zero_hop_exact = (rep == table[0]).all()
 
     coeffs = path_coefficients(1, 0.9)
     pair_err = np.abs(coeffs - np.array([0.52632, 0.47368])).max()
@@ -161,7 +161,7 @@ def test_criterion_4_shortest_path_oracle():
 
         for i in range(n):
             for j in range(n):
-                path = shortest_correlation_path(graph, users[i], users[j])
+                path = shortest_correlation_path(graph, graph.index[users[i]], graph.index[users[j]])
                 checked += 1
                 if path is None:
                     agreed += np.isinf(dist[i, j])

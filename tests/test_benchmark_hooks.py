@@ -72,8 +72,11 @@ def test_featurize_calls_every_feature_hook():
     finally:
         tracer.restore()
     names = {span.name for span in tracer.spans}
-    for hooked in ("snapshots.feature_matrix", "snapshots.build", "walks.sample", "social.weight"):
+    hooks = ("snapshots.feature_matrix", "snapshots.build", "walks.sample", "social.weight", "social.path")
+    for hooked in hooks:
         assert hooked in names
+    # the traced social.adjacent_pair_frac reads each returned path's hop count
+    assert counts.adjacent_pairs > 0
     # the traced walks.pad_frac counts the sampler's PAD slots, which the features drop
     assert counts.walk_steps == config.k_walks * config.walk_len
     assert counts.pad_steps == counts.walk_steps - feats.walk_lengths[feats.walk_of].sum()

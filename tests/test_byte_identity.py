@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from hienet.cascade import build_global_graph
+import hienet.social as social
+from hienet.cascade import build_cascade_graph, build_global_graph
 from hienet.config import TrainConfig
 from hienet.features import featurize_corpus
+from hienet.social import bfs_distances, diffusion_pairs
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import evaluate, predict, train
 
@@ -75,8 +77,24 @@ def test_pinned_digests(large_cascades, tmp_path, monkeypatch):
 
     default, _ = generate_synthetic(SyntheticSpec())
     known = build_global_graph(default[:100])
+    searched = []
+
+    def counted_bfs(graph, source):
+        searched.append(source)
+        return bfs_distances(graph, source)
+
+    monkeypatch.setattr(social, "bfs_distances", counted_bfs)
     unknown_feats = featurize_corpus(default, known, config)
     assert any((f.walk_idx == 0).any() for f in unknown_feats)  # unknown users occur
+    # the pinned social rows cover both the path search and the unknown-endpoint skip
+    assert searched
+    cascades = [build_cascade_graph(r, config.window) for r in default]
+    assert any(
+        known.embedding_index(g.nodes[node]) == 0
+        for g in cascades
+        for pair in diffusion_pairs(g, config.max_pairs)
+        for node in pair
+    )
     digests["features/default"] = features_digest(
         featurize_corpus(default, build_global_graph(default), config)
     )

@@ -3,7 +3,6 @@ import pytest
 
 import hienet.social as social
 from hienet.cascade import GlobalSocialGraph
-from hienet.errors import GraphError
 from hienet.social import (
     CorrelationPath,
     bfs_distances,
@@ -25,10 +24,19 @@ def social_graph(users, undirected_edges):
     return GlobalSocialGraph(users=users, index=index, adj=[sorted(s) for s in adj])
 
 
+def path_between(g, u, v):
+    """The correlation path between two users, named by their graph indices."""
+    return shortest_correlation_path(g, g.index[u], g.index[v])
+
+
+def path_users(g, path):
+    return [g.users[i] for i in path.nodes]
+
+
 def test_adjacent_pair():
     g = social_graph(["a", "b"], [("a", "b")])
-    path = shortest_correlation_path(g, "a", "b")
-    assert path.users == ["a", "b"] and path.n == 1
+    path = path_between(g, "a", "b")
+    assert path_users(g, path) == ["a", "b"] and path.n == 1
 
 
 def test_adjacent_pair_skips_the_search(monkeypatch):
@@ -44,37 +52,31 @@ def test_adjacent_pair_skips_the_search(monkeypatch):
 
     monkeypatch.setattr(social, "bfs_distances", counted_bfs)
     for u, v in [("c", "e"), ("e", "c"), ("c", "a"), ("b", "a"), ("d", "e")]:
-        path = shortest_correlation_path(g, u, v)
+        path = path_between(g, u, v)
         dist_to_v = bfs_distances(g, g.index[v])
         first_hop = next(n for n in g.adj[g.index[u]] if dist_to_v.get(n) == 0)
-        assert path.users == [u, g.users[first_hop]] == [u, v]
+        assert path_users(g, path) == [u, g.users[first_hop]] == [u, v]
     assert searched == []
-    assert shortest_correlation_path(g, "a", "d").users == ["a", "c", "e", "d"]
+    assert path_users(g, path_between(g, "a", "d")) == ["a", "c", "e", "d"]
     assert searched == [g.index["d"]]
 
 
 def test_same_user_zero_path():
     g = social_graph(["a", "b"], [("a", "b")])
-    path = shortest_correlation_path(g, "a", "a")
-    assert path.users == ["a"] and path.n == 0
+    path = path_between(g, "a", "a")
+    assert path_users(g, path) == ["a"] and path.n == 0
 
 
 def test_four_cycle_tie_break():
     g = social_graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-    path = shortest_correlation_path(g, "a", "c")
+    path = path_between(g, "a", "c")
     # both a-b-c and a-d-c are shortest; b wins on index
-    assert path.users == ["a", "b", "c"]
+    assert path_users(g, path) == ["a", "b", "c"]
 
 
 def test_disconnected_returns_none():
     g = social_graph("abcd", [("a", "b"), ("c", "d")])
-    assert shortest_correlation_path(g, "a", "c") is None
-
-
-def test_unknown_user_raises():
-    g = social_graph("ab", [("a", "b")])
-    with pytest.raises(GraphError):
-        shortest_correlation_path(g, "a", "z")
+    assert path_between(g, "a", "c") is None
 
 
 def floyd_warshall(n, edges):
@@ -102,14 +104,14 @@ def test_bfs_matches_floyd_warshall_oracle():
         dist = floyd_warshall(n, edges)
         for i in range(n):
             for j in range(n):
-                path = shortest_correlation_path(g, users[i], users[j])
+                path = path_between(g, users[i], users[j])
                 if np.isinf(dist[i, j]):
                     assert path is None
                 else:
                     assert path.n == int(dist[i, j])
                     # verify the path is genuinely a walk on the graph
-                    for a, b in zip(path.users, path.users[1:]):
-                        assert g.index[b] in g.adj[g.index[a]]
+                    for a, b in zip(path.nodes, path.nodes[1:]):
+                        assert b in g.adj[a]
 
 
 def test_coefficients_sum_to_one():
@@ -122,24 +124,24 @@ def test_coefficients_sum_to_one():
 
 
 def test_zero_hop_identity():
-    g = {"u": np.array([0.3, -1.2, 4.0])}
+    g = {0: np.array([0.3, -1.2, 4.0])}
     for alpha in (0.1, 0.5, 0.9):
-        rep = path_aware_representation(CorrelationPath(["u"]), g, alpha)
-        assert np.array_equal(rep, g["u"])
+        rep = path_aware_representation(CorrelationPath([0]), g, alpha)
+        assert np.array_equal(rep, g[0])
 
 
 def test_one_hop_hand_values():
-    emb = {"u": np.array([1.0, 0.0]), "v": np.array([0.0, 1.0])}
-    rep = path_aware_representation(CorrelationPath(["u", "v"]), emb, alpha=0.9)
+    emb = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
+    rep = path_aware_representation(CorrelationPath([0, 1]), emb, alpha=0.9)
     assert rep == pytest.approx([0.52632, 0.47368], abs=1e-5)
 
 
 def test_alpha_limits():
     rng = np.random.default_rng(0)
-    emb = {f"w{i}": rng.normal(size=4) for i in range(5)}
-    path = CorrelationPath([f"w{i}" for i in range(5)])
+    emb = {i: rng.normal(size=4) for i in range(5)}
+    path = CorrelationPath(list(range(5)))
     near_zero = path_aware_representation(path, emb, alpha=1e-9)
-    assert np.abs(near_zero - emb["w0"]).max() < 1e-6
+    assert np.abs(near_zero - emb[0]).max() < 1e-6
     coeffs = path_coefficients(4, 1.0 - 1e-6)
     assert np.abs(coeffs - 0.2).max() < 1e-4
 
@@ -155,7 +157,7 @@ def test_alpha_out_of_range():
 
 def test_convex_hull_bound():
     rng = np.random.default_rng(3)
-    emb = {f"w{i}": rng.normal(size=6) for i in range(4)}
+    emb = {i: rng.normal(size=6) for i in range(4)}
     path = CorrelationPath(list(emb))
     rep = path_aware_representation(path, emb, alpha=0.7)
     hull_max = np.stack(list(emb.values()))
@@ -163,9 +165,9 @@ def test_convex_hull_bound():
 
 
 def test_path_awareness():
-    emb = {"u": np.ones(2), "a": np.array([5.0, 0.0]), "b": np.array([0.0, 5.0])}
-    via_a = path_aware_representation(CorrelationPath(["u", "a"]), emb, 0.9)
-    via_b = path_aware_representation(CorrelationPath(["u", "b"]), emb, 0.9)
+    emb = {0: np.ones(2), 1: np.array([5.0, 0.0]), 2: np.array([0.0, 5.0])}
+    via_a = path_aware_representation(CorrelationPath([0, 1]), emb, 0.9)
+    via_b = path_aware_representation(CorrelationPath([0, 2]), emb, 0.9)
     assert not np.allclose(via_a, via_b)
 
 
@@ -174,9 +176,15 @@ def table_for(graph, dim=2, seed=0):
     return rng.normal(scale=0.1, size=(graph.num_users + 1, dim))
 
 
+def weight_row(cas, g, alpha=0.9, max_pairs=4):
+    """The cascade's social weight vector, its nodes' rows looked up as ``featurize`` does."""
+    rows = [g.embedding_index(u) for u in cas.nodes]
+    return social_weight_vector(cas, rows, g, alpha=alpha, max_pairs=max_pairs)
+
+
 def pooled_feature(cas, g, table, alpha=0.9, max_pairs=4):
     """The social token before projection: the weight vector applied to the table."""
-    return (social_weight_vector(cas, g, alpha=alpha, max_pairs=max_pairs) @ table)[0]
+    return (weight_row(cas, g, alpha=alpha, max_pairs=max_pairs) @ table)[0]
 
 
 def test_root_only_cascade_feature():
@@ -221,6 +229,26 @@ def test_weight_vector_sums_to_one():
     users = [f"u{i}" for i in range(5)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(4)])
     cas = hand_graph([(users[0], users[2]), (users[2], users[4])], "u0")
-    weights = social_weight_vector(cas, g, alpha=0.9, max_pairs=8).toarray()
+    weights = weight_row(cas, g, alpha=0.9, max_pairs=8).toarray()
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (weights >= 0).all()
+
+
+def test_unknown_endpoint_gets_no_weight(monkeypatch):
+    """A pair with an endpoint the global graph lacks (embedding row 0) is
+    skipped without a search; the unknown-user row gets no weight."""
+    g = social_graph(["u", "v"], [("u", "v")])
+    searched = []
+
+    def counted_path(graph, u, v):
+        searched.append((u, v))
+        return shortest_correlation_path(graph, u, v)
+
+    monkeypatch.setattr(social, "shortest_correlation_path", counted_path)
+    mixed = weight_row(hand_graph([("u", "v"), ("u", "z"), ("z", "v")], "u"), g, max_pairs=8)
+    assert searched == [(g.index["u"], g.index["v"])]
+    assert mixed[0, 0] == 0.0
+    assert mixed.toarray() == pytest.approx(weight_row(hand_graph([("u", "v")], "u"), g).toarray())
+    # with every pair skipped, all weight falls on the root's row
+    only_unknown = weight_row(hand_graph([("u", "z")], "u"), g).toarray()
+    assert only_unknown[0, g.embedding_index("u")] == 1.0 and only_unknown.sum() == 1.0
