@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .cascade import build_global_graph, parse_cascade_line
 from .config import TrainConfig
 from .features import build_batch, featurize_corpus
-from .model import HIENet, msle_loss
+from .model import HIENet, msle_loss, weighted_rows
 from .nn.gradcheck import max_relative_error
 from .nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer
 from .nn import tensor as T
@@ -60,9 +60,9 @@ def _check_primitives(rng) -> float:
 
 
 def _check_embedding(rng) -> float:
-    """The table read both ways the model reads one, by ``gather_rows`` and by
-    ``sparse_matmul``, so both row-sparse gradients and their coalescing into
-    one are checked."""
+    """The table read both ways the model reads one, gathered by ``idx`` (cs)
+    and by ``weighted_rows`` (sg), so both row gradients and their
+    coalescing into one are checked."""
     emb = Embedding("emb", vocab=7, dim=5, rng=rng)
     idx = np.array([0, 3, 3, 6, 1])  # duplicate row exercises grad accumulation
     # row 3 is also gathered; row 5 is read by both weight rows
@@ -71,7 +71,7 @@ def _check_embedding(rng) -> float:
     )
 
     def loss():
-        lookups = [gather_rows(emb.table, idx), T.sparse_matmul(weights, emb.table)]
+        lookups = [gather_rows(emb.table, idx), weighted_rows(weights, emb.table)]
         return _sq_mean(concat(lookups, axis=0))
 
     return max_relative_error(loss, emb.params())

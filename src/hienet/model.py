@@ -5,7 +5,8 @@ Branches, each emitting one d_model token per cascade:
   (inner over each walk's real steps, outer across the K walk vectors in
   sampled order),
 - sg: the cascade's convex social weight vector times a user embedding
-  table (equivalent to averaging path-aware user representations),
+  table, i.e. a weighted sum of the gathered rows its weights reach
+  (averaging path-aware user representations),
 - cg: two graph-convolution layers over the snapshot sequence, node-mean
   then snapshot-mean pooled; each snapshot propagates through its sparse
   D^-1/2 (A + A^T + I) D^-1/2.
@@ -59,6 +60,16 @@ from .nn.tensor import (
     square,
 )
 from .snapshots import encoding_table
+
+
+def weighted_rows(weights: sp.csr_matrix, table: Tensor) -> Tensor:
+    """``weights @ table`` as a gather of the rows the stored weights reach,
+    summed per row of ``weights`` by ``sparse_matmul``: the same products in
+    the same order, and ``table`` gets a row gradient."""
+    per_entry = sp.csr_matrix(
+        (weights.data, np.arange(weights.nnz), weights.indptr), (weights.shape[0], weights.nnz)
+    )
+    return sparse_matmul(per_entry, gather_rows(table, weights.indices))
 
 
 class HIENet(Module):
@@ -134,7 +145,7 @@ class HIENet(Module):
 
     def encode_social(self, social: sp.csr_matrix) -> Tensor:
         """(B, vocab) sparse convex weight rows -> (B, d_model) social tokens."""
-        return self.sg_proj(sparse_matmul(social, self.sg_embed.table))
+        return self.sg_proj(weighted_rows(social, self.sg_embed.table))
 
     def _cg_from_blocks(self, p_block, node_feats, pool) -> Tensor:
         hidden = relu(sparse_matmul(p_block, matmul(constant(node_feats), self.gcn_w1)))

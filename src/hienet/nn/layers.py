@@ -59,16 +59,16 @@ class Linear(Module):
 
 
 class Embedding(Module):
-    """A (vocab, dim) table read by row lookups.
+    """A (vocab, dim) table read only by ``gather_rows``.
 
-    The table is declared ``row_sparse``: its gradient is the rows a step
-    touched, and ``Adam`` updates only those rows (lazy Adam), so a step's
-    cost does not grow with the vocabulary.
+    Its gradient is therefore the rows a step touched, and ``Adam`` updates
+    only those rows (lazy Adam), so a step's cost does not grow with the
+    vocabulary.
     """
 
     def __init__(self, name: str, vocab: int, dim: int, rng: np.random.Generator):
         k = 1.0 / math.sqrt(dim)
-        self.table = Parameter(f"{name}.table", _uniform(rng, (vocab, dim), k), row_sparse=True)
+        self.table = Parameter(f"{name}.table", _uniform(rng, (vocab, dim), k))
 
 
 class LayerNorm(Module):

@@ -13,12 +13,14 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam with the global step ``t`` in the bias correction.
 
-    A parameter whose gradient arrives row-sparse (``grad_rows`` set, as for
-    the ``Embedding`` tables) is updated lazily: only the touched rows'
-    moments decay and only their weights move, so a step costs the rows a
-    batch reads, not the vocabulary. From fresh moments the first step
-    equals the dense update; later, an untouched row keeps its moments
-    instead of decaying them (PyTorch ``SparseAdam``, TF-Addons ``LazyAdam``).
+    A parameter read by ``gather_rows`` (the ``Embedding`` tables, the (1, d)
+    fusion tokens) gets a row-block gradient (``grad_rows`` set) and is
+    updated lazily: only the touched rows' moments decay and only their
+    weights move, so a step costs the rows a batch reads, not the vocabulary.
+    From fresh moments the first step equals the dense update; later, an
+    untouched row keeps its moments instead of decaying them (PyTorch
+    ``SparseAdam``, TF-Addons ``LazyAdam``). A fusion token's one row is read
+    on every step, so its lazy update is the dense one, bit for bit.
     """
 
     def __init__(self, params: list[Parameter], lr: float = 1e-4):
@@ -44,7 +46,7 @@ class Adam:
         for p in self.params:
             if p.grad is None:
                 continue
-            # a row-sparse gradient's touched rows (copies, written back below), else views of the whole
+            # a row block's touched rows (copies, written back below), else views of the whole
             rows = slice(None) if p.grad_rows is None else p.grad_rows
             m = self.m[p.name][rows]
             v = self.v[p.name][rows]

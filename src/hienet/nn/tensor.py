@@ -15,11 +15,11 @@ backward rules, so a model step records a few dozen nodes rather than one
 per gate and step.
 
 Gradients are dense arrays of the tensor's shape, with one exception: a
-``Parameter`` declared ``row_sparse`` (an embedding table) receives from
-``gather_rows`` and ``sparse_matmul`` only the rows a step touched, as a
-``(rows, d)`` block in ``grad`` beside their sorted row ids in
-``grad_rows``, so neither the backward pass nor the optimizer pays for
-untouched rows. ``dense_grad()`` gives any tensor's gradient in full.
+``Parameter`` read by ``gather_rows``, the one op with row gradients,
+receives only the rows a step touched, as a ``(rows, d)`` block in
+``grad`` beside their sorted row ids in ``grad_rows``, so neither the
+backward pass nor the optimizer pays for untouched rows. ``dense_grad()``
+gives any tensor's gradient in full.
 """
 
 from __future__ import annotations
@@ -67,6 +67,12 @@ class Tensor:
         # parents the upstream gradient itself or a view of it
         self.grad = g if self.grad is None else self.grad + g
 
+    def accumulate_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
+        """Add ``values[i]`` to the gradient of row ``rows[i]`` (sorted, unique)."""
+        full = np.zeros_like(self.data)
+        full[rows] = values
+        self.accumulate(full)
+
     def dense_grad(self) -> np.ndarray:
         """The gradient at every entry (zeros where none arrived)."""
         return np.zeros_like(self.data) if self.grad is None else self.grad
@@ -99,18 +105,17 @@ class Tensor:
 class Parameter(Tensor):
     """Named trainable tensor; the name keys checkpoints and Adam state.
 
-    A ``row_sparse`` parameter takes row lookups' gradients as the touched
+    A parameter read by ``gather_rows`` takes that gradient as the touched
     rows only: ``grad`` holds one row per id in ``grad_rows`` (sorted,
     unique). ``grad_rows`` is None while ``grad`` is dense, which it becomes
     as soon as a dense contribution arrives.
     """
 
-    __slots__ = ("name", "row_sparse", "grad_rows")
+    __slots__ = ("name", "grad_rows")
 
-    def __init__(self, name: str, data, row_sparse: bool = False):
+    def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.row_sparse = row_sparse
         self.grad_rows: np.ndarray | None = None
 
     def accumulate(self, g: np.ndarray) -> None:
@@ -120,13 +125,11 @@ class Parameter(Tensor):
 
     def accumulate_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Add ``values[i]`` to the gradient of row ``rows[i]``; ``rows`` is
-        sorted and unique. Two row-sparse gradients coalesce into one."""
+        sorted and unique. Two row gradients coalesce into one."""
         if self.grad is None:
             self.grad, self.grad_rows = values, rows
         elif self.grad_rows is None:
-            full = self.grad.copy()
-            full[rows] += values
-            self.grad = full
+            super().accumulate_rows(rows, values)
         else:
             self.grad_rows, self.grad = _row_sums(
                 np.concatenate((self.grad_rows, rows)), np.concatenate((self.grad, values))
@@ -184,14 +187,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward, "matmul")
 
 
-def _row_sparse(t: Tensor) -> bool:
-    return isinstance(t, Parameter) and t.row_sparse
-
-
 def _row_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and, for each, the sum of the ``values``
     rows that carry it. One ``bincount`` adds them in the order they come,
-    as ``np.add.at`` would, so the sums are the same to the bit."""
+    as an unbuffered scatter-add would, so the sums are the same to the bit
+    (``test_row_sums_match_add_at``)."""
     rows, inverse = np.unique(keys, return_inverse=True)
     width = values.shape[1]
     bins = (inverse[:, None] * width + np.arange(width)).ravel()
@@ -200,23 +200,14 @@ def _row_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def sparse_matmul(mat: sp.spmatrix, t: Tensor) -> Tensor:
-    """Constant sparse matrix times tensor; gradient flows to ``t`` only.
-
-    A row-sparse ``t`` receives the rows of ``mat.T @ g`` at the columns
-    ``mat`` stores: each stored entry's product with its row of ``g``,
-    summed per column in storage order, as ``mat.T @ g`` sums them."""
+    """Constant sparse matrix times tensor; gradient flows to ``t`` only."""
     if mat.shape[1] != t.shape[0]:
         raise ShapeError(f"sparse_matmul: inner dims differ, {mat.shape} @ {t.shape}")
     mat = mat.tocsr()
     out_data = mat @ t.data
 
     def backward(g: np.ndarray) -> None:
-        if not t.requires_grad:
-            return
-        if _row_sparse(t):
-            products = mat.data[:, None] * np.repeat(g, np.diff(mat.indptr), axis=0)
-            t.accumulate_rows(*_row_sums(mat.indices, products))
-        else:
+        if t.requires_grad:
             t.accumulate(mat.T @ g)
 
     return _result(out_data, (t,), backward, "sparse_matmul")
@@ -269,7 +260,8 @@ def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
 def gather_rows(t: Tensor, idx) -> Tensor:
     """Row lookup (embedding / reordering); duplicate indices sum gradients.
 
-    A row-sparse ``t`` receives one gradient row per distinct index."""
+    ``t`` receives one gradient row per distinct index, which a
+    ``Parameter`` keeps as a row block and any other tensor scatters."""
     _need_2d("gather_rows", t)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
@@ -279,14 +271,8 @@ def gather_rows(t: Tensor, idx) -> Tensor:
         raise ShapeError(f"gather_rows: index outside the {t.shape[0]} rows")
 
     def backward(g: np.ndarray) -> None:
-        if not t.requires_grad:
-            return
-        if _row_sparse(t):
+        if t.requires_grad:
             t.accumulate_rows(*_row_sums(idx, g))
-        else:
-            full = np.zeros_like(t.data)
-            np.add.at(full, idx, g)
-            t.accumulate(full)
 
     return _result(t.data[idx], (t,), backward, "gather_rows")
 

@@ -89,7 +89,7 @@ def _default_batch():
     records = records[: config.batch_size]
     graph = build_global_graph(records)
     feats = featurize_corpus(records, graph, config)
-    return config, HIENet(config, vocab=graph.num_users + 1), build_batch(feats)
+    return config, HIENet(config, vocab=graph.vocab), build_batch(feats)
 
 
 def test_default_step_records_few_autodiff_nodes():

@@ -53,7 +53,7 @@ def tiny_config(**over):
 
 
 def build_model(ggraph, **over):
-    return HIENet(tiny_config(**over), vocab=ggraph.num_users + 1)
+    return HIENet(tiny_config(**over), vocab=ggraph.vocab)
 
 
 def test_config_validation():
@@ -175,7 +175,8 @@ def test_first_lazy_adam_step_matches_dense_adam(corpus):
 
 def test_table_gradients_hold_only_the_touched_rows(corpus):
     """The table gradients Adam receives have one row per row the batch
-    reads, and the same size at V=1k as at V=100k."""
+    reads, and the same size at V=1k as at V=100k; the sg branch's gathered
+    read gives the same bits as ``social @ table``."""
     ggraph, feats = corpus
     batch = build_batch(feats)
     sizes = []
@@ -183,6 +184,8 @@ def test_table_gradients_hold_only_the_touched_rows(corpus):
         wide = batch.social
         social = sp.csr_matrix((wide.data, wide.indices, wide.indptr), (batch.size, vocab))
         model = HIENet(tiny_config(), vocab=vocab)
+        direct = model.sg_proj(constant(social @ model.sg_embed.table.data)).data
+        assert model.encode_social(social).data.tobytes() == direct.tobytes()
         msle_loss(model.forward(replace(batch, social=social)), batch.true_logs).backward()
         Adam(model.params(), lr=1e-3).step()
         cs, sg = model.cs_embed.table, model.sg_embed.table
@@ -210,7 +213,7 @@ def test_distinct_walk_encoding_matches_every_walk_reference():
     records, _ = generate_synthetic(SyntheticSpec())
     graph = build_global_graph(records)
     feats = featurize_corpus(records, graph, config)
-    model = HIENet(config, vocab=graph.num_users + 1)
+    model = HIENet(config, vocab=graph.vocab)
     cs_params = [p for p in model.params() if p.name.startswith("cs.")]
 
     def token_and_grads(encode, batch):

@@ -173,7 +173,7 @@ def test_path_awareness():
 
 def table_for(graph, dim=2, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.normal(scale=0.1, size=(graph.num_users + 1, dim))
+    return rng.normal(scale=0.1, size=(graph.vocab, dim))
 
 
 def weight_row(cas, g, alpha=0.9, max_pairs=4):

@@ -174,20 +174,22 @@ def test_sibling_gradients_do_not_alias():
     assert np.allclose(x.grad, 2.0 * upstream)
 
 
-# which reads of a (6, 3) table each case makes, and the rows they touch
+# the reads of a (6, 3) table each case makes after one gather, and the rows
+# of its row block (None: a dense read makes the gradient dense)
 TABLE_READS = {
-    "gather": (True, False, False, [0, 1, 4]),
-    "sparse_matmul": (False, True, False, [0, 1, 3, 5]),
-    "both": (True, True, False, [0, 1, 3, 4, 5]),
-    "both_and_dense": (True, True, True, None),
+    "gather": ((), [0, 1, 4]),
+    "gather_twice": (("gather",), [0, 1, 2, 4, 5]),
+    "gather_and_sparse_matmul": (("sparse_matmul",), None),
+    "gather_and_matmul": (("matmul",), None),
 }
 
 
 @pytest.mark.parametrize("reads", TABLE_READS)
-def test_row_sparse_gradient_densifies_to_the_dense_gradient(reads):
-    """Duplicate gathered rows and sparse-matmul columns shared by several
-    rows coalesce into one row each; a dense read makes the gradient dense."""
-    gather, spmm, dense, rows = TABLE_READS[reads]
+def test_row_gradient_densifies_to_the_dense_gradient(reads):
+    """A gathered ``Parameter`` holds one row per distinct index, two
+    gathers' row blocks coalesce into one, and a dense read makes the
+    gradient dense; densified, it is the gradient a plain tensor gets."""
+    more, rows = TABLE_READS[reads]
     rng = np.random.default_rng(4)
     data = rng.normal(size=(6, 3))
     idx = np.array([4, 1, 4, 4, 0])
@@ -202,27 +204,42 @@ def test_row_sparse_gradient_densifies_to_the_dense_gradient(reads):
         )
     )
     weights = T.constant(rng.normal(size=(2, 6)))
+    second = {
+        "gather": lambda t: T.gather_rows(t, np.array([5, 1, 2, 5])),
+        "sparse_matmul": lambda t: T.sparse_matmul(mat, t),
+        "matmul": lambda t: T.matmul(weights, t),
+    }
 
-    def table_after_backward(row_sparse):
-        table = Parameter("table", data.copy(), row_sparse=row_sparse)
-        parts = []
-        if gather:
-            parts.append(T.gather_rows(table, idx))
-        if spmm:
-            parts.append(T.sparse_matmul(mat, table))
-        if dense:
-            parts.append(T.matmul(weights, table))
+    def after_backward(table):
+        parts = [T.gather_rows(table, idx)] + [second[read](table) for read in more]
         T.mean_all(T.square(T.concat(parts, axis=0))).backward()
         return table
 
-    sparse, reference = table_after_backward(True), table_after_backward(False)
-    assert reference.grad_rows is None and reference.grad.shape == data.shape
+    param = after_backward(Parameter("table", data.copy()))
+    reference = after_backward(T.Tensor(data.copy(), requires_grad=True))
+    assert reference.grad.shape == data.shape
     if rows is None:
-        assert sparse.grad_rows is None
+        assert param.grad_rows is None
     else:
-        assert sparse.grad_rows.tolist() == rows
-        assert sparse.grad.shape == (len(rows), 3)
-    assert np.array_equal(sparse.dense_grad(), reference.grad)
+        assert param.grad_rows.tolist() == rows
+        assert param.grad.shape == (len(rows), 3)
+    assert np.array_equal(param.dense_grad(), reference.grad)
+
+
+def test_row_sums_match_add_at():
+    """``_row_sums`` scattered into zeros is ``np.add.at`` to the byte, on
+    unsorted, repeated keys and values of both signs."""
+    rng = np.random.default_rng(7)
+    keys = np.array([5, 0, 5, 2, 9, 0, 5, 2, 7])
+    scales = rng.choice([-1e3, -1.0, 1e-3, 1.0], size=(keys.size, 1))
+    values = rng.normal(size=(keys.size, 4)) * scales
+    want = np.zeros((10, 4))
+    np.add.at(want, keys, values)
+    rows, sums = T._row_sums(keys, values)
+    got = np.zeros((10, 4))
+    got[rows] = sums
+    assert rows.tolist() == sorted(set(keys.tolist()))
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("idx", [[0, -1], [3], [-4]])

@@ -234,7 +234,7 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     records = load_cascades(corpus)[:4]
     ggraph = build_global_graph(records)
     feats = featurize_corpus(records, ggraph, cfg)
-    model = HIENet(replace(cfg, seed=0), vocab=ggraph.num_users + 1)
+    model = HIENet(replace(cfg, seed=0), vocab=ggraph.vocab)
     batch = build_batch(feats)
     params = model.params()
     # the cs embedding row of the first walk step
