@@ -174,22 +174,25 @@ def test_sibling_gradients_do_not_alias():
     assert np.allclose(x.grad, 2.0 * upstream)
 
 
-# the reads of a (6, 3) table each case makes after one gather, and the rows
-# of its row block (None: a dense read makes the gradient dense)
+# the reads of a (6, 3) table each case makes, and the rows of its row block
+# (None: a sparse_matmul or matmul read makes the gradient dense)
 TABLE_READS = {
-    "gather": ((), [0, 1, 4]),
-    "gather_twice": (("gather",), [0, 1, 2, 4, 5]),
-    "gather_and_sparse_matmul": (("sparse_matmul",), None),
-    "gather_and_matmul": (("matmul",), None),
+    "gather": (("gather",), [0, 1, 4]),
+    "sparse_matmul": (("sparse_matmul",), None),
+    "both": (("gather", "sparse_matmul"), None),
+    "both_and_dense": (("gather", "sparse_matmul", "matmul"), None),
+    "gather_twice": (("gather", "gather_again"), [0, 1, 2, 4, 5]),
+    "gather_and_matmul": (("gather", "matmul"), None),
 }
 
 
 @pytest.mark.parametrize("reads", TABLE_READS)
-def test_row_gradient_densifies_to_the_dense_gradient(reads):
+def test_row_sparse_gradient_densifies_to_the_dense_gradient(reads):
     """A gathered ``Parameter`` holds one row per distinct index, two
-    gathers' row blocks coalesce into one, and a dense read makes the
-    gradient dense; densified, it is the gradient a plain tensor gets."""
-    more, rows = TABLE_READS[reads]
+    gathers' row blocks coalesce into one, and a sparse_matmul or matmul
+    read makes the gradient dense; densified, it is the gradient a plain
+    tensor gets."""
+    table_reads, rows = TABLE_READS[reads]
     rng = np.random.default_rng(4)
     data = rng.normal(size=(6, 3))
     idx = np.array([4, 1, 4, 4, 0])
@@ -204,14 +207,15 @@ def test_row_gradient_densifies_to_the_dense_gradient(reads):
         )
     )
     weights = T.constant(rng.normal(size=(2, 6)))
-    second = {
-        "gather": lambda t: T.gather_rows(t, np.array([5, 1, 2, 5])),
+    read = {
+        "gather": lambda t: T.gather_rows(t, idx),
+        "gather_again": lambda t: T.gather_rows(t, np.array([5, 1, 2, 5])),
         "sparse_matmul": lambda t: T.sparse_matmul(mat, t),
         "matmul": lambda t: T.matmul(weights, t),
     }
 
     def after_backward(table):
-        parts = [T.gather_rows(table, idx)] + [second[read](table) for read in more]
+        parts = [read[name](table) for name in table_reads]
         T.mean_all(T.square(T.concat(parts, axis=0))).backward()
         return table
 
