@@ -1,6 +1,6 @@
 """Per-cascade feature extraction and minibatch assembly.
 
-``featurize`` turns one cascade into plain numpy and scipy payloads (the
+``featurize`` turns one cascade into plain numpy payloads (the
 embedding rows of its distinct walks' real steps, each distinct walk's step
 count and the distinct walk each sampled walk reads, social weight vector,
 and its kept snapshots as one block-diagonal sparse propagation matrix with
@@ -11,7 +11,7 @@ since none of them depend on model weights.
 - the real steps of all cascades' distinct walks concatenated cascade-major
   into one 1-D index array, with the step counts that split it into walks
   and the (B*K,) distinct-walk position of every sampled walk,
-- social weight rows vstacked into a (B, vocab) sparse matrix,
+- social weight rows stacked into a (B, vocab) sparse matrix,
 - the B propagation matrices stacked block-diagonally by concatenating
   their CSR arrays with offsets, with a (B, total_nodes) pooling matrix
   whose row b holds 1/(m_b * n_j) at snapshot j's nodes, composing the
@@ -28,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cascade import CascadeGraph, CascadeRecord, GlobalSocialGraph, build_cascade_graph, compute_label
 from .config import TrainConfig
 from .errors import ConfigError
+from .nn.tensor import CSR
 from .snapshots import build_snapshots, snapshot_feature_matrix
 from .social import social_weight_vector
 from .walks import sample_walks, walk_seed
@@ -45,9 +45,9 @@ class CascadeFeatures:
     walk_idx: np.ndarray  # (walk_lengths.sum(),) embedding rows of the real steps, walk after walk
     walk_lengths: np.ndarray  # (distinct walks,) real steps per distinct walk
     walk_of: np.ndarray  # (K,) distinct walk of each sampled walk, in sampled order
-    social_row: sp.csr_matrix  # (1, vocab) convex weights over user rows
+    social_row: CSR  # (1, vocab) convex weights over user rows
     # kept snapshots: block-diagonal D^-1/2 (A+A^T+I) D^-1/2, time bins, pool weights 1/(m * n_j)
-    propagation: sp.csr_matrix  # (nodes, nodes)
+    propagation: CSR  # (nodes, nodes)
     node_bins: np.ndarray  # (nodes,)
     pool_weights: np.ndarray  # (nodes,)
     label: int
@@ -60,10 +60,10 @@ class FeatureBatch:
     walk_idx: np.ndarray  # (walk_lengths.sum(),)
     walk_lengths: np.ndarray  # (distinct walks of all B cascades,)
     walk_of: np.ndarray  # (B*K,) indexes walk_lengths
-    social: sp.csr_matrix  # (B, vocab)
-    p_block: sp.csr_matrix  # (total_nodes, total_nodes)
+    social: CSR  # (B, vocab)
+    p_block: CSR  # (total_nodes, total_nodes)
     node_bins: np.ndarray  # (total_nodes,) time bin of each snapshot node
-    pool: sp.csr_matrix  # (B, total_nodes)
+    pool: CSR  # (B, total_nodes)
     true_logs: np.ndarray  # (B, 1)
 
 
@@ -123,20 +123,32 @@ def build_batch(feats: list[CascadeFeatures]) -> FeatureBatch:
         raise ConfigError("build_batch: empty feature list")
     props = [f.propagation for f in feats]
     nodes = np.array([p.shape[0] for p in props])
-    entries = np.array([p.nnz for p in props])
+    entries = np.array([p.data.size for p in props])
     node_ends = np.cumsum(nodes)
     total = int(node_ends[-1])
     # cascade b's rows, columns and entries start after those of cascades < b
     indptr = np.concatenate([[0]] + [p.indptr[1:] for p in props])
     indptr[1:] += np.repeat(np.cumsum(entries) - entries, nodes)
     indices = np.concatenate([p.indices for p in props]) + np.repeat(node_ends - nodes, entries)
-    p_block = sp.csr_matrix(
-        (np.concatenate([p.data for p in props]), indices, indptr), shape=(total, total)
+    p_block = CSR(
+        indptr.astype(np.int32),
+        indices.astype(np.int32),
+        np.concatenate([p.data for p in props]),
+        (total, total),
     )
-    pool_weights = np.concatenate([f.pool_weights for f in feats])
-    pool = sp.csr_matrix(
-        (pool_weights, np.arange(total), np.concatenate([[0], node_ends])),
-        shape=(len(feats), total),
+    pool = CSR(
+        np.concatenate([[0], node_ends]).astype(np.int32),
+        np.arange(total, dtype=np.int32),
+        np.concatenate([f.pool_weights for f in feats]),
+        (len(feats), total),
+    )
+    # one (1, vocab) social row per cascade
+    social_rows = [f.social_row for f in feats]
+    social = CSR(
+        np.concatenate([[0], np.cumsum([r.data.size for r in social_rows])]).astype(np.int32),
+        np.concatenate([r.indices for r in social_rows]),
+        np.concatenate([r.data for r in social_rows]),
+        (len(feats), social_rows[0].shape[1]),
     )
     # cascade b's distinct walks follow those of cascades < b
     distinct = np.array([f.walk_lengths.size for f in feats])
@@ -147,7 +159,7 @@ def build_batch(feats: list[CascadeFeatures]) -> FeatureBatch:
         walk_idx=np.concatenate([f.walk_idx for f in feats]),
         walk_lengths=np.concatenate([f.walk_lengths for f in feats]),
         walk_of=walk_of,
-        social=sp.vstack([f.social_row for f in feats], format="csr"),
+        social=social,
         p_block=p_block,
         node_bins=np.concatenate([f.node_bins for f in feats]),
         pool=pool,

@@ -40,13 +40,13 @@ tokens among themselves, as one (B, heads, 4, 4) array.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import TrainConfig
 from .errors import ConfigError, ShapeError
 from .features import FeatureBatch
 from .nn.layers import LSTM, MLP, Embedding, Linear, Module, TransformerEncoderLayer
 from .nn.tensor import (
+    CSR,
     Parameter,
     Tensor,
     add,
@@ -62,12 +62,13 @@ from .nn.tensor import (
 from .snapshots import encoding_table
 
 
-def weighted_rows(weights: sp.csr_matrix, table: Tensor) -> Tensor:
+def weighted_rows(weights: CSR, table: Tensor) -> Tensor:
     """``weights @ table`` as a gather of the rows the stored weights reach,
     summed per row of ``weights`` by ``sparse_matmul``: the same products in
     the same order, and ``table`` gets a row gradient."""
-    per_entry = sp.csr_matrix(
-        (weights.data, np.arange(weights.nnz), weights.indptr), (weights.shape[0], weights.nnz)
+    nnz = weights.data.size
+    per_entry = CSR(
+        weights.indptr, np.arange(nnz, dtype=np.int32), weights.data, (weights.shape[0], nnz)
     )
     return sparse_matmul(per_entry, gather_rows(table, weights.indices))
 
@@ -143,7 +144,7 @@ class HIENet(Module):
         )
         return self.cs_proj(merged)
 
-    def encode_social(self, social: sp.csr_matrix) -> Tensor:
+    def encode_social(self, social: CSR) -> Tensor:
         """(B, vocab) sparse convex weight rows -> (B, d_model) social tokens."""
         return self.sg_proj(weighted_rows(social, self.sg_embed.table))
 

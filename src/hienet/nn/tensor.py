@@ -14,6 +14,10 @@ layers are one op each (``lstm_sequence``, ``attention``) with hand-written
 backward rules, so a model step records a few dozen nodes rather than one
 per gate and step.
 
+Sparse operands are constant ``CSR`` tuples of plain numpy arrays.
+``sparse_matmul`` and ``gather_rows``' backward sum their rows with one
+``bincount`` rule (``_sum_by``).
+
 Gradients are dense arrays of the tensor's shape, with one exception: a
 ``Parameter`` read by ``gather_rows``, the one op with row gradients,
 receives only the rows a step touched, as a ``(rows, d)`` block in
@@ -25,10 +29,9 @@ gives any tensor's gradient in full.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ShapeError, TrainingError
 
@@ -187,28 +190,49 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), backward, "matmul")
 
 
+def _sum_by(keys: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, d) sums: row k adds up the ``values`` rows whose key is k. One
+    ``bincount`` adds them into zeros in the order they come, as an
+    unbuffered scatter-add does (``test_row_sums_match_add_at``)."""
+    width = values.shape[1]
+    bins = (keys.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(bins, weights=values.ravel(), minlength=n * width).reshape(n, width)
+
+
 def _row_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct ``keys`` and, for each, the sum of the ``values``
-    rows that carry it. One ``bincount`` adds them in the order they come,
-    as an unbuffered scatter-add would, so the sums are the same to the bit
-    (``test_row_sums_match_add_at``)."""
+    rows that carry it."""
     rows, inverse = np.unique(keys, return_inverse=True)
-    width = values.shape[1]
-    bins = (inverse[:, None] * width + np.arange(width)).ravel()
-    sums = np.bincount(bins, weights=values.ravel(), minlength=rows.size * width)
-    return rows, sums.reshape(rows.size, width)
+    return rows, _sum_by(inverse, values, rows.size)
 
 
-def sparse_matmul(mat: sp.spmatrix, t: Tensor) -> Tensor:
-    """Constant sparse matrix times tensor; gradient flows to ``t`` only."""
+class CSR(NamedTuple):
+    """A constant sparse matrix, row by row: row i holds ``data[k]`` at
+    column ``indices[k]`` for k in ``indptr[i]:indptr[i + 1]``. Both index
+    arrays are int32."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
+def sparse_matmul(mat: CSR, t: Tensor) -> Tensor:
+    """Constant sparse matrix times tensor; gradient flows to ``t`` only.
+
+    ``mat @ t`` and, backward, ``mat.T @ g`` each add every entry's product
+    into its output row in storage order, as the compressed-row and
+    compressed-column products of sparse libraries do, so the sums are
+    theirs to the bit (``test_tensor``'s ``sparse_matmul`` case)."""
+    _need_2d("sparse_matmul", t)
     if mat.shape[1] != t.shape[0]:
         raise ShapeError(f"sparse_matmul: inner dims differ, {mat.shape} @ {t.shape}")
-    mat = mat.tocsr()
-    out_data = mat @ t.data
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    out_data = _sum_by(rows, mat.data[:, None] * t.data[mat.indices], mat.shape[0])
 
     def backward(g: np.ndarray) -> None:
         if t.requires_grad:
-            t.accumulate(mat.T @ g)
+            t.accumulate(_sum_by(mat.indices, mat.data[:, None] * g[rows], mat.shape[1]))
 
     return _result(out_data, (t,), backward, "sparse_matmul")
 
@@ -378,13 +402,14 @@ def lstm_sequence(
     pos = sorted_len[seq_of] - 1 - step_of if reverse else step_of
     src = (np.cumsum(lengths) - lengths)[order[seq_of]] + pos  # the x row of each step
     x_packed = x.data[src]
-    z_in = x_packed @ wx.data + b.data
+    # every step's input projection; each step turns its rows into the gates
+    gates = x_packed @ wx.data
+    gates += b.data
 
     # gates = tanh(z * half) * half + shift: sigmoid on i, f, o and tanh on g
     half = np.full(4 * hid, 0.5)
     half[2 * hid : 3 * hid] = 1.0
     shift = 1.0 - half
-    gates = np.empty_like(z_in)
     h_prev = np.empty((src.size, hid))
     c_prev = np.empty((src.size, hid))
     tanh_c = np.empty((src.size, hid))
@@ -394,12 +419,17 @@ def lstm_sequence(
         n, rows = counts[t], slice(bounds[t], bounds[t + 1])
         h_prev[rows] = h[:n]
         c_prev[rows] = c[:n]
-        z = z_in[rows] if t == 0 else z_in[rows] + h[:n] @ wh.data
-        a = np.tanh(z * half) * half + shift
-        gates[rows] = a
-        c[:n] = a[:, hid : 2 * hid] * c[:n] + a[:, :hid] * a[:, 2 * hid : 3 * hid]
-        tanh_c[rows] = np.tanh(c[:n])
-        h[:n] = a[:, 3 * hid :] * tanh_c[rows]
+        a = gates[rows]
+        if t > 0:
+            a += h[:n] @ wh.data
+        a *= half
+        np.tanh(a, out=a)
+        a *= half
+        a += shift
+        c[:n] *= a[:, hid : 2 * hid]
+        c[:n] += a[:, :hid] * a[:, 2 * hid : 3 * hid]
+        np.tanh(c[:n], out=tanh_c[rows])
+        np.multiply(a[:, 3 * hid :], tanh_c[rows], out=h[:n])
     out_data = np.empty_like(h)
     out_data[order] = h
 

@@ -21,9 +21,9 @@ frequencies. The root sits in bin 0 by construction.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cascade import CascadeGraph
+from .nn.tensor import CSR
 
 
 def encoding_table(dim: int, bins: int) -> np.ndarray:
@@ -80,7 +80,7 @@ def snapshot_feature_matrix(cascade: CascadeGraph, bins: int) -> tuple[np.ndarra
 
 def build_snapshots(
     rows: np.ndarray, cols: np.ndarray, node_bins: np.ndarray, m_max: int
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+) -> tuple[CSR, np.ndarray, np.ndarray]:
     """The capped snapshot sequence as (propagation, bins, pool weights).
 
     Every non-root node's one incoming edge comes from an earlier node, so
@@ -100,7 +100,7 @@ def build_snapshots(
     r, c = starts[snap] + rows[entry], starts[snap] + cols[entry]
     degree = np.bincount(r, minlength=total)
     inv_sqrt = 1.0 / np.sqrt(degree)
-    indptr = np.concatenate([[0], np.cumsum(degree)])
-    propagation = sp.csr_matrix((inv_sqrt[r] * inv_sqrt[c], c, indptr), shape=(total, total))
+    indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
+    propagation = CSR(indptr, c.astype(np.int32), inv_sqrt[r] * inv_sqrt[c], (total, total))
     bins = node_bins[np.arange(total) - np.repeat(starts, sizes)]
     return propagation, bins, np.repeat(1.0 / (sizes.size * sizes), sizes)

@@ -25,9 +25,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cascade import CascadeGraph, GlobalSocialGraph
+from .nn.tensor import CSR
 
 
 @dataclass
@@ -100,7 +100,7 @@ def social_weight_vector(
     global_graph: GlobalSocialGraph,
     alpha: float,
     max_pairs: int,
-) -> sp.csr_matrix:
+) -> CSR:
     """Vocabulary-weight form of the cascade's social feature.
 
     ``rows[i]`` is node i's embedding row. A (1, vocab) sparse row, one
@@ -125,5 +125,9 @@ def social_weight_vector(
             row = node + 1
             weights[row] = weights.get(row, 0.0) + 0.5 * (coeffs[i] + coeffs[path.n - i]) * pair_share
     cols = sorted(weights)
-    shape = (1, global_graph.vocab)
-    return sp.csr_matrix(([weights[c] for c in cols], cols, [0, len(cols)]), shape=shape)
+    return CSR(
+        np.array([0, len(cols)], dtype=np.int32),
+        np.array(cols, dtype=np.int32),
+        np.array([weights[c] for c in cols]),
+        (1, global_graph.vocab),
+    )

@@ -16,6 +16,11 @@ dense form of the snapshot propagation that
 that sparse output back into dense per-snapshot blocks; the snapshot, model
 and GCN tests compare against these.
 
+``csr`` stores a dense matrix's nonzeros as a ``CSR`` and ``dense``
+turns a ``CSR`` back into a dense array. ``scipy_csr`` is the same matrix as
+scipy stores it, whose products ``nn.tensor.sparse_matmul`` reproduces bit
+for bit.
+
 ``dense_adam_update`` is Adam on a whole parameter from its densified
 gradient, every row's moments decaying: the update ``nn.optim.Adam`` made
 to every parameter before it updated the embedding tables lazily. From
@@ -35,11 +40,12 @@ from the same stream and must give the same walks.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from hienet.cascade import CascadeGraph
 from hienet.errors import ShapeError
 from hienet.nn.optim import BETA1, BETA2, EPS
-from hienet.nn.tensor import Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
+from hienet.nn.tensor import CSR, Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
 from hienet.social import CorrelationPath, path_coefficients
 
 
@@ -176,14 +182,33 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
-def snapshot_blocks(propagation, bins: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+def csr(a: np.ndarray) -> CSR:
+    """The nonzeros of the 2-D array ``a``, row by row."""
+    rows, cols = np.nonzero(a)
+    indptr = np.searchsorted(rows, np.arange(a.shape[0] + 1)).astype(np.int32)
+    return CSR(indptr, cols.astype(np.int32), a[rows, cols], a.shape)
+
+
+def dense(mat: CSR) -> np.ndarray:
+    """``mat`` as a dense array."""
+    out = np.zeros(mat.shape)
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    np.add.at(out, (rows, mat.indices), mat.data)
+    return out
+
+
+def scipy_csr(mat: CSR) -> sp.csr_matrix:
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
+def snapshot_blocks(propagation: CSR, bins: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     """Block-diagonal propagation over snapshots of ``sizes`` nodes -> dense
     (block, bins) per snapshot."""
-    dense = propagation.toarray()
+    full = dense(propagation)
     out = []
     offset = 0
     for n in sizes:
-        out.append((dense[offset : offset + n, offset : offset + n], bins[offset : offset + n]))
+        out.append((full[offset : offset + n, offset : offset + n], bins[offset : offset + n]))
         offset += n
     return out
 

@@ -27,7 +27,7 @@ from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import evaluate, train
 from hienet.walks import sample_walks, start_distribution, transition_distribution
 
-from reference_ops import hand_graph, path_aware_representation, snapshot_blocks
+from reference_ops import dense, hand_graph, path_aware_representation, snapshot_blocks
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -212,7 +212,7 @@ def test_criterion_5_structural_invariants():
     # two connected nodes normalize to an even propagation split
     pair = build_cascade_graph(parse_cascade_line("m\tr\t0\t3\tr:0 r/x:10"), window=1000)
     gcn, _, _ = build_snapshots(*snapshot_feature_matrix(pair, 16), m_max=1)
-    gcn_err = float(np.abs(gcn.toarray() - 0.5).max())
+    gcn_err = float(np.abs(dense(gcn) - 0.5).max())
 
     # fusion output must not depend on modality-token order
     config = TrainConfig(seed=5, embed_dim=4, lstm_hidden=3, pe_dim=4, time_bins=8,

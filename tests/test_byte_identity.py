@@ -13,12 +13,12 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 import hienet.social as social
 from hienet.cascade import build_cascade_graph, build_global_graph
 from hienet.config import TrainConfig
 from hienet.features import featurize_corpus
+from hienet.nn.tensor import CSR
 from hienet.social import bfs_distances, diffusion_pairs
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import evaluate, predict, train
@@ -47,7 +47,7 @@ PINNED = {
 
 
 def _feed(h, value) -> None:
-    if sp.issparse(value):
+    if isinstance(value, CSR):
         for part in (value.shape, value.data, value.indices, value.indptr):
             _feed(h, part)
     elif isinstance(value, np.ndarray):

@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import hienet
 from hienet.cascade import CascadeEvent, load_cascades, load_manifest
 from hienet.cli import main
 from hienet.synth import write_corpus
@@ -167,6 +172,18 @@ def test_ablate_writes_table(workspace, capsys):
     table = (workspace / "abl" / "ablation.md").read_text().strip().splitlines()
     names = [row.split("|")[1].strip() for row in table[2:]]
     assert names == ["full", "no_cs", "no_sg", "no_cg", "concat_fusion"]
+
+
+def test_import_loads_no_scipy():
+    """The program runs on numpy alone: importing the command line in a
+    fresh interpreter loads no scipy module."""
+    env = {**os.environ, "PYTHONPATH": str(Path(hienet.__file__).parents[1])}
+    script = "import sys, hienet.cli; print(*sys.modules)"
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "hienet.cli" in loaded
+    assert [m for m in loaded if m == "scipy" or m.startswith("scipy.")] == []
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

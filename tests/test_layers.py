@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import hienet.nn.tensor as T
 from hienet.errors import ConfigError, DataError, ShapeError
@@ -178,8 +177,8 @@ def gcn_model(width, seed=0, identity=False):
 
 def node_states(model, a, h):
     """The model's two-layer GCN over adjacency ``a``, one output row per node."""
-    p = sp.csr_matrix(R.normalize_adjacency(a))
-    return model._cg_from_blocks(p, h, sp.identity(a.shape[0], format="csr"))
+    p = R.csr(R.normalize_adjacency(a))
+    return model._cg_from_blocks(p, h, R.csr(np.eye(a.shape[0])))
 
 
 def test_gcn_two_node_hand_value():

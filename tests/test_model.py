@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.config import TrainConfig
@@ -16,7 +16,7 @@ from hienet.nn.tensor import Parameter, constant, mean_all, square
 from hienet.snapshots import snapshot_indices
 from hienet.synth import SyntheticSpec, generate_synthetic
 
-from reference_ops import dense_adam_update, encode_every_walk, snapshot_blocks
+from reference_ops import csr, dense_adam_update, encode_every_walk, scipy_csr, snapshot_blocks
 
 LINES = [
     "a\tr1\t0\t9\tr1:0 r1/x1:50 r1/x2:300 r1/x2/x3:700",
@@ -181,10 +181,9 @@ def test_table_gradients_hold_only_the_touched_rows(corpus):
     batch = build_batch(feats)
     sizes = []
     for vocab in (1_000, 100_000):
-        wide = batch.social
-        social = sp.csr_matrix((wide.data, wide.indices, wide.indptr), (batch.size, vocab))
+        social = batch.social._replace(shape=(batch.size, vocab))
         model = HIENet(tiny_config(), vocab=vocab)
-        direct = model.sg_proj(constant(social @ model.sg_embed.table.data)).data
+        direct = model.sg_proj(constant(scipy_csr(social) @ model.sg_embed.table.data)).data
         assert model.encode_social(social).data.tobytes() == direct.tobytes()
         msle_loss(model.forward(replace(batch, social=social)), batch.true_logs).backward()
         Adam(model.params(), lr=1e-3).step()
@@ -252,7 +251,7 @@ def graph_token(model, feat, snaps):
     sizes = [bins.size for _, bins in snaps]
     replaced = replace(
         feat,
-        propagation=sp.block_diag([block for block, _ in snaps], format="csr"),
+        propagation=csr(block_diag(*[block for block, _ in snaps])),
         node_bins=np.concatenate([bins for _, bins in snaps]),
         pool_weights=np.repeat([1.0 / (len(snaps) * n) for n in sizes], sizes),
     )

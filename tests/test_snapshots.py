@@ -242,14 +242,14 @@ def test_batch_propagation_stores_no_zeros():
     feats = featurize_corpus(records, graph, config)
     batch = build_batch(feats)
     p = batch.p_block
-    assert p.nnz == np.count_nonzero(p.data)
+    assert p.data.size == np.count_nonzero(p.data)
     # each snapshot of i nodes is a tree prefix: 3i - 2 nonzeros
     sizes = [
         i
         for rec in records
         for i in snapshot_indices(build_cascade_graph(rec, config.window).num_nodes, config.m_max)
     ]
-    assert p.nnz == sum(3 * n - 2 for n in sizes)
+    assert p.data.size == sum(3 * n - 2 for n in sizes)
 
 
 def star_cascade(n_nodes):
@@ -266,6 +266,6 @@ def test_star_snapshot_features_stay_sparse():
         *snapshot_feature_matrix(cascade, config.time_bins), config.m_max
     )
     sizes = snapshot_indices(cascade.num_nodes, config.m_max)
-    assert propagation.nnz == sum(3 * i - 2 for i in sizes)
+    assert propagation.data.size == sum(3 * i - 2 for i in sizes)
     stored = propagation.data.nbytes + propagation.indices.nbytes + propagation.indptr.nbytes
     assert stored + bins.nbytes + pool.nbytes < 1_000_000

@@ -11,7 +11,7 @@ from hienet.social import (
     social_weight_vector,
 )
 
-from reference_ops import hand_graph, path_aware_representation
+from reference_ops import dense, hand_graph, path_aware_representation
 
 
 def social_graph(users, undirected_edges):
@@ -184,7 +184,7 @@ def weight_row(cas, g, alpha=0.9, max_pairs=4):
 
 def pooled_feature(cas, g, table, alpha=0.9, max_pairs=4):
     """The social token before projection: the weight vector applied to the table."""
-    return (weight_row(cas, g, alpha=alpha, max_pairs=max_pairs) @ table)[0]
+    return (dense(weight_row(cas, g, alpha=alpha, max_pairs=max_pairs)) @ table)[0]
 
 
 def test_root_only_cascade_feature():
@@ -229,7 +229,7 @@ def test_weight_vector_sums_to_one():
     users = [f"u{i}" for i in range(5)]
     g = social_graph(users, [(users[i], users[i + 1]) for i in range(4)])
     cas = hand_graph([(users[0], users[2]), (users[2], users[4])], "u0")
-    weights = weight_row(cas, g, alpha=0.9, max_pairs=8).toarray()
+    weights = dense(weight_row(cas, g, alpha=0.9, max_pairs=8))
     assert weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert (weights >= 0).all()
 
@@ -245,10 +245,10 @@ def test_unknown_endpoint_gets_no_weight(monkeypatch):
         return shortest_correlation_path(graph, u, v)
 
     monkeypatch.setattr(social, "shortest_correlation_path", counted_path)
-    mixed = weight_row(hand_graph([("u", "v"), ("u", "z"), ("z", "v")], "u"), g, max_pairs=8)
+    mixed = dense(weight_row(hand_graph([("u", "v"), ("u", "z"), ("z", "v")], "u"), g, max_pairs=8))
     assert searched == [(g.index["u"], g.index["v"])]
     assert mixed[0, 0] == 0.0
-    assert mixed.toarray() == pytest.approx(weight_row(hand_graph([("u", "v")], "u"), g).toarray())
+    assert mixed == pytest.approx(dense(weight_row(hand_graph([("u", "v")], "u"), g)))
     # with every pair skipped, all weight falls on the root's row
-    only_unknown = weight_row(hand_graph([("u", "z")], "u"), g).toarray()
+    only_unknown = dense(weight_row(hand_graph([("u", "z")], "u"), g))
     assert only_unknown[0, g.embedding_index("u")] == 1.0 and only_unknown.sum() == 1.0

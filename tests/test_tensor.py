@@ -1,11 +1,16 @@
+from functools import cache
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import hienet.nn.tensor as T
+from hienet.cascade import build_global_graph
+from hienet.config import TrainConfig
 from hienet.errors import ShapeError, TrainingError
+from hienet.features import build_batch, featurize_corpus
 from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.tensor import Parameter
+from hienet.synth import SyntheticSpec, generate_synthetic
 
 import reference_ops as R
 
@@ -23,9 +28,34 @@ def case_matmul(rng):
     return lambda: T.mean_all(T.square(T.matmul(a, b))), [a, b]
 
 
+@cache
+def _default_batch():
+    config = TrainConfig()
+    records, _ = generate_synthetic(SyntheticSpec())
+    feats = featurize_corpus(records[: config.batch_size], build_global_graph(records), config)
+    return build_batch(feats)
+
+
+def _assert_products_are_scipys(mat, width, rng):
+    """``mat @ x`` and, backward, ``mat.T @ g`` equal scipy's to the bit."""
+    x = T.Tensor(rng.normal(size=(mat.shape[1], width)), requires_grad=True)
+    out = T.sparse_matmul(mat, x)
+    g = rng.normal(size=out.shape)
+    out._backward(g)
+    assert np.array_equal(out.data, R.scipy_csr(mat) @ x.data)
+    assert np.array_equal(x.grad, R.scipy_csr(mat).T @ g)
+
+
 def case_sparse_matmul(rng):
-    mat = sp.csr_matrix(rng.normal(size=(4, 3)) * (rng.random((4, 3)) < 0.6))
+    """Its products are also checked against scipy's, on this matrix with an
+    empty row and on a default batch's propagation, pool and social rows."""
+    dense = rng.normal(size=(4, 3)) * (rng.random((4, 3)) < 0.6)
+    dense[1] = 0.0
+    mat = R.csr(dense)
     (t,) = _leaves(rng, (3, 2))
+    batch = _default_batch()
+    for m in (mat, batch.p_block, batch.pool, batch.social):
+        _assert_products_are_scipys(m, TrainConfig().gcn_hidden, rng)
     return lambda: T.mean_all(T.square(T.sparse_matmul(mat, t))), [t]
 
 
@@ -197,7 +227,7 @@ def test_row_sparse_gradient_densifies_to_the_dense_gradient(reads):
     data = rng.normal(size=(6, 3))
     idx = np.array([4, 1, 4, 4, 0])
     # columns 3 and 5 are each read by two rows; columns 0 and 1 are gathered too
-    mat = sp.csr_matrix(
+    mat = R.csr(
         np.array(
             [
                 [0.0, 0.5, 0.0, 0.0, 0.0, 2.0],
