@@ -227,10 +227,8 @@ def serialize_cascade_line(record: CascadeRecord) -> str:
     chains = {record.root_user: record.root_user}
     paths = [f"{record.root_user}:0"]
     for event in record.events[1:]:
-        parent_chain = chains.get(event.source)
-        if parent_chain is None:
-            # inconsistent record (source never adopted); fall back to a direct chain
-            parent_chain = record.root_user
+        # a source that never adopted (an inconsistent record) goes below the root
+        parent_chain = chains.get(event.source, f"{record.root_user}/{event.source}")
         chain = f"{parent_chain}/{event.retweeter}"
         chains[event.retweeter] = chain
         paths.append(f"{chain}:{event.elapsed}")

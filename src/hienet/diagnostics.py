@@ -18,7 +18,7 @@ from .model import HIENet, msle_loss, weighted_rows
 from .nn.gradcheck import max_relative_error
 from .nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer
 from .nn import tensor as T
-from .nn.tensor import CSR, Tensor, concat, gather_rows, mean_all, square
+from .nn.tensor import COO, Tensor, concat, gather_rows, mean_all, square
 from .synth import SyntheticSpec, generate_synthetic
 
 PASS_THRESHOLD = 1e-4
@@ -43,8 +43,8 @@ def _check_primitives(rng) -> float:
     b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
     bias = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
     # [[1, 0, 2], [0, 3, 0], [0.5, 0, 0]]
-    spmat = CSR(
-        np.array([0, 2, 3, 4], dtype=np.int32),
+    spmat = COO(
+        np.array([0, 0, 1, 2], dtype=np.int32),
         np.array([0, 2, 1, 0], dtype=np.int32),
         np.array([1.0, 2.0, 3.0, 0.5]),
         (3, 3),
@@ -72,8 +72,8 @@ def _check_embedding(rng) -> float:
     idx = np.array([0, 3, 3, 6, 1])  # duplicate row exercises grad accumulation
     # row 3 is also gathered; row 5 is read by both weight rows
     # [[0, 0, 0, 0.7, 0, 0.3, 0], [0, 0, 0.5, 0, 0, 0.5, 0]]
-    weights = CSR(
-        np.array([0, 2, 4], dtype=np.int32),
+    weights = COO(
+        np.array([0, 0, 1, 1], dtype=np.int32),
         np.array([3, 5, 2, 5], dtype=np.int32),
         np.array([0.7, 0.3, 0.5, 0.5]),
         (2, 7),

@@ -13,7 +13,7 @@ since none of them depend on model weights.
   and the (B*K,) distinct-walk position of every sampled walk,
 - social weight rows stacked into a (B, vocab) sparse matrix,
 - the B propagation matrices stacked block-diagonally by concatenating
-  their CSR arrays with offsets, with a (B, total_nodes) pooling matrix
+  their entries with node offsets, with a (B, total_nodes) pooling matrix
   whose row b holds 1/(m_b * n_j) at snapshot j's nodes, composing the
   node-mean and snapshot-mean in a single matmul, and the time bin of each
   of those nodes (``node_bins``), whose feature row the model looks up.
@@ -32,7 +32,7 @@ import numpy as np
 from .cascade import CascadeGraph, CascadeRecord, GlobalSocialGraph, build_cascade_graph, compute_label
 from .config import TrainConfig
 from .errors import ConfigError
-from .nn.tensor import CSR
+from .nn.tensor import COO
 from .snapshots import build_snapshots, snapshot_feature_matrix
 from .social import social_weight_vector
 from .walks import sample_walks, walk_seed
@@ -45,9 +45,9 @@ class CascadeFeatures:
     walk_idx: np.ndarray  # (walk_lengths.sum(),) embedding rows of the real steps, walk after walk
     walk_lengths: np.ndarray  # (distinct walks,) real steps per distinct walk
     walk_of: np.ndarray  # (K,) distinct walk of each sampled walk, in sampled order
-    social_row: CSR  # (1, vocab) convex weights over user rows
+    social_row: COO  # (1, vocab) convex weights over user rows
     # kept snapshots: block-diagonal D^-1/2 (A+A^T+I) D^-1/2, time bins, pool weights 1/(m * n_j)
-    propagation: CSR  # (nodes, nodes)
+    propagation: COO  # (nodes, nodes)
     node_bins: np.ndarray  # (nodes,)
     pool_weights: np.ndarray  # (nodes,)
     label: int
@@ -60,10 +60,10 @@ class FeatureBatch:
     walk_idx: np.ndarray  # (walk_lengths.sum(),)
     walk_lengths: np.ndarray  # (distinct walks of all B cascades,)
     walk_of: np.ndarray  # (B*K,) indexes walk_lengths
-    social: CSR  # (B, vocab)
-    p_block: CSR  # (total_nodes, total_nodes)
+    social: COO  # (B, vocab)
+    p_block: COO  # (total_nodes, total_nodes)
     node_bins: np.ndarray  # (total_nodes,) time bin of each snapshot node
-    pool: CSR  # (B, total_nodes)
+    pool: COO  # (B, total_nodes)
     true_logs: np.ndarray  # (B, 1)
 
 
@@ -123,30 +123,27 @@ def build_batch(feats: list[CascadeFeatures]) -> FeatureBatch:
         raise ConfigError("build_batch: empty feature list")
     props = [f.propagation for f in feats]
     nodes = np.array([p.shape[0] for p in props])
-    entries = np.array([p.data.size for p in props])
-    node_ends = np.cumsum(nodes)
-    total = int(node_ends[-1])
-    # cascade b's rows, columns and entries start after those of cascades < b
-    indptr = np.concatenate([[0]] + [p.indptr[1:] for p in props])
-    indptr[1:] += np.repeat(np.cumsum(entries) - entries, nodes)
-    indices = np.concatenate([p.indices for p in props]) + np.repeat(node_ends - nodes, entries)
-    p_block = CSR(
-        indptr.astype(np.int32),
-        indices.astype(np.int32),
+    total = int(nodes.sum())
+    # cascade b's rows and columns start after the nodes of cascades < b
+    offsets = np.repeat(np.cumsum(nodes) - nodes, [p.data.size for p in props])
+    p_block = COO(
+        (np.concatenate([p.rows for p in props]) + offsets).astype(np.int32),
+        (np.concatenate([p.cols for p in props]) + offsets).astype(np.int32),
         np.concatenate([p.data for p in props]),
         (total, total),
     )
-    pool = CSR(
-        np.concatenate([[0], node_ends]).astype(np.int32),
+    cascades = np.arange(len(feats), dtype=np.int32)
+    pool = COO(
+        np.repeat(cascades, nodes),
         np.arange(total, dtype=np.int32),
         np.concatenate([f.pool_weights for f in feats]),
         (len(feats), total),
     )
     # one (1, vocab) social row per cascade
     social_rows = [f.social_row for f in feats]
-    social = CSR(
-        np.concatenate([[0], np.cumsum([r.data.size for r in social_rows])]).astype(np.int32),
-        np.concatenate([r.indices for r in social_rows]),
+    social = COO(
+        np.repeat(cascades, [r.data.size for r in social_rows]),
+        np.concatenate([r.cols for r in social_rows]),
         np.concatenate([r.data for r in social_rows]),
         (len(feats), social_rows[0].shape[1]),
     )

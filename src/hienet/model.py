@@ -27,7 +27,7 @@ the distinct walk behind each of the B*K sampled walks. Each LSTM
 direction of each level is one ``lstm_sequence`` op: the inner level runs
 over the distinct walks, one ``gather_rows`` expands its outputs to the
 sampled walks, and the outer level reads all K of each cascade.
-Each cascade's snapshots arrive as one prebuilt block-diagonal CSR
+Each cascade's snapshots arrive as one prebuilt block-diagonal sparse
 propagation matrix, and ``build_batch`` stacks the B of them into one, so
 each GCN layer is one sparse matmul holding only the snapshots' nonzeros.
 Each node's features are the sinusoidal row of its time bin in
@@ -46,7 +46,7 @@ from .errors import ConfigError, ShapeError
 from .features import FeatureBatch
 from .nn.layers import LSTM, MLP, Embedding, Linear, Module, TransformerEncoderLayer
 from .nn.tensor import (
-    CSR,
+    COO,
     Parameter,
     Tensor,
     add,
@@ -62,15 +62,15 @@ from .nn.tensor import (
 from .snapshots import encoding_table
 
 
-def weighted_rows(weights: CSR, table: Tensor) -> Tensor:
+def weighted_rows(weights: COO, table: Tensor) -> Tensor:
     """``weights @ table`` as a gather of the rows the stored weights reach,
     summed per row of ``weights`` by ``sparse_matmul``: the same products in
     the same order, and ``table`` gets a row gradient."""
     nnz = weights.data.size
-    per_entry = CSR(
-        weights.indptr, np.arange(nnz, dtype=np.int32), weights.data, (weights.shape[0], nnz)
+    per_entry = COO(
+        weights.rows, np.arange(nnz, dtype=np.int32), weights.data, (weights.shape[0], nnz)
     )
-    return sparse_matmul(per_entry, gather_rows(table, weights.indices))
+    return sparse_matmul(per_entry, gather_rows(table, weights.cols))
 
 
 class HIENet(Module):
@@ -117,10 +117,6 @@ class HIENet(Module):
         # the (time_bins, pe_dim) node-feature row of each time bin
         self.enc_table = encoding_table(c.pe_dim, c.time_bins)
 
-        names = [p.name for p in self.params()]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate parameter names in model")
-
     # ------------------------------------------------------------------
     # branch encoders
 
@@ -144,7 +140,7 @@ class HIENet(Module):
         )
         return self.cs_proj(merged)
 
-    def encode_social(self, social: CSR) -> Tensor:
+    def encode_social(self, social: COO) -> Tensor:
         """(B, vocab) sparse convex weight rows -> (B, d_model) social tokens."""
         return self.sg_proj(weighted_rows(social, self.sg_embed.table))
 

@@ -14,7 +14,7 @@ layers are one op each (``lstm_sequence``, ``attention``) with hand-written
 backward rules, so a model step records a few dozen nodes rather than one
 per gate and step.
 
-Sparse operands are constant ``CSR`` tuples of plain numpy arrays.
+Sparse operands are constant ``COO`` tuples of plain numpy arrays.
 ``sparse_matmul`` and ``gather_rows``' backward sum their rows with one
 ``bincount`` rule (``_sum_by``).
 
@@ -70,11 +70,9 @@ class Tensor:
         # parents the upstream gradient itself or a view of it
         self.grad = g if self.grad is None else self.grad + g
 
-    def accumulate_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Add ``values[i]`` to the gradient of row ``rows[i]`` (sorted, unique)."""
-        full = np.zeros_like(self.data)
-        full[rows] = values
-        self.accumulate(full)
+    def accumulate_rows(self, idx: np.ndarray, g: np.ndarray) -> None:
+        """Add ``g[i]`` to the gradient of row ``idx[i]``."""
+        self.accumulate(_sum_by(idx, g, self.data.shape[0]))
 
     def dense_grad(self) -> np.ndarray:
         """The gradient at every entry (zeros where none arrived)."""
@@ -126,14 +124,15 @@ class Parameter(Tensor):
             self.grad, self.grad_rows = self.dense_grad(), None
         super().accumulate(g)
 
-    def accumulate_rows(self, rows: np.ndarray, values: np.ndarray) -> None:
-        """Add ``values[i]`` to the gradient of row ``rows[i]``; ``rows`` is
-        sorted and unique. Two row gradients coalesce into one."""
+    def accumulate_rows(self, idx: np.ndarray, g: np.ndarray) -> None:
+        """Add ``g[i]`` to the gradient of row ``idx[i]``, summed per
+        distinct row. Two row gradients coalesce into one."""
         if self.grad is None:
-            self.grad, self.grad_rows = values, rows
+            self.grad_rows, self.grad = _row_sums(idx, g)
         elif self.grad_rows is None:
-            super().accumulate_rows(rows, values)
+            super().accumulate_rows(idx, g)
         else:
+            rows, values = _row_sums(idx, g)
             self.grad_rows, self.grad = _row_sums(
                 np.concatenate((self.grad_rows, rows)), np.concatenate((self.grad, values))
             )
@@ -206,18 +205,18 @@ def _row_sums(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndar
     return rows, _sum_by(inverse, values, rows.size)
 
 
-class CSR(NamedTuple):
-    """A constant sparse matrix, row by row: row i holds ``data[k]`` at
-    column ``indices[k]`` for k in ``indptr[i]:indptr[i + 1]``. Both index
-    arrays are int32."""
+class COO(NamedTuple):
+    """A constant sparse matrix as its entries: ``data[k]`` at row
+    ``rows[k]``, column ``cols[k]``. Entries are sorted by row, which fixes
+    the order ``sparse_matmul`` sums them in. Both index arrays are int32."""
 
-    indptr: np.ndarray
-    indices: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
     data: np.ndarray
     shape: tuple[int, int]
 
 
-def sparse_matmul(mat: CSR, t: Tensor) -> Tensor:
+def sparse_matmul(mat: COO, t: Tensor) -> Tensor:
     """Constant sparse matrix times tensor; gradient flows to ``t`` only.
 
     ``mat @ t`` and, backward, ``mat.T @ g`` each add every entry's product
@@ -227,12 +226,11 @@ def sparse_matmul(mat: CSR, t: Tensor) -> Tensor:
     _need_2d("sparse_matmul", t)
     if mat.shape[1] != t.shape[0]:
         raise ShapeError(f"sparse_matmul: inner dims differ, {mat.shape} @ {t.shape}")
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    out_data = _sum_by(rows, mat.data[:, None] * t.data[mat.indices], mat.shape[0])
+    out_data = _sum_by(mat.rows, mat.data[:, None] * t.data[mat.cols], mat.shape[0])
 
     def backward(g: np.ndarray) -> None:
         if t.requires_grad:
-            t.accumulate(_sum_by(mat.indices, mat.data[:, None] * g[rows], mat.shape[1]))
+            t.accumulate(_sum_by(mat.cols, mat.data[:, None] * g[mat.rows], mat.shape[1]))
 
     return _result(out_data, (t,), backward, "sparse_matmul")
 
@@ -284,8 +282,8 @@ def concat(ts: Sequence[Tensor], axis: int) -> Tensor:
 def gather_rows(t: Tensor, idx) -> Tensor:
     """Row lookup (embedding / reordering); duplicate indices sum gradients.
 
-    ``t`` receives one gradient row per distinct index, which a
-    ``Parameter`` keeps as a row block and any other tensor scatters."""
+    A ``Parameter`` keeps one gradient row per distinct index as a row
+    block; any other tensor sums them into its dense gradient."""
     _need_2d("gather_rows", t)
     idx = np.asarray(idx, dtype=np.int64)
     if idx.ndim != 1:
@@ -296,7 +294,7 @@ def gather_rows(t: Tensor, idx) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if t.requires_grad:
-            t.accumulate_rows(*_row_sums(idx, g))
+            t.accumulate_rows(idx, g)
 
     return _result(t.data[idx], (t,), backward, "gather_rows")
 

@@ -9,7 +9,7 @@ intermediates, so the early growth phase is never dropped.
 The GCN reads snapshot i as the sparse D^-1/2 (A + A^T + I) D^-1/2 of its
 undirected tree (Kipf & Welling). With nodes in adoption order, it is the
 first i rows and columns of the cascade's A + A^T + I, so all kept snapshots
-come out as one block-diagonal CSR matrix in time linear in its 3i - 2
+come out as one block-diagonal sparse matrix in time linear in its 3i - 2
 nonzeros per snapshot.
 
 Node features are classic sinusoidal encodings of the event's *time bin*:
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cascade import CascadeGraph
-from .nn.tensor import CSR
+from .nn.tensor import COO
 
 
 def encoding_table(dim: int, bins: int) -> np.ndarray:
@@ -80,7 +80,7 @@ def snapshot_feature_matrix(cascade: CascadeGraph, bins: int) -> tuple[np.ndarra
 
 def build_snapshots(
     rows: np.ndarray, cols: np.ndarray, node_bins: np.ndarray, m_max: int
-) -> tuple[CSR, np.ndarray, np.ndarray]:
+) -> tuple[COO, np.ndarray, np.ndarray]:
     """The capped snapshot sequence as (propagation, bins, pool weights).
 
     Every non-root node's one incoming edge comes from an earlier node, so
@@ -95,12 +95,12 @@ def build_snapshots(
     starts = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
     # an entry is in every kept snapshot that holds both of its nodes; nonzero
-    # lists them snapshot by snapshot, each in (row, col) order, as CSR needs
+    # lists them snapshot by snapshot, each in (row, col) order, so rows never
+    # decrease and fix the order sparse_matmul sums each row in
     snap, entry = np.nonzero(np.maximum(rows, cols)[None, :] < sizes[:, None])
     r, c = starts[snap] + rows[entry], starts[snap] + cols[entry]
     degree = np.bincount(r, minlength=total)
     inv_sqrt = 1.0 / np.sqrt(degree)
-    indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
-    propagation = CSR(indptr, c.astype(np.int32), inv_sqrt[r] * inv_sqrt[c], (total, total))
+    propagation = COO(r.astype(np.int32), c.astype(np.int32), inv_sqrt[r] * inv_sqrt[c], (total, total))
     bins = node_bins[np.arange(total) - np.repeat(starts, sizes)]
     return propagation, bins, np.repeat(1.0 / (sizes.size * sizes), sizes)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeGraph, GlobalSocialGraph
-from .nn.tensor import CSR
+from .nn.tensor import COO
 
 
 @dataclass
@@ -100,7 +100,7 @@ def social_weight_vector(
     global_graph: GlobalSocialGraph,
     alpha: float,
     max_pairs: int,
-) -> CSR:
+) -> COO:
     """Vocabulary-weight form of the cascade's social feature.
 
     ``rows[i]`` is node i's embedding row. A (1, vocab) sparse row, one
@@ -125,8 +125,8 @@ def social_weight_vector(
             row = node + 1
             weights[row] = weights.get(row, 0.0) + 0.5 * (coeffs[i] + coeffs[path.n - i]) * pair_share
     cols = sorted(weights)
-    return CSR(
-        np.array([0, len(cols)], dtype=np.int32),
+    return COO(
+        np.zeros(len(cols), dtype=np.int32),
         np.array(cols, dtype=np.int32),
         np.array([weights[c] for c in cols]),
         (1, global_graph.vocab),

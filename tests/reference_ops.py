@@ -16,10 +16,11 @@ dense form of the snapshot propagation that
 that sparse output back into dense per-snapshot blocks; the snapshot, model
 and GCN tests compare against these.
 
-``csr`` stores a dense matrix's nonzeros as a ``CSR`` and ``dense``
-turns a ``CSR`` back into a dense array. ``scipy_csr`` is the same matrix as
-scipy stores it, whose products ``nn.tensor.sparse_matmul`` reproduces bit
-for bit.
+``csr`` stores a dense matrix's nonzeros row by row as a ``COO`` and
+``dense`` turns a ``COO`` back into a dense array. ``indptr`` gives a
+``COO``'s compressed row pointers, and ``scipy_csr`` is the same matrix as
+scipy stores it, entries in the ``COO``'s order, whose products
+``nn.tensor.sparse_matmul`` reproduces bit for bit.
 
 ``dense_adam_update`` is Adam on a whole parameter from its densified
 gradient, every row's moments decaying: the update ``nn.optim.Adam`` made
@@ -45,7 +46,7 @@ import scipy.sparse as sp
 from hienet.cascade import CascadeGraph
 from hienet.errors import ShapeError
 from hienet.nn.optim import BETA1, BETA2, EPS
-from hienet.nn.tensor import CSR, Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
+from hienet.nn.tensor import COO, Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
 from hienet.social import CorrelationPath, path_coefficients
 
 
@@ -182,26 +183,33 @@ def normalize_adjacency(a: np.ndarray) -> np.ndarray:
     return inv_sqrt[:, None] * a_hat * inv_sqrt[None, :]
 
 
-def csr(a: np.ndarray) -> CSR:
+def csr(a: np.ndarray) -> COO:
     """The nonzeros of the 2-D array ``a``, row by row."""
     rows, cols = np.nonzero(a)
-    indptr = np.searchsorted(rows, np.arange(a.shape[0] + 1)).astype(np.int32)
-    return CSR(indptr, cols.astype(np.int32), a[rows, cols], a.shape)
+    return COO(rows.astype(np.int32), cols.astype(np.int32), a[rows, cols], a.shape)
 
 
-def dense(mat: CSR) -> np.ndarray:
+def dense(mat: COO) -> np.ndarray:
     """``mat`` as a dense array."""
     out = np.zeros(mat.shape)
-    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
-    np.add.at(out, (rows, mat.indices), mat.data)
+    np.add.at(out, (mat.rows, mat.cols), mat.data)
     return out
 
 
-def scipy_csr(mat: CSR) -> sp.csr_matrix:
-    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+def indptr(mat: COO) -> np.ndarray:
+    """Row i's entries are ``indptr[i]:indptr[i + 1]`` when ``mat.rows``
+    never decreases; int32, as scipy stores it."""
+    counts = np.bincount(mat.rows, minlength=mat.shape[0])
+    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
 
 
-def snapshot_blocks(propagation: CSR, bins: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+def scipy_csr(mat: COO) -> sp.csr_matrix:
+    """``mat`` in scipy's compressed rows, its entries kept in storage order
+    (``coo_matrix(...).tocsr()`` would sort them and hide an ordering bug)."""
+    return sp.csr_matrix((mat.data, mat.cols, indptr(mat)), shape=mat.shape)
+
+
+def snapshot_blocks(propagation: COO, bins: np.ndarray, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     """Block-diagonal propagation over snapshots of ``sizes`` nodes -> dense
     (block, bins) per snapshot."""
     full = dense(propagation)

@@ -18,10 +18,12 @@ import hienet.social as social
 from hienet.cascade import build_cascade_graph, build_global_graph
 from hienet.config import TrainConfig
 from hienet.features import featurize_corpus
-from hienet.nn.tensor import CSR
+from hienet.nn.tensor import COO
 from hienet.social import bfs_distances, diffusion_pairs
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import evaluate, predict, train
+
+from reference_ops import indptr
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tiny_checkpoint"
 
@@ -47,8 +49,9 @@ PINNED = {
 
 
 def _feed(h, value) -> None:
-    if isinstance(value, CSR):
-        for part in (value.shape, value.data, value.indices, value.indptr):
+    if isinstance(value, COO):
+        # hashed as compressed rows, the layout the digests were pinned on
+        for part in (value.shape, value.data, value.cols, indptr(value)):
             _feed(h, part)
     elif isinstance(value, np.ndarray):
         h.update(f"{value.dtype.str}{value.shape}".encode())

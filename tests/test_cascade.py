@@ -184,6 +184,16 @@ def test_round_trip_preserves_record(rec):
     assert again.root_user == rec.root_user
 
 
+def test_round_trip_keeps_a_source_that_never_adopted():
+    """``y`` reshares from ``x``, who never adopted: written back and read
+    again, ``y`` still hangs off ``x``, so the cascade graph still drops it."""
+    rec = parse_cascade_line("1\tr\t0\t3\tr:0 r/x/y:5 r/z:7")
+    again = parse_cascade_line(serialize_cascade_line(rec))
+    assert again.events == rec.events
+    with pytest.warns(UserWarning, match="dropping event for y"):
+        assert build_cascade_graph(again, 100).nodes == ["r", "z"]
+
+
 @given(cascade_records(), st.integers(min_value=1, max_value=120), st.integers(min_value=0, max_value=120))
 @settings(max_examples=60, deadline=None)
 def test_window_monotonicity_property(rec, w1, dw):

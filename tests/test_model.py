@@ -189,7 +189,7 @@ def test_table_gradients_hold_only_the_touched_rows(corpus):
         Adam(model.params(), lr=1e-3).step()
         cs, sg = model.cs_embed.table, model.sg_embed.table
         assert cs.grad_rows.tolist() == np.unique(batch.walk_idx).tolist()
-        assert sg.grad_rows.tolist() == np.unique(social.indices).tolist()
+        assert sg.grad_rows.tolist() == np.unique(social.cols).tolist()
         sizes.append((cs.grad.nbytes, sg.grad.nbytes))
     assert sizes[0] == sizes[1]
 

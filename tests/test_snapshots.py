@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.config import TrainConfig
@@ -16,7 +17,7 @@ from hienet.snapshots import (
 )
 from hienet.synth import SyntheticSpec, generate_synthetic
 
-from reference_ops import normalize_adjacency, snapshot_blocks, temporal_positional_encoding
+from reference_ops import dense, normalize_adjacency, snapshot_blocks, temporal_positional_encoding
 
 
 def make_cascade(n_retweets, window=1000, spacing=10):
@@ -232,16 +233,19 @@ def test_featurize_blocks_match_per_prefix_reference():
     assert capped >= 5
 
 
-def test_batch_propagation_stores_no_zeros():
-    """build_batch stacks each cascade's sparse propagation as it is, so
-    the batch matrix holds only the snapshots' nonzeros."""
+def default_batch():
+    """(config, records, features) of the first default-size batch of the default corpus."""
     config = TrainConfig(seed=0)
     records, _ = generate_synthetic(SyntheticSpec())
     records = records[: config.batch_size]
-    graph = build_global_graph(records)
-    feats = featurize_corpus(records, graph, config)
-    batch = build_batch(feats)
-    p = batch.p_block
+    return config, records, featurize_corpus(records, build_global_graph(records), config)
+
+
+def test_batch_propagation_stores_no_zeros():
+    """build_batch stacks each cascade's sparse propagation as it is, so
+    the batch matrix holds only the snapshots' nonzeros."""
+    config, records, feats = default_batch()
+    p = build_batch(feats).p_block
     assert p.data.size == np.count_nonzero(p.data)
     # each snapshot of i nodes is a tree prefix: 3i - 2 nonzeros
     sizes = [
@@ -250,6 +254,23 @@ def test_batch_propagation_stores_no_zeros():
         for i in snapshot_indices(build_cascade_graph(rec, config.window).num_nodes, config.m_max)
     ]
     assert p.data.size == sum(3 * n - 2 for n in sizes)
+
+
+def test_batch_stacks_each_cascade_in_its_place():
+    """Densified, the batch's propagation is the block diagonal of the
+    cascades', pool row b holds cascade b's pool weights at its node
+    columns, and the social rows stack. Every matrix lists its entries with
+    rows that never decrease, the order that keeps sparse_matmul's sums
+    scipy's to the bit, and in int32 indices."""
+    _, _, feats = default_batch()
+    batch = build_batch(feats)
+    assert np.array_equal(dense(batch.p_block), block_diag(*[dense(f.propagation) for f in feats]))
+    assert np.array_equal(dense(batch.pool), block_diag(*[f.pool_weights[None] for f in feats]))
+    assert np.array_equal(dense(batch.social), np.vstack([dense(f.social_row) for f in feats]))
+    per_cascade = [m for f in feats for m in (f.propagation, f.social_row)]
+    for mat in [batch.p_block, batch.pool, batch.social] + per_cascade:
+        assert np.all(np.diff(mat.rows) >= 0)
+        assert mat.rows.dtype == mat.cols.dtype == np.int32
 
 
 def star_cascade(n_nodes):
@@ -267,5 +288,5 @@ def test_star_snapshot_features_stay_sparse():
     )
     sizes = snapshot_indices(cascade.num_nodes, config.m_max)
     assert propagation.data.size == sum(3 * i - 2 for i in sizes)
-    stored = propagation.data.nbytes + propagation.indices.nbytes + propagation.indptr.nbytes
+    stored = propagation.data.nbytes + propagation.rows.nbytes + propagation.cols.nbytes
     assert stored + bins.nbytes + pool.nbytes < 1_000_000
