@@ -29,9 +29,10 @@ def max_relative_error(
 
     ``loss_fn`` must rebuild the graph from the current tensor contents on
     every call (define-by-run), returning a scalar Tensor. With ``sample``
-    set, at most that many entries per tensor are perturbed (chosen by
-    ``rng``), which keeps whole-model checks affordable; layer-level checks
-    should leave it unset and sweep every entry.
+    set, at most that many entries per tensor are perturbed, chosen by
+    ``rng``, which must then be given; this keeps whole-model checks
+    affordable. Layer-level checks should leave it unset and sweep every
+    entry.
     """
     for t in tensors:
         t.grad = None
@@ -43,8 +44,6 @@ def max_relative_error(
     for t, grad in zip(tensors, analytic):
         flat = t.data.reshape(-1)
         if sample is not None and flat.size > sample:
-            if rng is None:
-                rng = np.random.default_rng(0)
             entries = rng.choice(flat.size, size=sample, replace=False)
         else:
             entries = range(flat.size)

@@ -93,7 +93,6 @@ class LSTM(Module):
 
     def __init__(self, name: str, in_dim: int, hidden: int, rng: np.random.Generator):
         k = 1.0 / math.sqrt(hidden)
-        self.hidden = hidden
         self.wx = Parameter(f"{name}.wx", _uniform(rng, (in_dim, 4 * hidden), k))
         self.wh = Parameter(f"{name}.wh", _uniform(rng, (hidden, 4 * hidden), k))
         bias = _uniform(rng, (1, 4 * hidden), k)

@@ -26,14 +26,12 @@ class Adam:
     def __init__(self, params: list[Parameter], lr: float = 1e-4):
         if lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")
-        names = [p.name for p in params]
-        if len(set(names)) != len(names):
-            raise ConfigError("duplicate parameter names in optimizer")
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in params}
-        self.v = {p.name: np.zeros_like(p.data) for p in params}
+        # the moments of ``params[i]`` are ``m[i]`` and ``v[i]``
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -43,17 +41,17 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        for p in self.params:
+        for p, p_m, p_v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             # a row block's touched rows (copies, written back below), else views of the whole
             rows = slice(None) if p.grad_rows is None else p.grad_rows
-            m = self.m[p.name][rows]
-            v = self.v[p.name][rows]
+            m = p_m[rows]
+            v = p_v[rows]
             m *= BETA1
             m += (1.0 - BETA1) * p.grad
             v *= BETA2
             v += (1.0 - BETA2) * p.grad * p.grad
-            self.m[p.name][rows] = m
-            self.v[p.name][rows] = v
+            p_m[rows] = m
+            p_v[rows] = v
             p.data[rows] -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -12,7 +12,9 @@ form and the gain and shift rows of ``layer_norm_rows``), everything 2-D
 except the scalar produced by ``mean_all``. The recurrent and attention
 layers are one op each (``lstm_sequence``, ``attention``) with hand-written
 backward rules, so a model step records a few dozen nodes rather than one
-per gate and step.
+per gate and step. Every op's output keeps the op's name, so a NaN loss is
+traced in the graph it already recorded (``first_nan_op``), without a
+second forward pass.
 
 Sparse operands are constant ``COO`` tuples of plain numpy arrays.
 ``sparse_matmul`` and ``gather_rows``' backward sum their rows with one
@@ -33,23 +35,14 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError, TrainingError
-
-# when enabled, every op checks its forward output and raises TrainingError
-# naming the first op that produced a NaN (used to re-run a diverged batch)
-_NAN_TRACE = False
+from ..errors import ShapeError
 
 #: added to each row's variance in ``layer_norm_rows``
 LAYER_NORM_EPS = 1e-12
 
 
-def set_nan_trace(enabled: bool) -> None:
-    global _NAN_TRACE
-    _NAN_TRACE = enabled
-
-
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_id")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op", "_id")
 
     _ids = itertools.count()
 
@@ -59,6 +52,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._op: str | None = None  # the op that computed ``data``; None for a leaf
         self._id = next(Tensor._ids)
 
     @property
@@ -78,11 +72,8 @@ class Tensor:
         """The gradient at every entry (zeros where none arrived)."""
         return np.zeros_like(self.data) if self.grad is None else self.grad
 
-    def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
-        if self.data.size != 1:
-            raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
-        # collect the subgraph feeding this node
+    def _graph(self) -> list[Tensor]:
+        """This node and every recorded node feeding it, newest first."""
         seen = {self._id}
         stack = [self]
         nodes = []
@@ -94,17 +85,32 @@ class Tensor:
                     seen.add(p._id)
                     stack.append(p)
         nodes.sort(key=lambda n: n._id, reverse=True)
+        return nodes
+
+    def backward(self) -> None:
+        """Backpropagate from this scalar through the recorded graph."""
+        if self.data.size != 1:
+            raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
+        nodes = self._graph()
         self.grad = np.ones_like(self.data)
         for node in nodes:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+
+    def first_nan_op(self) -> str | None:
+        """The op of the oldest node in the recorded graph feeding this one
+        whose forward output holds a NaN; leaves are never named."""
+        for node in reversed(self._graph()):
+            if node._op is not None and np.isnan(node.data).any():
+                return node._op
+        return None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 class Parameter(Tensor):
-    """Named trainable tensor; the name keys checkpoints and Adam state.
+    """Named trainable tensor; the name keys checkpoints.
 
     A parameter read by ``gather_rows`` takes that gradient as the touched
     rows only: ``grad`` holds one row per id in ``grad_rows`` (sorted,
@@ -153,9 +159,8 @@ def constant(data) -> Tensor:
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
-    if _NAN_TRACE and np.isnan(data).any():
-        raise TrainingError(f"op '{op}' produced NaN in its forward output")
     out = Tensor(data)
+    out._op = op
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)

@@ -4,8 +4,9 @@ Every run reads one ``TrainConfig`` (``config.py``), whose dict form is
 echoed into every artifact.
 
 Determinism: the corpus is split 80/10/10 by a hash of the message id
-(stable across runs and machines); features are extracted once up front
-with per-cascade seeds; epoch shuffles come from (seed, epoch); model init
+(stable across runs and machines); the train and val features are
+extracted once up front with per-cascade seeds, and the test split is never
+featurized; epoch shuffles come from (seed, epoch); model init
 comes from the seed alone. Two runs with the same (seed, config, data)
 therefore produce identical metric logs, and artifacts contain no
 timestamps.
@@ -41,7 +42,6 @@ from .features import CascadeFeatures, build_batch, featurize_corpus, from_log2p
 from .model import HIENet, metrics_from_logs, msle_loss
 from .nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .nn.optim import Adam
-from .nn.tensor import set_nan_trace
 
 EVAL_BATCH = 64
 
@@ -59,10 +59,11 @@ def split_of(message_id: str) -> str:
     return "val" if bucket == 8 else "test"
 
 
-def split_indices(records: list[CascadeRecord]) -> dict[str, list[int]]:
-    out: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    for i, rec in enumerate(records):
-        out[split_of(rec.message_id)].append(i)
+def split_records(records: list[CascadeRecord]) -> dict[str, list[CascadeRecord]]:
+    """The records of each split, in file order."""
+    out: dict[str, list[CascadeRecord]] = {"train": [], "val": [], "test": []}
+    for rec in records:
+        out[split_of(rec.message_id)].append(rec)
     return out
 
 
@@ -98,14 +99,7 @@ def _training_step(model: HIENet, batch, opt: Adam) -> float:
     opt.zero_grad()
     loss = msle_loss(model.forward(batch), batch.true_logs)
     if np.isnan(loss.data):
-        # replay the identical batch with tracing on to name the first
-        # operation whose forward output went NaN
-        set_nan_trace(True)
-        try:
-            msle_loss(model.forward(batch), batch.true_logs)
-        finally:
-            set_nan_trace(False)
-        raise TrainingError("loss is NaN but no forward op flagged; inputs already NaN?")
+        raise TrainingError(f"op '{loss.first_nan_op()}' produced NaN in its forward output")
     loss.backward()
     opt.step()
     return float(loss.data)
@@ -170,12 +164,9 @@ def train(config: TrainConfig) -> TrainResult:
     if len(records) < 2:
         raise DataError(f"need at least 2 cascades to train, got {len(records)}")
 
-    splits = split_indices(records)
+    splits = split_records(records)
     if not splits["train"]:
         raise DataError("empty training split")
-    # tiny corpora can hash to an empty validation split; fall back to the
-    # training split for checkpoint selection rather than failing
-    val_ids = splits["val"] or splits["train"]
 
     ggraph = build_global_graph(records)
     if not config.resume:
@@ -185,23 +176,23 @@ def train(config: TrainConfig) -> TrainResult:
         raise DataError(f"checkpoint {config.resume} holds other users than {config.data}")
     params = model.params()
     out_dir = _output_dir(config.out)
-    feats = featurize_corpus(records, ggraph, config)
+    train_feats = featurize_corpus(splits["train"], ggraph, config)
+    # tiny corpora can hash to an empty validation split; fall back to the
+    # training split for checkpoint selection rather than failing
+    val_feats = featurize_corpus(splits["val"], ggraph, config) if splits["val"] else train_feats
     opt = Adam(params, lr=config.lr)
 
-    train_feats = [feats[i] for i in splits["train"]]
-    val_feats = [feats[i] for i in val_ids]
     train_mean_log = float(np.mean([f.true_log for f in train_feats]))
     baseline_val = metrics_from_logs(
         np.full(len(val_feats), train_mean_log), np.array([f.true_log for f in val_feats])
     )["MSLE"]
 
     result = TrainResult(config=config.to_dict(), baseline_val_msle=baseline_val)
-    train_ids = np.array(splits["train"])
     for epoch in range(config.epochs + 1):
         if epoch > 0:
-            order = np.random.default_rng([config.seed, epoch]).permutation(train_ids)
+            order = np.random.default_rng([config.seed, epoch]).permutation(len(train_feats))
             for lo in range(0, order.size, config.batch_size):
-                chunk = [feats[i] for i in order[lo : lo + config.batch_size]]
+                chunk = [train_feats[i] for i in order[lo : lo + config.batch_size]]
                 _training_step(model, build_batch(chunk), opt)
         train_msle = _eval_msle(model, train_feats)
         val_msle = _eval_msle(model, val_feats)
@@ -306,7 +297,7 @@ def _score(
     # an overriding window passes the checks of the config's own
     config = model.config if window is None else replace(model.config, window=window)
     records, _ = load_corpus(data_path, config.window, time_unit=extra["time_unit"])
-    chosen = [r for r in records if split == "all" or split_of(r.message_id) == split]
+    chosen = records if split == "all" else split_records(records)[split]
     if not chosen:
         raise DataError(f"no cascades in split {split!r} of {data_path}")
     feats = featurize_corpus(chosen, ggraph, config)

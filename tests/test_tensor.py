@@ -6,7 +6,7 @@ import pytest
 import hienet.nn.tensor as T
 from hienet.cascade import build_global_graph
 from hienet.config import TrainConfig
-from hienet.errors import ShapeError, TrainingError
+from hienet.errors import ShapeError
 from hienet.features import build_batch, featurize_corpus
 from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.tensor import Parameter
@@ -299,17 +299,23 @@ def test_layer_norm_statistics():
 
 
 def test_nan_trace_names_op():
-    inf = T.constant(np.array([[np.inf]]))
+    """``first_nan_op`` names the oldest op in the recorded graph whose
+    output holds a NaN."""
+    inf = Parameter("inf", np.array([[np.inf]]))
     zero = T.constant(np.array([[0.0]]))
     with np.errstate(invalid="ignore"):
-        # silent NaN when tracing is off
-        assert np.isnan(R.mul(inf, zero).data[0, 0])
-        T.set_nan_trace(True)
-        try:
-            with pytest.raises(TrainingError, match="'mul'"):
-                R.mul(inf, zero)
-        finally:
-            T.set_nan_trace(False)
+        # two ops each make a NaN of their own: the one created first is
+        # named, whichever side of the sum it sits on
+        first, second = R.mul(inf, zero), R.scale(inf, 0.0)
+        assert T.mean_all(T.add(second, first)).first_nan_op() == "mul"
+        first, second = R.scale(inf, 0.0), R.mul(inf, zero)
+        assert T.mean_all(T.add(second, first)).first_nan_op() == "scale"
+    # a NaN leaf is never named, only the op that read it
+    nan = Parameter("nan", np.array([[np.nan, 1.0]]))
+    assert T.mean_all(T.square(nan)).first_nan_op() == "square"
+    # a NaN-free graph names nothing
+    x = Parameter("x", np.ones((2, 2)))
+    assert T.mean_all(T.square(x)).first_nan_op() is None
 
 
 def test_forward_determinism():

@@ -10,7 +10,7 @@ from hienet.config import TrainConfig, resolve_config
 from hienet.errors import ConfigError, DataError, TrainingError
 from hienet.nn.checkpoint import save_checkpoint
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
-from hienet.train import _open_checkpoint, evaluate, predict, split_indices, split_of, train
+from hienet.train import _open_checkpoint, evaluate, predict, split_of, split_records, train
 
 #: a tiny checkpoint written by an earlier release (30 users, the 48-parameter transformer model)
 OLD_CHECKPOINT = Path(__file__).parent / "fixtures" / "tiny_checkpoint"
@@ -126,13 +126,15 @@ def test_split_assignment_is_stable_and_partitions():
     assert 0.06 < counts["test"] / 2000 < 0.14
 
 
-def test_split_indices_cover_everything(corpus):
+def test_split_records_cover_everything(corpus):
     from hienet.cascade import load_cascades
 
     records = load_cascades(corpus)
-    splits = split_indices(records)
-    merged = sorted(splits["train"] + splits["val"] + splits["test"])
-    assert merged == list(range(len(records)))
+    splits = split_records(records)
+    placed = [id(r) for chosen in splits.values() for r in chosen]
+    assert sorted(placed) == sorted(id(r) for r in records)
+    for name, chosen in splits.items():
+        assert chosen == [r for r in records if split_of(r.message_id) == name]
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +241,30 @@ def test_nan_loss_aborts_and_names_operation(corpus, tmp_path):
     params = model.params()
     # the cs embedding row of the first walk step
     params[0].data[batch.walk_idx[0], 0] = np.nan
-    with pytest.raises(TrainingError, match="produced NaN"):
+    with pytest.raises(TrainingError, match="op 'gather_rows' produced NaN"):
         with np.errstate(invalid="ignore"):
             _training_step(model, batch, Adam(params, lr=1e-3))
+
+
+def test_train_featurizes_no_test_cascade(corpus, tmp_path, monkeypatch):
+    import hienet.features as F
+    from hienet.cascade import load_cascades
+
+    featurize, seen = F.featurize, []
+
+    def recording(graph, *args):
+        seen.append(graph.message_id)
+        return featurize(graph, *args)
+
+    monkeypatch.setattr(F, "featurize", recording)
+    result = train(tiny_config(corpus, tmp_path / "run", epochs=1))
+    splits = split_records(load_cascades(corpus))
+    ids = {name: [r.message_id for r in chosen] for name, chosen in splits.items()}
+    assert ids["test"] and ids["val"]
+    assert set(seen) == set(ids["train"] + ids["val"])
+    seen.clear()
+    evaluate(result.checkpoint_dir, corpus, split="test")
+    assert seen == ids["test"]
 
 
 # ---------------------------------------------------------------------------
