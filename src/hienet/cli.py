@@ -119,9 +119,9 @@ def _cmd_synth(args) -> int:
     out = _output_dir(args.out)
     records, manifest = generate_synthetic(spec)
     path = write_corpus(out, records, manifest)
-    sizes = [r.final_size for r in records]
+    extra = manifest.extra
     print(f"wrote {len(records)} cascades to {path}")
-    print(f"final size: median {sorted(sizes)[len(sizes) // 2]}, max {max(sizes)}")
+    print(f"final size: median {extra['final_size_median']:g}, max {extra['final_size_max']}")
     return 0
 
 
@@ -139,9 +139,9 @@ def _cmd_ingest(args) -> int:
     print(f"cascades: {len(records)}")
     print(f"users: {ggraph.num_users}")
     print(f"time unit: {manifest.time_unit}, label horizon: {manifest.label_horizon}")
-    print(f"observed nodes at window {window}: median {int(np.median(observed))}, max {max(observed)}")
+    print(f"observed nodes at window {window}: median {np.median(observed):g}, max {max(observed)}")
     print(
-        f"labels: median {int(np.median(labels_arr))}, max {labels_arr.max()}, "
+        f"labels: median {np.median(labels_arr):g}, max {labels_arr.max()}, "
         f"nonzero {int((labels_arr > 0).sum())}/{len(records)}"
     )
     return 0

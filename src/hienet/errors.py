@@ -35,10 +35,6 @@ class ShapeError(HienetError):
     """Tensor operation received incompatible shapes."""
 
 
-class GraphError(HienetError):
-    """Graph operation received an invalid graph or unknown node."""
-
-
 class TrainingError(HienetError):
     """Training aborted (e.g. non-finite loss)."""
 

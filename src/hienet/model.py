@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import TrainConfig
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .features import FeatureBatch
 from .nn.layers import LSTM, MLP, Embedding, Linear, Module, TransformerEncoderLayer
 from .nn.tensor import (
@@ -126,9 +126,6 @@ class HIENet(Module):
         """Embedding rows of the distinct walks' real steps, walk after walk,
         the step counts that split them into distinct walks, and the (B*K,)
         distinct walk of each sampled walk -> (B, d_model) sequence tokens."""
-        walk_of = np.asarray(walk_of, dtype=np.int64)
-        if len(walk_of) % batch_size != 0:
-            raise ShapeError(f"{len(walk_of)} walks do not form {batch_size} cascades")
         steps = gather_rows(self.cs_embed.table, walk_idx)
         distinct = concat(
             [self.inner_f(steps, lengths), self.inner_b(steps, lengths, reverse=True)], axis=1
@@ -155,8 +152,6 @@ class HIENet(Module):
     def fuse(self, f_cs: Tensor | None, f_sg: Tensor | None, f_cg: Tensor | None) -> Tensor:
         """Branch tokens (each (B, d_model) or None when disabled) -> (B, d_model)."""
         present = [f for f in (f_cs, f_sg, f_cg) if f is not None]
-        if not present:
-            raise ConfigError("fuse: every branch is disabled")
         batch_size = present[0].shape[0]
         if self.config.fusion_mode == "concat":
             return self.concat_proj(present[0] if len(present) == 1 else concat(present, axis=1))

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigError
 from .tensor import (
     Parameter,
     Tensor,
@@ -109,14 +108,12 @@ class TransformerEncoderLayer(Module):
     """Post-norm encoder block: self-attention + FFN, residuals, layer norms.
 
     No positional encodings are added here; token order therefore cannot
-    influence the output.
+    influence the output. ``heads`` divides ``d_model``, as ``TrainConfig`` checks.
     """
 
     def __init__(
         self, name: str, d_model: int, heads: int, ff_hidden: int, rng: np.random.Generator
     ):
-        if d_model % heads != 0:
-            raise ConfigError(f"d_model {d_model} not divisible by heads {heads}")
         self.heads = heads
         self.wq = Linear(f"{name}.wq", d_model, d_model, rng)
         self.wk = Linear(f"{name}.wk", d_model, d_model, rng)
@@ -142,12 +139,11 @@ class MLP(Module):
 
     Hidden layers use a wider fan-in-scaled init plus a small positive bias
     so narrow heads do not start with rows where every relu is dead (which
-    silences the gradient for those examples entirely).
+    silences the gradient for those examples entirely). ``hidden_sizes`` is
+    not empty, as ``TrainConfig`` checks.
     """
 
     def __init__(self, name: str, in_dim: int, hidden_sizes: Sequence[int], rng):
-        if not hidden_sizes:
-            raise ConfigError("MLP needs at least one hidden size")
         self.layers = []
         prev = in_dim
         for i, size in enumerate(hidden_sizes):

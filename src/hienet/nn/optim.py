@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError
 from .tensor import Parameter
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -21,11 +20,10 @@ class Adam:
     untouched row keeps its moments instead of decaying them (PyTorch
     ``SparseAdam``, TF-Addons ``LazyAdam``). A fusion token's one row is read
     on every step, so its lazy update is the dense one, bit for bit.
+    ``lr`` is at least 0, as ``TrainConfig`` checks.
     """
 
     def __init__(self, params: list[Parameter], lr: float = 1e-4):
-        if lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {lr}")
         self.params = params
         self.lr = lr
         self.t = 0

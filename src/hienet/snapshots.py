@@ -49,10 +49,8 @@ def snapshot_indices(m: int, m_max: int) -> list[int]:
 
     Uniform spacing with round-half-up, always containing 1 and m. A cap of
     one keeps only the final (largest) snapshot since first=last is
-    impossible.
+    impossible. m_max is at least 1, as ``TrainConfig`` checks.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
     if m <= m_max:
         return list(range(1, m + 1))
     if m_max == 1:

@@ -82,9 +82,8 @@ def shortest_correlation_path(graph: GlobalSocialGraph, u: int, v: int) -> Corre
 
 
 def path_coefficients(n: int, alpha: float) -> np.ndarray:
-    """Geometric weights over n+1 path positions; positive, summing to 1."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    """Geometric weights over n+1 path positions; positive, summing to 1 for
+    alpha in (0, 1), as ``TrainConfig`` checks."""
     powers = alpha ** np.arange(n + 1, dtype=np.float64)
     return (1.0 - alpha) / (1.0 - alpha ** (n + 1)) * powers
 

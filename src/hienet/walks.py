@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cascade import CascadeGraph
-from .errors import GraphError
 
 #: sentinel stored in place of a node once a walk has ended
 PAD = None
@@ -56,19 +55,14 @@ class WalkBatch:
 
 
 def start_distribution(graph: CascadeGraph, beta: float) -> np.ndarray:
-    """Start probabilities aligned with graph.nodes; entries sum to 1."""
-    if graph.num_nodes == 0:
-        raise GraphError("cannot build a start distribution on an empty graph")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    """Start probabilities aligned with graph.nodes; entries sum to 1. The graph
+    holds at least its root, and beta > 0, as ``TrainConfig`` checks."""
     weights = np.array([len(kids) + beta for kids in graph.children], dtype=np.float64)
     return weights / weights.sum()
 
 
 def transition_distribution(graph: CascadeGraph, v: int, beta: float) -> tuple[list[int], np.ndarray]:
     """Out-neighbors of node v with their transition probabilities (empty for leaves)."""
-    if not 0 <= v < graph.num_nodes:
-        raise GraphError(f"no node {v} in a graph of {graph.num_nodes} nodes")
     neighbors = graph.children[v]
     weights = np.array([len(graph.children[u]) + beta for u in neighbors], dtype=np.float64)
     return neighbors, weights / weights.sum()
@@ -80,9 +74,8 @@ def _cdf(probs: np.ndarray) -> list[float]:
 
 
 def sample_walks(graph: CascadeGraph, k: int, n: int, beta: float, seed: int) -> WalkBatch:
-    """Draw K walks of length N; deterministic for a given seed."""
-    if k < 1 or n < 1:
-        raise ValueError(f"k and n must be at least 1, got k={k} n={n}")
+    """Draw K walks of length N; deterministic for a given seed. k and n are at
+    least 1 and beta > 0, as ``TrainConfig`` checks."""
     start = _cdf(start_distribution(graph, beta))
     uniforms = iter(np.random.default_rng(seed).random(k * n).tolist())
     steps: list = [None] * graph.num_nodes  # (out-neighbors, cdf) of each node reached

@@ -76,6 +76,18 @@ def test_ingest_summarizes(workspace, capsys):
     assert "labels:" in out
 
 
+def test_summaries_print_true_medians(tmp_path, capsys):
+    """Ten cascades: an even count, so each median lies between two values."""
+    data = tmp_path / "data"
+    assert main(["synth", "--out", str(data), "--cascades", "10", "--seed", "3"]) == 0
+    assert "final size: median 8, max 58" in capsys.readouterr().out
+    assert load_manifest(data / "cascades.tsv").extra["final_size_median"] == 8.0
+    assert main(["ingest", "--data", str(data / "cascades.tsv")]) == 0
+    out = capsys.readouterr().out
+    assert "observed nodes at window 21600: median 7.5, max 40" in out
+    assert "labels: median 2.5, max 19" in out
+
+
 def test_train_saves_checkpoint(trained):
     assert (trained / "manifest.json").is_file()
     assert (trained / "weights.bin").is_file()

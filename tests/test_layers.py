@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hienet.nn.tensor as T
-from hienet.errors import ConfigError, DataError, ShapeError
+from hienet.errors import DataError, ShapeError
 from hienet.config import TrainConfig
 from hienet.model import HIENet
 from hienet.nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
@@ -245,11 +245,6 @@ def test_attention_identical_tokens_identical_outputs():
     assert np.allclose(single[0], out[0])
 
 
-def test_attention_head_split_guard():
-    with pytest.raises(ConfigError):
-        TransformerEncoderLayer("enc", 8, 3, 16, np.random.default_rng(0))
-
-
 def test_attention_groups_attend_within_themselves():
     rng = np.random.default_rng(9)
     layer = TransformerEncoderLayer("enc", 4, 2, 8, rng)
@@ -323,8 +318,6 @@ def test_mlp_shapes_and_zero_weights():
     out = mlp(T.constant(rng.normal(size=(4, 6))))
     assert out.shape == (4, 1)
     assert np.allclose(out.data, 0.25)
-    with pytest.raises(ConfigError):
-        MLP("bad", 4, [], rng)
 
 
 def test_module_params_follow_assignment_order():

@@ -87,8 +87,6 @@ def test_snapshot_indices_cap_cases():
     assert snapshot_indices(1, 1) == [1]
     assert snapshot_indices(10, 1) == [10]
     assert snapshot_indices(10, 2) == [1, 10]
-    with pytest.raises(ValueError):
-        snapshot_indices(5, 0)
 
 
 def test_snapshot_indices_strictly_increasing():

@@ -146,15 +146,6 @@ def test_alpha_limits():
     assert np.abs(coeffs - 0.2).max() < 1e-4
 
 
-def test_alpha_out_of_range():
-    with pytest.raises(ValueError):
-        path_coefficients(2, 1.0)
-    with pytest.raises(ValueError):
-        path_coefficients(2, 0.0)
-    with pytest.raises(ValueError):
-        path_coefficients(2, -0.3)
-
-
 def test_convex_hull_bound():
     rng = np.random.default_rng(3)
     emb = {i: rng.normal(size=6) for i in range(4)}

@@ -97,6 +97,12 @@ def test_config_bad_json_is_data_error(tmp_path):
         dict(mlp_sizes=(-3, 8)),
         dict(beta=0.0),
         dict(max_pairs=0),
+        dict(alpha=0.0),
+        dict(alpha=1.0),
+        dict(alpha=-0.3),
+        dict(m_max=0),
+        dict(k_walks=0),
+        dict(walk_len=0),
     ],
 )
 def test_config_validation(kw):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from hienet.cascade import CascadeGraph, build_cascade_graph, build_global_graph, parse_cascade_line
+from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.config import TrainConfig
-from hienet.errors import GraphError
 from hienet.synth import SyntheticSpec, generate_synthetic
 from hienet.walks import (
     PAD,
@@ -59,19 +58,6 @@ def test_transition_single_neighbor_and_leaf():
     assert neighbors == [g.nodes.index("C")] and p.tolist() == [1.0]
     neighbors, p = transition_distribution(g, g.nodes.index("C"), 0.8)
     assert neighbors == [] and p.size == 0
-
-
-def test_transition_unknown_node():
-    """A node is an index below num_nodes; -1 would read the last node's children."""
-    g = hand_graph(TRIANGLE, "A")
-    for v in (-1, g.num_nodes, 99):
-        with pytest.raises(GraphError):
-            transition_distribution(g, v, 0.8)
-
-
-def test_empty_graph_errors():
-    with pytest.raises(GraphError):
-        start_distribution(CascadeGraph("m", 10, [], [], []), 0.8)
 
 
 def test_distributions_valid_for_many_betas():
