@@ -23,13 +23,13 @@ Conventions adopted here and documented in the README:
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from .errors import CascadeParseError, DataError
+from .jsonio import read_json_object, write_json
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def save_cascades(records: list[CascadeRecord], path: str | Path) -> None:
 
 @dataclass
 class DatasetManifest:
-    """Sidecar JSON describing a cascade file's time unit and label horizon."""
+    """The ``manifest.json`` beside a cascade file: its time unit and label horizon."""
 
     time_unit: str = "seconds"
     label_horizon: int = 0
@@ -298,23 +298,12 @@ def manifest_path_for(data_path: str | Path) -> Path:
 
 
 def load_manifest(data_path: str | Path) -> DatasetManifest:
-    mpath = manifest_path_for(data_path)
-    if not mpath.exists():
-        raise DataError(f"no manifest.json next to {data_path}; expected at {mpath}")
-    try:
-        with open(mpath, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except ValueError as e:  # invalid JSON or invalid UTF-8
-        raise DataError(f"{mpath} is not valid JSON: {e}") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"{mpath} must hold a JSON object, got {type(raw).__name__}")
+    raw = read_json_object(manifest_path_for(data_path), "dataset manifest")
     return DatasetManifest.from_dict(raw)
 
 
 def save_manifest(manifest: DatasetManifest, data_path: str | Path) -> None:
-    with open(manifest_path_for(data_path), "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path_for(data_path), manifest.to_dict())
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,8 @@ def _cmd_ablate(args) -> int:
     base = _config_from_args(args)
     if not (base.use_cs and base.use_sg and base.use_cg):
         raise UsageError("ablate needs all branches enabled in the base config")
+    if base.resume:
+        raise UsageError("ablate trains every variant from scratch and takes no --resume")
     variants = [("full", {})]
     variants += [(f"no_{b}", {f"use_{b}": False}) for b in BRANCHES]
     if base.fusion_mode == "transformer":

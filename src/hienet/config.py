@@ -1,6 +1,6 @@
 """The run configuration: one flat ``TrainConfig`` and how it is resolved.
 
-JSON file keys are overlaid by CLI overrides, both spelled as
+A config file's keys are overlaid by CLI overrides, both spelled as
 ``TrainConfig`` field names, and validated into one ``TrainConfig``. Its
 dict form is echoed into every artifact, so any output can be traced back
 to the exact run settings and a config round-trips losslessly through a
@@ -10,12 +10,12 @@ same object, so every default and every range rule is written once, here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
+from .jsonio import read_json_object
 
 FUSION_MODES = ("transformer", "concat")
 
@@ -116,19 +116,7 @@ class TrainConfig:
 
 def resolve_config(config_path: str | Path | None = None, overrides: dict | None = None) -> TrainConfig:
     """File keys first, CLI overrides on top; every key must name a field."""
-    merged: dict = {}
-    if config_path:
-        path = Path(config_path)
-        if not path.is_file():
-            raise DataError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-                raise DataError(f"config file {path} is not valid JSON: {e}") from None
-        if not isinstance(raw, dict):
-            raise DataError(f"config file {path} must hold a JSON object")
-        merged.update(raw)
+    merged = read_json_object(config_path, "config file") if config_path else {}
     merged.update(overrides or {})
     unknown = sorted(set(merged) - {f.name for f in fields(TrainConfig)})
     if unknown:

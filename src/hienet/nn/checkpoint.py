@@ -1,4 +1,4 @@
-"""Checkpoint serialization: JSON manifest + raw little-endian float64 blob.
+"""Checkpoint serialization: a manifest plus a raw little-endian float64 blob.
 
 A checkpoint directory holds ``manifest.json`` and ``weights.bin``. The
 manifest's ``params`` list is ``layout(params)``: name, shape, dtype and
@@ -12,12 +12,12 @@ it. Round-trips are byte-exact: values are never re-encoded through text.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError
+from ..jsonio import read_json_object, write_json
 from .tensor import Parameter
 
 MANIFEST_NAME = "manifest.json"
@@ -41,9 +41,7 @@ def save_checkpoint(path: str | Path, params: list[Parameter], extra: dict | Non
     manifest["params"] = layout(params)
     blob = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes() for p in params)
     (path / WEIGHTS_NAME).write_bytes(blob)
-    with open(path / MANIFEST_NAME, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path / MANIFEST_NAME, manifest)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, tuple[object, bytes]]:
@@ -53,13 +51,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict, tuple[object, bytes]]:
     weights_path = path / WEIGHTS_NAME
     if not manifest_path.is_file() or not weights_path.is_file():
         raise DataError(f"no checkpoint at {path} (need {MANIFEST_NAME} and {WEIGHTS_NAME})")
-    with open(manifest_path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-            raise DataError(f"checkpoint manifest {manifest_path} is not valid JSON: {e}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"checkpoint manifest {manifest_path} must hold a JSON object")
+    manifest = read_json_object(manifest_path, "checkpoint manifest")
     return manifest, (manifest.pop("params", None), weights_path.read_bytes())
 
 

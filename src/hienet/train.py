@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,6 +38,7 @@ from .cascade import (
 from .config import TrainConfig
 from .errors import ConfigError, DataError, TrainingError
 from .features import CascadeFeatures, build_batch, featurize_corpus, from_log2p1
+from .jsonio import write_json
 from .model import HIENet, metrics_from_logs, msle_loss
 from .nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
 from .nn.optim import Adam
@@ -223,9 +223,7 @@ def train(config: TrainConfig) -> TrainResult:
             "train_mean_log": train_mean_log,
         },
     )
-    with open(out_dir / "training_log.json", "w", encoding="utf-8") as fh:
-        json.dump({**summary, "history": result.history}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "training_log.json", {**summary, "history": result.history})
     return result
 
 
@@ -330,9 +328,7 @@ def evaluate(
     }
     if out_dir is not None:
         out = _output_dir(out_dir)
-        with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(out / "metrics.json", report)
         with open(out / "per_cascade.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["message_id", "true", "predicted"])

@@ -45,6 +45,8 @@ PINNED = {
     "concat/weights.bin": "b093979bc1505371d64ed748b700cfeaa253117ae61043269ab3acaaa883aca4",
     "concat/metrics.json": "9841b628bce2f7f4ad5013596a39d31b338d95c7f7fa1bccb9e1eb3614ad4cc3",
     "concat/per_cascade.csv": "336d815401c12c29949daf6639c8ed0651aeb19ba5a46ade7775f6634997713e",
+    "corpus/manifest.json": "ca073f385c42ceace1084d1cce4c395e6718c6679f1623d8c02dce14bcb6920d",
+    "transformer/training_log.json": "0ba8c64732edd304dee2ea7e6a6c1c0ac6645d817234140f9e21049760907c61",
 }
 
 
@@ -108,6 +110,7 @@ def test_pinned_digests(large_cascades, tmp_path, monkeypatch):
 
     records, manifest = generate_synthetic(SyntheticSpec(num_users=80, num_cascades=30, seed=5))
     data = write_corpus("data", records, manifest)
+    digests["corpus/manifest.json"] = file_digest(Path("data/manifest.json"))
     rows = predict(FIXTURE, data)
     digests["predict/tiny_checkpoint"] = hashlib.sha256(repr(rows).encode()).hexdigest()
 
@@ -119,6 +122,8 @@ def test_pinned_digests(large_cascades, tmp_path, monkeypatch):
         digests[f"{mode}/weights.bin"] = file_digest(result.checkpoint_dir / "weights.bin")
         for name in ("metrics.json", "per_cascade.csv"):
             digests[f"{mode}/{name}"] = file_digest(Path(f"eval-{mode}") / name)
+    digests["transformer/training_log.json"] = file_digest(Path("run-transformer/training_log.json"))
 
+    assert digests.keys() == PINNED.keys()
     mismatched = {k: v for k, v in digests.items() if PINNED[k] != v}
     assert not mismatched, "moved: " + ", ".join(f"{k} (now {v})" for k, v in mismatched.items())

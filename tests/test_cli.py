@@ -31,6 +31,9 @@ TINY_CFG = {
     "mlp_sizes": [16, 8],
 }
 
+#: a JSON array nested too deeply for the parser's recursion limit
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -184,6 +187,24 @@ def test_ablate_writes_table(workspace, capsys):
     table = (workspace / "abl" / "ablation.md").read_text().strip().splitlines()
     names = [row.split("|")[1].strip() for row in table[2:]]
     assert names == ["full", "no_cs", "no_sg", "no_cg", "concat_fusion"]
+
+
+def test_ablate_rejects_resume(workspace, trained, tmp_path, capsys):
+    """ablate trains every variant from scratch, so it refuses --resume before training any."""
+    rc = main(
+        [
+            "ablate",
+            "--data", str(workspace / "data" / "cascades.tsv"),
+            "--out", str(tmp_path / "abl"),
+            "--config", str(workspace / "tiny.json"),
+            "--epochs", "1",
+            "--resume", str(trained),
+        ]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ablate") and "--resume" in err
+    assert not (tmp_path / "abl").exists()
 
 
 def test_import_loads_no_scipy():
@@ -344,8 +365,12 @@ def assert_train_rejects_config(workspace, tmp_path, capsys, change):
         '{"time_unit": "seconds", "label_horizon": "86400"}',
         '{"label_horizon": 86400}',
         '{"time_unit": 1, "label_horizon": 86400}',
+        TOO_DEEP,
     ],
-    ids=["truncated", "not-an-object", "no-horizon", "string-horizon", "no-unit", "number-unit"],
+    ids=[
+        "truncated", "not-an-object", "no-horizon", "string-horizon", "no-unit", "number-unit",
+        "too-deep",
+    ],
 )
 def test_bad_dataset_manifest_is_data_error(workspace, trained, tmp_path, capsys, manifest):
     shutil.copy(workspace / "data" / "cascades.tsv", tmp_path / "cascades.tsv")
@@ -429,6 +454,7 @@ def repeated_neighbour(manifest):
         ("predict", "manifest.json", edit_manifest(self_loop)),
         ("eval", "manifest.json", edit_manifest(repeated_neighbour)),
         ("predict", "weights.bin", lambda raw: raw + bytes(8)),
+        ("eval", "manifest.json", lambda raw: TOO_DEEP.encode()),
     ],
     ids=[
         "truncated-weights",
@@ -451,6 +477,7 @@ def repeated_neighbour(manifest):
         "self-loop",
         "repeated-neighbour",
         "weights-too-long",
+        "too-deep-manifest",
     ],
 )
 def test_corrupt_checkpoint_is_data_error(workspace, trained, tmp_path, capsys, command, name, damage):
@@ -530,6 +557,47 @@ def test_config_file_not_utf8_is_data_error(workspace, tmp_path, capsys):
     assert err.startswith("data error: config file") and "not valid JSON" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "json_file, commands",
+    [
+        ("config", ["train"]),
+        ("dataset-manifest", ["ingest", "train", "eval", "predict"]),
+        ("checkpoint-manifest", ["train", "eval", "predict"]),
+    ],
+    ids=["config", "dataset-manifest", "checkpoint-manifest"],
+)
+def test_json_file_that_is_a_directory_is_data_error(
+    workspace, trained, tmp_path, capsys, json_file, commands
+):
+    """Each command that reads the JSON file exits 2 before making ``--out``."""
+    shutil.copytree(workspace / "data", tmp_path / "data")
+    shutil.copytree(trained, tmp_path / "ckpt")
+    shutil.copy(workspace / "tiny.json", tmp_path / "tiny.json")
+    blocked = {
+        "config": tmp_path / "tiny.json",
+        "dataset-manifest": tmp_path / "data" / "manifest.json",
+        "checkpoint-manifest": tmp_path / "ckpt" / "manifest.json",
+    }[json_file]
+    blocked.unlink()
+    blocked.mkdir()
+    data, ckpt, out = str(tmp_path / "data" / "cascades.tsv"), str(tmp_path / "ckpt"), str(tmp_path / "out")
+    argv = {
+        "ingest": ["ingest", "--data", data],
+        "train": [
+            "train", "--data", data, "--out", out, "--config", str(tmp_path / "tiny.json"),
+            "--epochs", "0", "--resume", ckpt,
+        ],
+        "eval": ["eval", "--checkpoint", ckpt, "--data", data, "--out", out],
+        "predict": ["predict", "--checkpoint", ckpt, "--data", data, "--out", out],
+    }
+    for command in commands:
+        assert main(argv[command]) == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("data error: "), command
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def corpus_commands(trained, data, tmp_path):

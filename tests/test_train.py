@@ -79,9 +79,10 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_config_bad_json_is_data_error(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text("{nope")
-    with pytest.raises(DataError, match="JSON"):
-        resolve_config(path)
+    for text in ("{nope", "[" * 100_000 + "]" * 100_000):  # garbled, nested too deeply
+        path.write_text(text)
+        with pytest.raises(DataError, match="JSON"):
+            resolve_config(path)
 
 
 @pytest.mark.parametrize(
