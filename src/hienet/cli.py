@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands cover the whole workflow: generate a synthetic corpus, sanity
-check a cascade file, train, evaluate, predict, verify gradients, and run
-the branch-ablation sweep. Exit codes: 0 on success, 1 for bad usage or a
-failed check, 2 for data problems (unparseable file, missing manifest,
-unit mismatch, empty split).
+check a cascade file, train, evaluate, predict, and run the branch-ablation
+sweep. Exit codes: 0 on success, 1 for bad usage or a bad setting, 2 for
+data problems (unparseable file, missing manifest, unit mismatch, empty
+split, corrupt checkpoint).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .cascade import build_cascade_graph, build_global_graph, compute_label
 from .config import FUSION_MODES, TrainConfig, resolve_config
-from .diagnostics import PASS_THRESHOLD, worst_over_seeds
 from .errors import CascadeParseError, DataError, HienetError, UsageError
 from .synth import SyntheticSpec, generate_synthetic, write_corpus
 from .train import _output_dir, evaluate, load_corpus, predict, train
@@ -98,9 +97,6 @@ def build_parser() -> _Parser:
     p.add_argument("--window", type=int)
     p.add_argument("--out", help="directory for predictions.csv")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of every layer family")
-    p.add_argument("--seeds", type=int, default=3, help="number of seeds to sweep")
-
     p = sub.add_parser("ablate", help="train branch-ablation variants and compare")
     _add_train_flags(p)
 
@@ -177,19 +173,6 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    if args.seeds < 1:
-        raise UsageError("--seeds must be >= 1")
-    worst = worst_over_seeds(range(args.seeds))
-    failed = False
-    for name, err in worst.items():
-        ok = err < PASS_THRESHOLD
-        failed = failed or not ok
-        print(f"{name:12s} {err:.3e}  {'PASS' if ok else 'FAIL'}")
-    print(f"threshold {PASS_THRESHOLD:.0e} over {args.seeds} seed(s)")
-    return 1 if failed else 0
-
-
 def _cmd_ablate(args) -> int:
     base = _config_from_args(args)
     if not (base.use_cs and base.use_sg and base.use_cg):
@@ -225,7 +208,6 @@ _COMMANDS = {
     "train": _cmd_train,
     "eval": _cmd_eval,
     "predict": _cmd_predict,
-    "gradcheck": _cmd_gradcheck,
     "ablate": _cmd_ablate,
 }
 

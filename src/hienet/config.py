@@ -87,8 +87,9 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.mlp_sizes or min(self.mlp_sizes) < 1:
             raise ConfigError(f"mlp_sizes must be one or more sizes >= 1, got {list(self.mlp_sizes)}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.beta <= 0:

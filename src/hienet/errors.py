@@ -9,7 +9,7 @@ class CascadeParseError(HienetError):
     """A cascade line violated the file grammar.
 
     Carries the 1-based line number and the offending field so callers can
-    report actionable diagnostics on stderr.
+    report actionable messages on stderr.
     """
 
     def __init__(self, message: str, line_no: int | None = None, field: str | None = None):

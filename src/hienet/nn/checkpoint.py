@@ -58,7 +58,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, tuple[object, bytes]]:
 def restore_into(params: list[Parameter], weights: tuple[object, bytes]) -> None:
     """Copy a loaded ``(stored params, blob)`` pair into live parameters.
 
-    The stored list must be ``layout(params)`` and the blob exactly its size.
+    The stored list must be ``layout(params)``, the blob exactly its size
+    and every value in it finite.
     """
     stored, blob = weights
     entries = layout(params)
@@ -68,6 +69,8 @@ def restore_into(params: list[Parameter], weights: tuple[object, bytes]) -> None
     if len(blob) != size:
         raise DataError(f"checkpoint {WEIGHTS_NAME} holds {len(blob)} bytes, but its params need {size}")
     flat = np.frombuffer(blob, dtype="<f8")
+    if not np.isfinite(flat).all():
+        raise DataError(f"checkpoint {WEIGHTS_NAME} holds a value that is not finite")
     for p, e in zip(params, entries):
         start = e["offset"] // 8
         p.data[...] = flat[start : start + p.data.size].reshape(p.data.shape)

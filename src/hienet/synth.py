@@ -57,6 +57,8 @@ class SyntheticSpec:
             raise ConfigError(f"horizon must be >= 2, got {self.horizon}")
         if self.attachment_edges < 1:
             raise ConfigError(f"attachment_edges must be >= 1, got {self.attachment_edges}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _user(i: int) -> str:

@@ -1,27 +1,81 @@
-"""Numerical health checks exposed to the CLI and the test suite.
+"""Central finite-difference checks of backward rules, for the tests.
 
-``gradient_check_report`` verifies every layer family against central
-finite differences: each isolated check sweeps every entry of every
-parameter, while the end-to-end check samples a few entries per parameter
-(full sweeps of a whole model are quadratically expensive and add nothing
-once each layer is exact in isolation).
+``max_relative_error`` perturbs every entry of every checked tensor by
+±step, rebuilds the scalar loss, and compares the numeric slope against the
+gradient produced by ``backward()`` (densified when it is row-sparse).
+Relative error uses max(|analytic|, |numeric|) as denominator; when both
+are below ``tiny`` the comparison falls back to absolute error, since the
+ratio of two rounding-noise values is meaningless.
+
+``gradient_check_report`` verifies every layer family with it: each
+isolated check sweeps every entry of every parameter, while the end-to-end
+check samples a few entries per parameter (full sweeps of a whole model are
+quadratically expensive and add nothing once each layer is exact in
+isolation).
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-from .cascade import build_global_graph, parse_cascade_line
-from .config import TrainConfig
-from .features import build_batch, featurize_corpus
-from .model import HIENet, msle_loss, weighted_rows
-from .nn.gradcheck import max_relative_error
-from .nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer
-from .nn import tensor as T
-from .nn.tensor import COO, Tensor, concat, gather_rows, mean_all, square
-from .synth import SyntheticSpec, generate_synthetic
+import hienet.nn.tensor as T
+from hienet.cascade import build_global_graph, parse_cascade_line
+from hienet.config import TrainConfig
+from hienet.features import build_batch, featurize_corpus
+from hienet.model import HIENet, msle_loss, weighted_rows
+from hienet.nn.layers import LSTM, MLP, Embedding, TransformerEncoderLayer
+from hienet.nn.tensor import COO, Tensor, concat, gather_rows, mean_all, square
+from hienet.synth import SyntheticSpec, generate_synthetic
 
-PASS_THRESHOLD = 1e-4
+
+def max_relative_error(
+    loss_fn: Callable[[], Tensor],
+    tensors: Sequence[Tensor],
+    step: float = 1e-5,
+    tiny: float = 1e-7,
+    sample: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> float:
+    """Worst disagreement between backward() and central differences.
+
+    ``loss_fn`` must rebuild the graph from the current tensor contents on
+    every call (define-by-run), returning a scalar Tensor. With ``sample``
+    set, at most that many entries per tensor are perturbed, chosen by
+    ``rng``, which must then be given; this keeps whole-model checks
+    affordable. Layer-level checks should leave it unset and sweep every
+    entry.
+    """
+    for t in tensors:
+        t.grad = None
+    loss = loss_fn()
+    loss.backward()
+    analytic = [t.dense_grad().copy() for t in tensors]
+
+    worst = 0.0
+    for t, grad in zip(tensors, analytic):
+        flat = t.data.reshape(-1)
+        if sample is not None and flat.size > sample:
+            entries = rng.choice(flat.size, size=sample, replace=False)
+        else:
+            entries = range(flat.size)
+        for i in entries:
+            orig = flat[i]
+            flat[i] = orig + step
+            up = float(loss_fn().data)
+            flat[i] = orig - step
+            down = float(loss_fn().data)
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * step)
+            a = grad.reshape(-1)[i]
+            denom = max(abs(a), abs(numeric))
+            if denom < tiny:
+                err = abs(a - numeric)
+            else:
+                err = abs(a - numeric) / denom
+            worst = max(worst, err)
+    return worst
 
 
 def _sq_mean(t) -> Tensor:
@@ -152,7 +206,9 @@ def _check_fusion(rng, seed: int) -> float:
     return max_relative_error(lambda: _sq_mean(model.fuse(f_cs, None, f_cg)), tensors, step=1e-4)
 
 
-def _end_to_end_setup(seed: int):
+def end_to_end_setup(seed: int):
+    """The untrained tiny model and the batch of three cascades that the
+    end-to-end check differentiates at ``seed``."""
     records, _ = generate_synthetic(
         SyntheticSpec(num_users=25, num_cascades=8, mean_branching=1.5, seed=seed + 100)
     )
@@ -167,7 +223,7 @@ def _end_to_end_setup(seed: int):
 
 
 def _check_end_to_end(rng, seed: int) -> float:
-    model, batch = _end_to_end_setup(seed)
+    model, batch = end_to_end_setup(seed)
     # tiny=1e-5: gradients vanish below 1e-6 through the stacked
     # recurrences, where the numeric slope at step 1e-5 is float64 roundoff
     # in the loss; such entries are compared absolutely instead
@@ -193,12 +249,3 @@ def gradient_check_report(seed: int = 0) -> dict[str, float]:
         "fusion": _check_fusion(rng, seed),
         "end_to_end": _check_end_to_end(rng, seed),
     }
-
-
-def worst_over_seeds(seeds) -> dict[str, float]:
-    """Per-check worst error across several seeds."""
-    worst: dict[str, float] = {}
-    for seed in seeds:
-        for name, err in gradient_check_report(seed).items():
-            worst[name] = max(worst.get(name, 0.0), err)
-    return worst

@@ -13,7 +13,6 @@ import numpy as np
 
 from hienet.cascade import GlobalSocialGraph, build_cascade_graph, parse_cascade_line
 from hienet.config import TrainConfig
-from hienet.diagnostics import gradient_check_report
 from hienet.model import HIENet
 from hienet.nn.tensor import concat, constant, gather_rows
 from hienet.snapshots import (
@@ -27,6 +26,7 @@ from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import evaluate, train
 from hienet.walks import sample_walks, start_distribution, transition_distribution
 
+from gradcheck import gradient_check_report
 from reference_ops import dense, hand_graph, path_aware_representation, snapshot_blocks
 
 

@@ -6,7 +6,6 @@ from hienet.errors import DataError, ShapeError
 from hienet.config import TrainConfig
 from hienet.model import HIENet
 from hienet.nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
-from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.layers import (
     LSTM,
     MLP,
@@ -20,6 +19,7 @@ from hienet.nn.optim import Adam
 from hienet.nn.tensor import Parameter
 
 import reference_ops as R
+from gradcheck import max_relative_error
 
 
 def test_linear_matches_manual():

@@ -6,16 +6,15 @@ from scipy.linalg import block_diag
 
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.config import TrainConfig
-from hienet.diagnostics import _end_to_end_setup
 from hienet.errors import ConfigError, ShapeError
 from hienet.features import build_batch, featurize_corpus, from_log2p1, log2p1
 from hienet.model import HIENet, metrics_from_logs, msle_loss
-from hienet.nn.gradcheck import max_relative_error
 from hienet.nn.optim import Adam
 from hienet.nn.tensor import Parameter, constant, mean_all, square
 from hienet.snapshots import snapshot_indices
 from hienet.synth import SyntheticSpec, generate_synthetic
 
+from gradcheck import end_to_end_setup, max_relative_error
 from reference_ops import csr, dense_adam_update, encode_every_walk, scipy_csr, snapshot_blocks
 
 LINES = [
@@ -235,7 +234,7 @@ def test_distinct_walk_encoding_matches_every_walk_reference():
 def test_gradient_check_batch_repeats_a_walk():
     """Criterion 1's end-to-end check runs on seed 0's batch, so it covers
     the gather that expands a distinct walk to several sampled walks."""
-    _, batch = _end_to_end_setup(0)
+    _, batch = end_to_end_setup(0)
     assert np.unique(batch.walk_of).size < batch.walk_of.size
 
 

@@ -104,6 +104,7 @@ def test_config_bad_json_is_data_error(tmp_path):
         dict(m_max=0),
         dict(k_walks=0),
         dict(walk_len=0),
+        dict(seed=-1),
     ],
 )
 def test_config_validation(kw):
