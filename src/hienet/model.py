@@ -55,6 +55,7 @@ from .nn.tensor import (
     gather_rows,
     matmul,
     mean_all,
+    no_grad,
     relu,
     sparse_matmul,
     square,
@@ -185,8 +186,11 @@ class HIENet(Module):
         return self.predict_from_state(self.fuse(f_cs, f_sg, f_cg))
 
     def predict_logs(self, batch: FeatureBatch) -> np.ndarray:
-        """Inference: clamp below at zero (popularity is non-negative)."""
-        return np.maximum(self.forward(batch).data[:, 0], 0.0)
+        """Inference: ``forward`` under ``no_grad()``, so no op records a
+        graph and each intermediate is freed once the next op has read it,
+        clamped below at zero (popularity is non-negative)."""
+        with no_grad():
+            return np.maximum(self.forward(batch).data[:, 0], 0.0)
 
     # ------------------------------------------------------------------
     # constants

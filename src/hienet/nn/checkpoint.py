@@ -39,8 +39,9 @@ def save_checkpoint(path: str | Path, params: list[Parameter], extra: dict | Non
     path.mkdir(parents=True, exist_ok=True)
     manifest = dict(extra or {})
     manifest["params"] = layout(params)
-    blob = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes() for p in params)
-    (path / WEIGHTS_NAME).write_bytes(blob)
+    with open(path / WEIGHTS_NAME, "wb") as fh:
+        for p in params:  # one parameter at a time, never the whole blob
+            fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
     write_json(path / MANIFEST_NAME, manifest)
 
 

@@ -14,7 +14,8 @@ layers are one op each (``lstm_sequence``, ``attention``) with hand-written
 backward rules, so a model step records a few dozen nodes rather than one
 per gate and step. Every op's output keeps the op's name, so a NaN loss is
 traced in the graph it already recorded (``first_nan_op``), without a
-second forward pass.
+second forward pass. Inside ``no_grad()`` ops record nothing, so inference
+frees each intermediate as soon as the next op has read it.
 
 Sparse operands are constant ``COO`` tuples of plain numpy arrays.
 ``sparse_matmul`` and ``gather_rows``' backward sum their rows with one
@@ -31,14 +32,17 @@ gives any tensor's gradient in full.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, TrainingError
 
 #: added to each row's variance in ``layer_norm_rows``
 LAYER_NORM_EPS = 1e-12
+
+_recording = True  # False inside ``no_grad()``
 
 
 class Tensor:
@@ -91,6 +95,11 @@ class Tensor:
         """Backpropagate from this scalar through the recorded graph."""
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            raise TrainingError(
+                "backward: this tensor recorded no graph (it was computed inside no_grad() "
+                "or from constants only), so no gradient would reach a parameter"
+            )
         nodes = self._graph()
         self.grad = np.ones_like(self.data)
         for node in nodes:
@@ -158,10 +167,21 @@ def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
 
 
+@contextmanager
+def no_grad():
+    """Ops run inside this block record no parents and no backward closure."""
+    global _recording
+    outer, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = outer
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
     out = Tensor(data)
     out._op = op
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward

@@ -188,6 +188,7 @@ def train(config: TrainConfig) -> TrainResult:
     )["MSLE"]
 
     result = TrainResult(config=config.to_dict(), baseline_val_msle=baseline_val)
+    best_weights = [np.empty_like(p.data) for p in params]
     for epoch in range(config.epochs + 1):
         if epoch > 0:
             order = np.random.default_rng([config.seed, epoch]).permutation(len(train_feats))
@@ -200,7 +201,8 @@ def train(config: TrainConfig) -> TrainResult:
         # epoch 0 always sets the best, so a NaN val MSLE still leaves weights to restore
         if epoch == 0 or val_msle < result.best_val_msle:
             result.best_epoch, result.best_val_msle = epoch, val_msle
-            best_weights = [p.data.copy() for p in params]
+            for best, p in zip(best_weights, params):
+                np.copyto(best, p.data)
 
     for p, data in zip(params, best_weights):
         p.data[...] = data

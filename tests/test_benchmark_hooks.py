@@ -58,6 +58,28 @@ def test_untraced_boundaries_install_and_restore():
     assert train_module.Adam.step is step
 
 
+def test_inference_batches_reach_the_traced_names():
+    """perfbench's setup and step boundaries and its traced
+    ``model.predict_logs_ms`` see evaluation batches only while
+    ``_batched_predict`` looks ``build_batch`` up as a ``hienet.train``
+    global and ``predict_logs`` is a ``HIENet`` class attribute."""
+    assert "predict_logs" in vars(HIENet)
+    records, _ = generate_synthetic(SyntheticSpec(num_users=40, num_cascades=5, seed=3))
+    graph = build_global_graph(records)
+    config = TrainConfig(seed=0)
+    feats = featurize_corpus(records, graph, config)
+    train_module = importlib.import_module("hienet.train")
+    tracer = Tracer()
+    install_layers(tracer, LayerCounts())
+    try:
+        preds = train_module._batched_predict(HIENet(config, vocab=graph.vocab), feats)
+    finally:
+        tracer.restore()
+    names = [span.name for span in tracer.spans]
+    assert preds.shape == (len(feats),)
+    assert names.count("features.build_batch") == names.count("model.predict_logs") == 1
+
+
 def test_featurize_calls_every_feature_hook():
     """A hooked name that featurize no longer calls would report 0 ms in a
     traced run without failing anything, so one cascade must reach them all."""

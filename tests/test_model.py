@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -358,6 +359,54 @@ def test_prediction_determinism_and_clamp(corpus):
     batch = build_batch(feats)
     assert np.allclose(model.predict_logs(batch), 0.0)
     assert model.forward(batch).data.min() == -0.3
+
+
+@pytest.mark.parametrize("fusion", ["transformer", "concat"])
+def test_predict_logs_is_a_forward_that_records_nothing(corpus, fusion):
+    ggraph, feats = corpus
+    model = build_model(ggraph, fusion_mode=fusion)
+    batch = build_batch(feats)
+    recorded = model.forward(batch)
+    outputs = []
+
+    def forward(b):
+        outputs.append(HIENet.forward(model, b))
+        return outputs[-1]
+
+    model.forward = forward  # predict_logs calls self.forward
+    pred = model.predict_logs(batch)
+    (out,) = outputs
+    assert out.data.tobytes() == recorded.data.tobytes()
+    assert pred.tobytes() == np.maximum(recorded.data[:, 0], 0.0).tobytes()
+    assert recorded._parents and recorded._backward is not None
+    assert (out.requires_grad, out._parents, out._backward) == (False, (), None)
+    # recording resumes once predict_logs returns
+    assert HIENet.forward(model, batch)._parents
+
+
+def _traced_peak(call) -> int:
+    """The most memory traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_logs_frees_what_a_recorded_forward_keeps():
+    """On a default evaluation batch of 64 cascades, a recorded forward keeps
+    every intermediate for a backward pass that inference never runs."""
+    config = TrainConfig(seed=0)
+    records, _ = generate_synthetic(SyntheticSpec())
+    records = records[:64]
+    graph = build_global_graph(records)
+    batch = build_batch(featurize_corpus(records, graph, config))
+    model = HIENet(config, vocab=graph.vocab)
+    model.predict_logs(batch)
+    recorded = _traced_peak(lambda: model.forward(batch))
+    frozen = _traced_peak(lambda: model.predict_logs(batch))
+    assert frozen < recorded / 2
 
 
 def test_log_transform_round_trip():

@@ -6,7 +6,7 @@ import pytest
 import hienet.nn.tensor as T
 from hienet.cascade import build_global_graph
 from hienet.config import TrainConfig
-from hienet.errors import ShapeError
+from hienet.errors import ShapeError, TrainingError
 from hienet.features import build_batch, featurize_corpus
 from hienet.nn.tensor import Parameter
 from hienet.synth import SyntheticSpec, generate_synthetic
@@ -288,6 +288,43 @@ def test_backward_requires_scalar():
     x = Parameter("x", np.ones((2, 2)))
     with pytest.raises(ShapeError):
         T.add(x, x).backward()
+
+
+def _records(t):
+    return t.requires_grad and t._parents != () and t._backward is not None
+
+
+def test_no_grad_records_nothing_and_recording_resumes():
+    x = Parameter("x", np.ones((2, 2)))
+    with T.no_grad():
+        y = T.square(T.matmul(x, x))
+        with T.no_grad():
+            pass
+        # leaving an inner block keeps the outer one in force
+        z = T.square(x)
+    for t in (y, z):
+        assert (t.requires_grad, t._parents, t._backward) == (False, (), None)
+    assert np.array_equal(y.data, T.square(T.matmul(x, x)).data)
+    assert _records(T.square(x))
+    with pytest.raises(ShapeError):
+        with T.no_grad():
+            T.matmul(x, Parameter("w", np.ones((3, 1))))
+    assert _records(T.square(x))
+
+
+@pytest.mark.parametrize("build", ["no_grad", "constants"])
+def test_backward_without_a_graph_names_the_cause(build):
+    """A loss that recorded no graph would leave every gradient at None and
+    the next optimizer step would move nothing; backward says why instead."""
+    x = Parameter("x", np.ones((2, 2)))
+    if build == "no_grad":
+        with T.no_grad():
+            loss = T.mean_all(T.square(x))
+    else:
+        loss = T.mean_all(T.square(T.constant(x.data)))
+    with pytest.raises(TrainingError, match="recorded no graph"):
+        loss.backward()
+    assert x.grad is None
 
 
 def test_layer_norm_statistics():

@@ -195,6 +195,18 @@ def test_evaluate_reproduces_logged_metrics(corpus, tmp_path):
     assert tr["MSLE"] == pytest.approx(best["train_MSLE"], abs=1e-9)
 
 
+def test_checkpoint_holds_the_best_epochs_weights(corpus, tmp_path):
+    """Training past the best epoch saves the weights that epoch left, byte
+    for byte what a run stopped at that epoch saves, so the best-epoch copy
+    never follows the live parameters."""
+    longer = train(tiny_config(corpus, tmp_path / "long", epochs=4, lr=3e-2))
+    assert 0 < longer.best_epoch < 4
+    stopped = train(tiny_config(corpus, tmp_path / "short", epochs=longer.best_epoch, lr=3e-2))
+    assert stopped.best_epoch == longer.best_epoch
+    weights = [tmp_path / run / "checkpoint" / "weights.bin" for run in ("long", "short")]
+    assert weights[0].read_bytes() == weights[1].read_bytes()
+
+
 def test_resume_with_zero_epochs_is_identity(corpus, tmp_path):
     first = train(tiny_config(corpus, tmp_path / "a"))
     resumed = train(
