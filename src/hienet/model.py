@@ -9,7 +9,10 @@ Branches, each emitting one d_model token per cascade:
   (averaging path-aware user representations),
 - cg: two graph-convolution layers over the snapshot sequence, node-mean
   then snapshot-mean pooled; each snapshot propagates through its sparse
-  D^-1/2 (A + A^T + I) D^-1/2.
+  D^-1/2 (A + A^T + I) D^-1/2. Both propagations arrive folded into the
+  features (``features.py``): the nodes' propagated time-bin rows P F and
+  the pool weights times P's row sums, so the branch computes
+  proj(pool relu(P F W1) W2) with one sparse matmul, the pooling.
 
 Fusion: the branch tokens plus a learned summary token pass through one
 post-norm transformer encoder layer; no positional encodings are added, so
@@ -27,11 +30,9 @@ the distinct walk behind each of the B*K sampled walks. Each LSTM
 direction of each level is one ``lstm_sequence`` op: the inner level runs
 over the distinct walks, one ``gather_rows`` expands its outputs to the
 sampled walks, and the outer level reads all K of each cascade.
-Each cascade's snapshots arrive as one prebuilt block-diagonal sparse
-propagation matrix, and ``build_batch`` stacks the B of them into one, so
-each GCN layer is one sparse matmul holding only the snapshots' nonzeros.
-Each node's features are the sinusoidal row of its time bin in
-``enc_table``, which the model owns.
+The snapshot nodes of all B cascades arrive as one stack of propagated
+features, and one (B, total_nodes) sparse pooling matrix holds each
+cascade's folded pool weights in its row.
 The 4 tokens of each cascade stack token-major into a (4B, d_model) matrix
 (row i belongs to cascade i mod B), and attention scores each cascade's 4
 tokens among themselves, as one (B, heads, 4, 4) array.
@@ -60,7 +61,6 @@ from .nn.tensor import (
     sparse_matmul,
     square,
 )
-from .snapshots import encoding_table
 
 
 def weighted_rows(weights: COO, table: Tensor) -> Tensor:
@@ -115,8 +115,6 @@ class HIENet(Module):
             self.encoder = None
 
         self.head = MLP("head", d, c.mlp_sizes, rng)
-        # the (time_bins, pe_dim) node-feature row of each time bin
-        self.enc_table = encoding_table(c.pe_dim, c.time_bins)
 
     # ------------------------------------------------------------------
     # branch encoders
@@ -142,10 +140,11 @@ class HIENet(Module):
         """(B, vocab) sparse convex weight rows -> (B, d_model) social tokens."""
         return self.sg_proj(weighted_rows(social, self.sg_embed.table))
 
-    def _cg_from_blocks(self, p_block, node_feats, pool) -> Tensor:
-        hidden = relu(sparse_matmul(p_block, matmul(constant(node_feats), self.gcn_w1)))
-        out = sparse_matmul(p_block, matmul(hidden, self.gcn_w2))
-        return self.cg_proj(sparse_matmul(pool, out))
+    def encode_snapshots(self, node_feats: np.ndarray, pool: COO) -> Tensor:
+        """(total_nodes, pe_dim) propagated node features and the (B,
+        total_nodes) folded pooling -> (B, d_model) snapshot tokens."""
+        hidden = relu(matmul(constant(node_feats), self.gcn_w1))
+        return self.cg_proj(matmul(sparse_matmul(pool, hidden), self.gcn_w2))
 
     # ------------------------------------------------------------------
     # fusion + head
@@ -178,11 +177,7 @@ class HIENet(Module):
             else None
         )
         f_sg = self.encode_social(batch.social) if c.use_sg else None
-        f_cg = (
-            self._cg_from_blocks(batch.p_block, self.enc_table[batch.node_bins], batch.pool)
-            if c.use_cg
-            else None
-        )
+        f_cg = self.encode_snapshots(batch.node_feats, batch.pool) if c.use_cg else None
         return self.predict_from_state(self.fuse(f_cs, f_sg, f_cg))
 
     def predict_logs(self, batch: FeatureBatch) -> np.ndarray:

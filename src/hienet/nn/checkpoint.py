@@ -12,6 +12,7 @@ it. Round-trips are byte-exact: values are never re-encoded through text.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -45,33 +46,40 @@ def save_checkpoint(path: str | Path, params: list[Parameter], extra: dict | Non
     write_json(path / MANIFEST_NAME, manifest)
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict, tuple[object, bytes]]:
-    """Read a checkpoint directory -> (manifest minus params, (params, blob)) for ``restore_into``."""
+def load_checkpoint(path: str | Path) -> tuple[dict, tuple[object, Path]]:
+    """Read a checkpoint directory's manifest -> (manifest minus params,
+    (params, weights path)) for ``restore_into``, which reads the weights."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     weights_path = path / WEIGHTS_NAME
     if not manifest_path.is_file() or not weights_path.is_file():
         raise DataError(f"no checkpoint at {path} (need {MANIFEST_NAME} and {WEIGHTS_NAME})")
     manifest = read_json_object(manifest_path, "checkpoint manifest")
-    return manifest, (manifest.pop("params", None), weights_path.read_bytes())
+    return manifest, (manifest.pop("params", None), weights_path)
 
 
-def restore_into(params: list[Parameter], weights: tuple[object, bytes]) -> None:
-    """Copy a loaded ``(stored params, blob)`` pair into live parameters.
+def restore_into(params: list[Parameter], weights: tuple[object, Path]) -> None:
+    """Copy a loaded ``(stored params, weights path)`` pair into live parameters.
 
     The stored list must be ``layout(params)``, the blob exactly its size
-    and every value in it finite.
+    and every value in it finite. The blob is read one parameter at a time,
+    so restoring holds at most one parameter beside the model; a
+    ``DataError`` raised after the size check may leave the parameters
+    before the bad one restored.
     """
-    stored, blob = weights
+    stored, path = weights
     entries = layout(params)
     if stored != entries:
         raise DataError(f"checkpoint params do not match this model's {len(entries)}-parameter layout")
     size = sum(8 * p.data.size for p in params)
-    if len(blob) != size:
-        raise DataError(f"checkpoint {WEIGHTS_NAME} holds {len(blob)} bytes, but its params need {size}")
-    flat = np.frombuffer(blob, dtype="<f8")
-    if not np.isfinite(flat).all():
-        raise DataError(f"checkpoint {WEIGHTS_NAME} holds a value that is not finite")
-    for p, e in zip(params, entries):
-        start = e["offset"] // 8
-        p.data[...] = flat[start : start + p.data.size].reshape(p.data.shape)
+    with open(path, "rb") as fh:
+        found = os.fstat(fh.fileno()).st_size
+        if found != size:
+            raise DataError(f"checkpoint {WEIGHTS_NAME} holds {found} bytes, but its params need {size}")
+        for p in params:  # layout packs them back to back in this order
+            values = np.empty(p.data.shape, dtype="<f8")
+            if fh.readinto(values) != values.nbytes:
+                raise DataError(f"checkpoint {WEIGHTS_NAME} ended inside {p.name!r}")
+            if not np.isfinite(values).all():
+                raise DataError(f"checkpoint {WEIGHTS_NAME} holds a value that is not finite")
+            p.data[...] = values

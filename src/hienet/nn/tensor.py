@@ -101,6 +101,13 @@ class Tensor:
                 "or from constants only), so no gradient would reach a parameter"
             )
         nodes = self._graph()
+        # an op's output holds a gradient only once a backward has run through it,
+        # and a second pass would add its own on top and send the sum on
+        if any(node._backward is not None and node.grad is not None for node in nodes):
+            raise TrainingError(
+                "backward: a backward pass already ran through this graph; record a new "
+                "forward pass instead"
+            )
         self.grad = np.ones_like(self.data)
         for node in nodes:
             if node._backward is not None and node.grad is not None:

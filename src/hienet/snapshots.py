@@ -16,6 +16,10 @@ Node features are classic sinusoidal encodings of the event's *time bin*:
 elapsed time is discretized into ``bins`` equal steps over the window and
 the bin index is fed through sin/cos pairs at geometrically spaced
 frequencies. The root sits in bin 0 by construction.
+
+None of this reaches the model as a matrix: ``features.fold_propagation``
+propagates the nodes' encoding rows through the block-diagonal matrix once
+per cascade and folds the second propagation into the pool weights.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,7 +96,7 @@ def diffusion_pairs(cascade: CascadeGraph, max_pairs: int) -> list[tuple[int, in
 
 def social_weight_vector(
     cascade: CascadeGraph,
-    rows: list[int],
+    rows: Sequence[int] | Mapping[int, int],
     global_graph: GlobalSocialGraph,
     alpha: float,
     max_pairs: int,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,9 @@ class WalkBatch:
 
     walks: list[list[int | None]]
 
-    def to_index_matrix(self, rows: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def to_index_matrix(
+        self, rows: Sequence[int] | Mapping[int, int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Embedding rows of each distinct walk's real steps (its prefix
         before PAD), their step counts, and the (K,) distinct-walk position
         of each sampled walk, given node i's embedding row ``rows[i]``.

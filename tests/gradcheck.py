@@ -177,9 +177,10 @@ def _tiny_config(seed: int, **features) -> TrainConfig:
 
 
 def _check_gcn(rng, seed: int) -> float:
-    """The model's snapshot GCN, two sparse propagations then pooling, on the
-    batch ``featurize_corpus`` and ``build_batch`` make of a 6-node cascade
-    capped at 3 snapshots, its nodes in random time bins (8 units, 8 bins)."""
+    """The model's snapshot GCN, its propagations folded into the features,
+    on the batch ``featurize_corpus`` and ``build_batch`` make of a 6-node
+    cascade capped at 3 snapshots, its nodes in random time bins (8 units,
+    8 bins)."""
     config = _tiny_config(seed, k_walks=1, walk_len=2, max_pairs=1, m_max=3, window=8)
     model = HIENet(config, vocab=9)
     t = np.sort(rng.integers(0, 8, size=5))
@@ -187,10 +188,9 @@ def _check_gcn(rng, seed: int) -> float:
     records = [parse_cascade_line(f"m\tr\t0\t9\t{paths}")]
     feats = featurize_corpus(records, build_global_graph(records), config)
     batch = build_batch(feats)
-    node_feats = model.enc_table[batch.node_bins]
     tensors = [model.gcn_w1, model.gcn_w2] + model.cg_proj.params()
     return max_relative_error(
-        lambda: _sq_mean(model._cg_from_blocks(batch.p_block, node_feats, batch.pool)), tensors
+        lambda: _sq_mean(model.encode_snapshots(batch.node_feats, batch.pool)), tensors
     )
 
 

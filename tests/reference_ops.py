@@ -14,7 +14,9 @@ encoded each distinct walk once.
 dense form of the snapshot propagation that
 ``snapshots.build_snapshots`` builds sparsely, and ``snapshot_blocks`` splits
 that sparse output back into dense per-snapshot blocks; the snapshot, model
-and GCN tests compare against these.
+and GCN tests compare against these. ``unfolded_snapshot_tokens`` is the cg
+branch as the two-layer GCN it folds away: both propagations and the
+pooling as dense matrix products.
 
 ``csr`` stores a dense matrix's nonzeros row by row as a ``COO`` and
 ``dense`` turns a ``COO`` back into a dense array. ``indptr`` gives a
@@ -42,11 +44,13 @@ from the same stream and must give the same walks.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import block_diag
 
 from hienet.cascade import CascadeGraph
 from hienet.errors import ShapeError
 from hienet.nn.optim import BETA1, BETA2, EPS
 from hienet.nn.tensor import COO, Tensor, _need_2d, _need_same_shape, _result, concat, gather_rows
+from hienet.snapshots import encoding_table
 from hienet.social import CorrelationPath, path_coefficients
 
 
@@ -219,6 +223,20 @@ def snapshot_blocks(propagation: COO, bins: np.ndarray, sizes) -> list[tuple[np.
         out.append((full[offset : offset + n, offset : offset + n], bins[offset : offset + n]))
         offset += n
     return out
+
+
+def unfolded_snapshot_tokens(model, snapshots) -> np.ndarray:
+    """The cg tokens of the cascades whose ``build_snapshots`` outputs
+    (propagation, bins, pool weights) are ``snapshots``, as
+    proj(pool P relu(P F W1) W2) on dense arrays: P the cascades'
+    block-diagonal propagation, F each node's encoding row and pool the
+    (B, nodes) node-then-snapshot mean."""
+    c = model.config
+    p = block_diag(*[dense(prop) for prop, _, _ in snapshots])
+    f = encoding_table(c.pe_dim, c.time_bins)[np.concatenate([bins for _, bins, _ in snapshots])]
+    pool = block_diag(*[weights[None] for _, _, weights in snapshots])
+    hidden = np.maximum(p @ f @ model.gcn_w1.data, 0.0)
+    return pool @ p @ hidden @ model.gcn_w2.data @ model.cg_proj.w.data + model.cg_proj.b.data
 
 
 def temporal_positional_encoding(t: int, dim: int, bins: int) -> np.ndarray:

@@ -127,6 +127,17 @@ def test_default_step_records_few_autodiff_nodes():
     assert autodiff_nodes(loss) <= 60
 
 
+def test_default_step_runs_two_sparse_products():
+    """The snapshot GCN's propagations are folded into its features, so a
+    default step records 52 nodes and two sparse products: the social rows'
+    and the snapshot pooling's."""
+    _, model, batch = _default_batch()
+    loss = msle_loss(model.forward(batch), batch.true_logs)
+    ops = [node._op for node in loss._graph() if node._backward is not None]
+    assert len(ops) == autodiff_nodes(loss) == 52
+    assert ops.count("sparse_matmul") == 2
+
+
 def test_traced_optimizer_counts_read_a_real_step():
     """The traced run reads each gradient's size and the embedding tables'
     touched rows at ``Adam.step``; a gradient form it cannot read would

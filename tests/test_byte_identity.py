@@ -35,18 +35,18 @@ TINY = dict(
 )
 
 PINNED = {
-    "features/default": "e210a049f19cad821be883afcd8c1a0b564dc819fced4f47bf4baaa6539fb134",
-    "features/large-cascades": "9cedd4bd44dc47db922b57add27f80d22801732995f1fe564f8e4ee65649619d",
-    "features/unknown-users": "60e01fe22fd6c660f4fa4def9fd0cfbf5fabcdcbe45024edc2c441ebe90668d0",
+    "features/default": "615b9f10a6efaa120a2e20a645c1b14338dc95e2819016ea6538d3a761fa894d",
+    "features/large-cascades": "5fa6c1640c15ca5f628545b9aa7c0fbcc6f1cc2998f8af360b49fb3892850864",
+    "features/unknown-users": "636cbaa9f334892f6070b54e91ef3099665b4cad0b2d04af8477ae569960ac26",
     "predict/tiny_checkpoint": "5bd9b2e9c63b623f32304409b464b8f864efdc63c7d938d640b12ba272818be1",
-    "transformer/weights.bin": "b2e8da0adfa0652722b4de5afb3755811d92caabfb733cd3bf53511027293d62",
-    "transformer/metrics.json": "3ca55939b030917a104402dd0064ba54ceff73bab065086342cc84c28f2c67b1",
+    "transformer/weights.bin": "0321b8b2f4e2d68053e6aaa9611038be8f7226a4e2077ac94c277c84ab16b2fc",
+    "transformer/metrics.json": "a4bb0ce302110caa9d325bd34a7db8f75b90a172e241e55b0933a3f5773f68a1",
     "transformer/per_cascade.csv": "4c682f56243baa4e82eb52830b0aa18d6fd5a9dd74a68ab3ae0883018408b9f5",
-    "concat/weights.bin": "b093979bc1505371d64ed748b700cfeaa253117ae61043269ab3acaaa883aca4",
+    "concat/weights.bin": "dcbd7b6076828014867e9019844314e85595d317331270e3b41ce21d9735a5c3",
     "concat/metrics.json": "9841b628bce2f7f4ad5013596a39d31b338d95c7f7fa1bccb9e1eb3614ad4cc3",
     "concat/per_cascade.csv": "336d815401c12c29949daf6639c8ed0651aeb19ba5a46ade7775f6634997713e",
     "corpus/manifest.json": "ca073f385c42ceace1084d1cce4c395e6718c6679f1623d8c02dce14bcb6920d",
-    "transformer/training_log.json": "0ba8c64732edd304dee2ea7e6a6c1c0ac6645d817234140f9e21049760907c61",
+    "transformer/training_log.json": "602f8bba3ec022f308a4b08b0e93e5a6e6613b477793b40be13fbe84236ae5e3",
 }
 
 

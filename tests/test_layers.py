@@ -176,9 +176,11 @@ def gcn_model(width, seed=0, identity=False):
 
 
 def node_states(model, a, h):
-    """The model's two-layer GCN over adjacency ``a``, one output row per node."""
-    p = R.csr(R.normalize_adjacency(a))
-    return model._cg_from_blocks(p, h, R.csr(np.eye(a.shape[0])))
+    """The model's two-layer GCN over adjacency ``a``, one output row per node:
+    the first propagation arrives in the features, and pooling with the
+    propagation itself applies the second."""
+    p = R.normalize_adjacency(a)
+    return model.encode_snapshots(p @ h, R.csr(p))
 
 
 def test_gcn_two_node_hand_value():

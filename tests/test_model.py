@@ -8,15 +8,27 @@ from scipy.linalg import block_diag
 from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
 from hienet.config import TrainConfig
 from hienet.errors import ConfigError, ShapeError
-from hienet.features import build_batch, featurize_corpus, from_log2p1, log2p1
+from hienet.features import build_batch, featurize_corpus, fold_propagation, from_log2p1, log2p1
 from hienet.model import HIENet, metrics_from_logs, msle_loss
 from hienet.nn.optim import Adam
 from hienet.nn.tensor import Parameter, constant, mean_all, square
-from hienet.snapshots import snapshot_indices
+from hienet.snapshots import (
+    build_snapshots,
+    encoding_table,
+    snapshot_feature_matrix,
+    snapshot_indices,
+)
 from hienet.synth import SyntheticSpec, generate_synthetic
 
 from gradcheck import end_to_end_setup, max_relative_error
-from reference_ops import csr, dense_adam_update, encode_every_walk, scipy_csr, snapshot_blocks
+from reference_ops import (
+    csr,
+    dense_adam_update,
+    encode_every_walk,
+    scipy_csr,
+    snapshot_blocks,
+    unfolded_snapshot_tokens,
+)
 
 LINES = [
     "a\tr1\t0\t9\tr1:0 r1/x1:50 r1/x2:300 r1/x2/x3:700",
@@ -24,7 +36,10 @@ LINES = [
     "c\tx2\t0\t6\tx2:0 x2/r1:40 x2/x4:90 x2/x4/x5:200 x2/x1:600",
 ]
 WINDOW = 1000
-FEATURES = TrainConfig(window=WINDOW, k_walks=3, walk_len=4, max_pairs=4, m_max=3, time_bins=8, seed=7)
+# the node features read pe_dim and time_bins, so they are the models' (tiny_config)
+FEATURES = TrainConfig(
+    window=WINDOW, k_walks=3, walk_len=4, max_pairs=4, m_max=3, pe_dim=4, time_bins=8, seed=7
+)
 
 
 @pytest.fixture(scope="module")
@@ -239,30 +254,53 @@ def test_gradient_check_batch_repeats_a_walk():
     assert np.unique(batch.walk_of).size < batch.walk_of.size
 
 
-def snapshots_of(k, feat):
+def snapshots_of(k):
     """Cascade k's kept snapshots as dense (propagation block, bins) pairs."""
     graph = build_cascade_graph(parse_cascade_line(LINES[k]), WINDOW)
-    sizes = snapshot_indices(graph.num_nodes, FEATURES.m_max)
-    return snapshot_blocks(feat.propagation, feat.node_bins, sizes)
+    propagation, bins, _ = build_snapshots(
+        *snapshot_feature_matrix(graph, FEATURES.time_bins), FEATURES.m_max
+    )
+    return snapshot_blocks(propagation, bins, snapshot_indices(graph.num_nodes, FEATURES.m_max))
 
 
 def graph_token(model, feat, snaps):
     """The cg branch's token for ``feat`` with its snapshot list replaced."""
     sizes = [bins.size for _, bins in snaps]
-    replaced = replace(
-        feat,
-        propagation=csr(block_diag(*[block for block, _ in snaps])),
-        node_bins=np.concatenate([bins for _, bins in snaps]),
-        pool_weights=np.repeat([1.0 / (len(snaps) * n) for n in sizes], sizes),
+    node_feats, pool_weights = fold_propagation(
+        csr(block_diag(*[block for block, _ in snaps])),
+        np.concatenate([bins for _, bins in snaps]),
+        np.repeat([1.0 / (len(snaps) * n) for n in sizes], sizes),
+        encoding_table(FEATURES.pe_dim, FEATURES.time_bins),
     )
-    batch = build_batch([replaced])
-    return model._cg_from_blocks(batch.p_block, model.enc_table[batch.node_bins], batch.pool)
+    batch = build_batch([replace(feat, node_feats=node_feats, pool_weights=pool_weights)])
+    return model.encode_snapshots(batch.node_feats, batch.pool)
+
+
+def test_folded_snapshot_tokens_match_the_unfolded_gcn():
+    """A default batch's cg tokens, one sparse matmul over the folded
+    features, equal the two-layer GCN that propagates twice and then pools,
+    to within float64 roundoff (the fold reassociates the sums)."""
+    config = TrainConfig(seed=0)
+    records, _ = generate_synthetic(SyntheticSpec())
+    records = records[: config.batch_size]
+    graph = build_global_graph(records)
+    model = HIENet(config, vocab=graph.vocab)
+    batch = build_batch(featurize_corpus(records, graph, config))
+    cascades = [build_cascade_graph(rec, config.window) for rec in records]
+    assert any(g.num_nodes > config.m_max for g in cascades)  # some snapshots are capped
+    snapshots = [
+        build_snapshots(*snapshot_feature_matrix(g, config.time_bins), config.m_max)
+        for g in cascades
+    ]
+    want = unfolded_snapshot_tokens(model, snapshots)
+    got = model.encode_snapshots(batch.node_feats, batch.pool).data
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_subcascade_shape_and_duplicate_pooling(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
-    root_only = snapshots_of(1, feats[1])[:1]
+    root_only = snapshots_of(1)[:1]
     one = graph_token(model, feats[1], root_only)
     assert one.shape == (1, 8)
     doubled = graph_token(model, feats[1], root_only * 2)
@@ -272,7 +310,7 @@ def test_subcascade_shape_and_duplicate_pooling(corpus):
 def test_subcascade_node_relabel_invariance(corpus):
     ggraph, feats = corpus
     model = build_model(ggraph)
-    snaps = snapshots_of(2, feats[2])
+    snaps = snapshots_of(2)
     rng = np.random.default_rng(0)
     permuted = []
     for p, bins in snaps:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from hienet.cascade import build_cascade_graph, build_global_graph, parse_cascade_line
+from hienet.cascade import (
+    GlobalSocialGraph,
+    build_cascade_graph,
+    build_global_graph,
+    parse_cascade_line,
+)
 from hienet.config import TrainConfig
 from hienet.errors import ConfigError
 from hienet.features import build_batch, featurize, featurize_corpus
@@ -210,24 +215,37 @@ def per_prefix_snapshots(cascade, time_bins, m_max):
 
 
 def test_featurize_blocks_match_per_prefix_reference():
+    """The blocks ``build_snapshots`` makes of a cascade are the per-prefix
+    reference's to the bit, and the features ``featurize`` folds from them
+    are the reference's P F and pool weights times P's row sums, to within
+    float64 roundoff."""
     records, _ = generate_synthetic(SyntheticSpec(num_users=80, num_cascades=40, seed=5))
     global_graph = build_global_graph(records)
     config = TrainConfig(k_walks=2, walk_len=3, max_pairs=4, m_max=4, time_bins=16, seed=1)
+    table = encoding_table(config.pe_dim, config.time_bins)
     window = 21600
     capped = 0
     for rec in records:
         graph = build_cascade_graph(rec, window)
         capped += graph.num_nodes > config.m_max
-        f = featurize(graph, 0, global_graph, config)
-        got = snapshot_blocks(
-            f.propagation, f.node_bins, snapshot_indices(graph.num_nodes, config.m_max)
+        propagation, bins, _ = build_snapshots(
+            *snapshot_feature_matrix(graph, config.time_bins), config.m_max
         )
+        got = snapshot_blocks(propagation, bins, snapshot_indices(graph.num_nodes, config.m_max))
         want = per_prefix_snapshots(graph, config.time_bins, config.m_max)
         assert len(got) == len(want)
         for (p_got, bins_got), (p_want, bins_want) in zip(got, want):
             assert p_got.dtype == p_want.dtype and p_got.shape == p_want.shape
             assert p_got.tobytes() == p_want.tobytes()
             assert bins_got.dtype == bins_want.dtype and bins_got.tobytes() == bins_want.tobytes()
+
+        f = featurize(graph, 0, global_graph, config, table)
+        p = block_diag(*[block for block, _ in want])
+        sizes = [block_bins.size for _, block_bins in want]
+        pool = np.repeat([1.0 / (len(want) * n) for n in sizes], sizes)
+        node_rows = table[np.concatenate([block_bins for _, block_bins in want])]
+        assert np.abs(f.node_feats - p @ node_rows).max() <= 1e-12
+        assert np.abs(f.pool_weights - pool * p.sum(axis=1)).max() <= 1e-12
     assert capped >= 5
 
 
@@ -240,40 +258,62 @@ def default_batch():
 
 
 def test_batch_propagation_stores_no_zeros():
-    """build_batch stacks each cascade's sparse propagation as it is, so
-    the batch matrix holds only the snapshots' nonzeros."""
+    """The batch's one propagation left, the folded pooling, holds one
+    positive entry per kept snapshot node, and the node features one row."""
     config, records, feats = default_batch()
-    p = build_batch(feats).p_block
-    assert p.data.size == np.count_nonzero(p.data)
-    # each snapshot of i nodes is a tree prefix: 3i - 2 nonzeros
+    batch = build_batch(feats)
     sizes = [
         i
         for rec in records
         for i in snapshot_indices(build_cascade_graph(rec, config.window).num_nodes, config.m_max)
     ]
-    assert p.data.size == sum(3 * n - 2 for n in sizes)
+    assert batch.pool.data.size == sum(sizes) and (batch.pool.data > 0).all()
+    assert batch.node_feats.shape == (sum(sizes), config.pe_dim)
 
 
 def test_batch_stacks_each_cascade_in_its_place():
-    """Densified, the batch's propagation is the block diagonal of the
-    cascades', pool row b holds cascade b's pool weights at its node
-    columns, and the social rows stack. Every matrix lists its entries with
-    rows that never decrease, the order that keeps sparse_matmul's sums
-    scipy's to the bit, and in int32 indices."""
+    """The batch's node features stack the cascades', pool row b holds
+    cascade b's pool weights at its node columns, and the social rows
+    stack. Every matrix lists its entries with rows that never decrease,
+    the order that keeps sparse_matmul's sums scipy's to the bit, and in
+    int32 indices."""
     _, _, feats = default_batch()
     batch = build_batch(feats)
-    assert np.array_equal(dense(batch.p_block), block_diag(*[dense(f.propagation) for f in feats]))
+    assert np.array_equal(batch.node_feats, np.vstack([f.node_feats for f in feats]))
     assert np.array_equal(dense(batch.pool), block_diag(*[f.pool_weights[None] for f in feats]))
     assert np.array_equal(dense(batch.social), np.vstack([dense(f.social_row) for f in feats]))
-    per_cascade = [m for f in feats for m in (f.propagation, f.social_row)]
-    for mat in [batch.p_block, batch.pool, batch.social] + per_cascade:
+    for mat in [batch.pool, batch.social] + [f.social_row for f in feats]:
         assert np.all(np.diff(mat.rows) >= 0)
         assert mat.rows.dtype == mat.cols.dtype == np.int32
 
 
-def star_cascade(n_nodes):
+def star_record(n_nodes):
     paths = " ".join(f"r/u{i}:{i}" for i in range(1, n_nodes))
-    return build_cascade_graph(parse_cascade_line(f"m\tr\t0\t{n_nodes}\tr:0 {paths}"), 21600)
+    return parse_cascade_line(f"m\tr\t0\t{n_nodes}\tr:0 {paths}")
+
+
+def star_cascade(n_nodes):
+    return build_cascade_graph(star_record(n_nodes), 21600)
+
+
+def test_featurize_looks_up_only_the_rows_it_reads(monkeypatch):
+    """Only walk nodes, diffusion-pair endpoints and the root have their
+    embedding row read, each once, so a 2,001-node star needs at most
+    K*N + 2*max_pairs lookups."""
+    config = TrainConfig()
+    record = star_record(2001)
+    global_graph = build_global_graph([record])
+    looked_up = []
+    lookup = GlobalSocialGraph.embedding_index
+
+    def counted(graph, user):
+        looked_up.append(user)
+        return lookup(graph, user)
+
+    monkeypatch.setattr(GlobalSocialGraph, "embedding_index", counted)
+    featurize_corpus([record], global_graph, config)
+    assert len(looked_up) == len(set(looked_up))
+    assert len(looked_up) <= config.k_walks * config.walk_len + 2 * config.max_pairs
 
 
 def test_star_snapshot_features_stay_sparse():

@@ -48,13 +48,13 @@ def _assert_products_are_scipys(mat, width, rng):
 
 def case_sparse_matmul(rng):
     """Its products are also checked against scipy's, on this matrix with an
-    empty row and on a default batch's propagation, pool and social rows."""
+    empty row and on a default batch's pool and social rows."""
     dense = rng.normal(size=(4, 3)) * (rng.random((4, 3)) < 0.6)
     dense[1] = 0.0
     mat = R.csr(dense)
     (t,) = _leaves(rng, (3, 2))
     batch = _default_batch()
-    for m in (mat, batch.p_block, batch.pool, batch.social):
+    for m in (mat, batch.pool, batch.social):
         _assert_products_are_scipys(m, TrainConfig().gcn_hidden, rng)
     return lambda: T.mean_all(T.square(T.sparse_matmul(mat, t))), [t]
 
@@ -325,6 +325,19 @@ def test_backward_without_a_graph_names_the_cause(build):
     with pytest.raises(TrainingError, match="recorded no graph"):
         loss.backward()
     assert x.grad is None
+
+
+def test_second_backward_through_a_graph_is_refused():
+    """Each op's output keeps the gradient a backward pass left in it, so a
+    second pass would add its gradient on top and send the sum on (w would
+    read 180, not 72); it raises instead and leaves the grads as they were."""
+    w = Parameter("w", [[2.0]])
+    loss = T.mean_all(T.square(T.relu(T.matmul(T.constant([[3.0]]), w))))
+    loss.backward()
+    assert w.grad.tolist() == [[36.0]]
+    with pytest.raises(TrainingError, match="already ran"):
+        loss.backward()
+    assert w.grad.tolist() == [[36.0]]
 
 
 def test_layer_norm_statistics():

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -226,6 +227,21 @@ def test_old_checkpoint_restores_and_saves_byte_identically(tmp_path):
     save_checkpoint(tmp_path / "again", model.params(), extra=extra)
     for name in ("manifest.json", "weights.bin"):
         assert (tmp_path / "again" / name).read_bytes() == (OLD_CHECKPOINT / name).read_bytes()
+
+
+def test_opening_a_checkpoint_holds_one_parameter_beside_the_model(corpus, tmp_path):
+    """The weights are read one parameter at a time, so opening a checkpoint
+    never holds a second copy of the model; the margin covers the parsed
+    manifest (about 100 kB here, against the model's 550 kB)."""
+    result = train(TrainConfig(data=str(corpus), out=str(tmp_path / "run"), epochs=0))
+    tracemalloc.start()
+    try:
+        model, _, _ = _open_checkpoint(result.checkpoint_dir)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    sizes = [p.data.nbytes for p in model.params()]
+    assert peak < sum(sizes) + max(sizes) + 200_000
 
 
 def test_checkpoint_carries_run_context(corpus, tmp_path):
