@@ -34,15 +34,24 @@ def layout(params: list[Parameter]) -> list[dict]:
     return entries
 
 
-def save_checkpoint(path: str | Path, params: list[Parameter], extra: dict | None = None) -> None:
-    """Write manifest.json + weights.bin under directory ``path``."""
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    manifest = dict(extra or {})
-    manifest["params"] = layout(params)
-    with open(path / WEIGHTS_NAME, "wb") as fh:
+def write_weights(path: str | Path, params: list[Parameter]) -> None:
+    """Write the values of ``params`` to the file ``path``, packed as ``layout`` says."""
+    with open(path, "wb") as fh:
         for p in params:  # one parameter at a time, never the whole blob
             fh.write(np.ascontiguousarray(p.data, dtype="<f8"))
+
+
+def save_checkpoint(
+    path: str | Path, params: list[Parameter], extra: dict | None = None, weights: Path | None = None
+) -> None:
+    """Write manifest.json + weights.bin (``weights``, if given, moved) under directory ``path``."""
+    path = Path(path)
+    path.mkdir(parents=True, exist_ok=True)
+    manifest = {**(extra or {}), "params": layout(params)}
+    if weights is None:
+        write_weights(path / WEIGHTS_NAME, params)
+    else:
+        os.replace(weights, path / WEIGHTS_NAME)
     write_json(path / MANIFEST_NAME, manifest)
 
 

@@ -3,8 +3,8 @@
 Define-by-run: every op allocates a fresh ``Tensor`` holding the forward
 value, the parent tensors, and a closure that routes an upstream gradient
 into the parents. ``backward()`` walks nodes in descending creation order,
-which is a valid topological order because an op's output is always
-allocated after its inputs.
+a valid topological order because an op's output is always allocated
+after its inputs, and frees each op output's gradient once it is spent.
 
 Conventions kept deliberately narrow so every backward rule stays obvious:
 no implicit broadcasting between two Tensors (only the explicit ``add_bias``
@@ -92,7 +92,7 @@ class Tensor:
         return nodes
 
     def backward(self) -> None:
-        """Backpropagate from this scalar through the recorded graph."""
+        """Backpropagate from this scalar; every op output but this one drops its spent gradient."""
         if self.data.size != 1:
             raise ShapeError(f"backward needs a scalar, got shape {self.shape}")
         if not self.requires_grad:
@@ -101,8 +101,7 @@ class Tensor:
                 "or from constants only), so no gradient would reach a parameter"
             )
         nodes = self._graph()
-        # an op's output holds a gradient only once a backward has run through it,
-        # and a second pass would add its own on top and send the sum on
+        # a pass leaves its loss's gradient; a second would add its own on top and send the sum on
         if any(node._backward is not None and node.grad is not None for node in nodes):
             raise TrainingError(
                 "backward: a backward pass already ran through this graph; record a new "
@@ -112,6 +111,8 @@ class Tensor:
         for node in nodes:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                if node is not self:
+                    node.grad = None
 
     def first_nan_op(self) -> str | None:
         """The op of the oldest node in the recorded graph feeding this one

@@ -13,7 +13,10 @@ timestamps.
 
 The per-epoch train metric is computed from a frozen post-epoch pass, not
 averaged over minibatch losses, so evaluating the training split right
-after training reproduces the logged value exactly.
+after training reproduces the logged value exactly. Whenever val improves,
+the weights stream to a temporary file that the one ``save_checkpoint``
+moves into place, so training holds one copy of the model and a run that
+fails leaves the checkpoint already in its out dir as it was.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import ConfigError, DataError, TrainingError
 from .features import CascadeFeatures, build_batch, featurize_corpus, from_log2p1
 from .jsonio import write_json
 from .model import HIENet, metrics_from_logs, msle_loss
-from .nn.checkpoint import load_checkpoint, restore_into, save_checkpoint
+from .nn.checkpoint import load_checkpoint, restore_into, save_checkpoint, write_weights
 from .nn.optim import Adam
 
 EVAL_BATCH = 64
@@ -188,24 +191,26 @@ def train(config: TrainConfig) -> TrainResult:
     )["MSLE"]
 
     result = TrainResult(config=config.to_dict(), baseline_val_msle=baseline_val)
-    best_weights = [np.empty_like(p.data) for p in params]
-    for epoch in range(config.epochs + 1):
-        if epoch > 0:
-            order = np.random.default_rng([config.seed, epoch]).permutation(len(train_feats))
-            for lo in range(0, order.size, config.batch_size):
-                chunk = [train_feats[i] for i in order[lo : lo + config.batch_size]]
-                _training_step(model, build_batch(chunk), opt)
-        train_msle = _eval_msle(model, train_feats)
-        val_msle = _eval_msle(model, val_feats)
-        result.history.append({"epoch": epoch, "train_MSLE": train_msle, "val_MSLE": val_msle})
-        # epoch 0 always sets the best, so a NaN val MSLE still leaves weights to restore
-        if epoch == 0 or val_msle < result.best_val_msle:
-            result.best_epoch, result.best_val_msle = epoch, val_msle
-            for best, p in zip(best_weights, params):
-                np.copyto(best, p.data)
-
-    for p, data in zip(params, best_weights):
-        p.data[...] = data
+    result.checkpoint_dir = out_dir / "checkpoint"
+    result.checkpoint_dir.mkdir(exist_ok=True)
+    best_weights = result.checkpoint_dir / "weights.bin.tmp"
+    try:
+        for epoch in range(config.epochs + 1):
+            if epoch > 0:
+                order = np.random.default_rng([config.seed, epoch]).permutation(len(train_feats))
+                for lo in range(0, order.size, config.batch_size):
+                    chunk = [train_feats[i] for i in order[lo : lo + config.batch_size]]
+                    _training_step(model, build_batch(chunk), opt)
+            train_msle = _eval_msle(model, train_feats)
+            val_msle = _eval_msle(model, val_feats)
+            result.history.append({"epoch": epoch, "train_MSLE": train_msle, "val_MSLE": val_msle})
+            # epoch 0 always sets the best, so a NaN val MSLE still leaves weights to save
+            if epoch == 0 or val_msle < result.best_val_msle:
+                result.best_epoch, result.best_val_msle = epoch, val_msle
+                write_weights(best_weights, params)
+    except BaseException:
+        best_weights.unlink(missing_ok=True)
+        raise
 
     summary = {
         "config": result.config,
@@ -213,10 +218,10 @@ def train(config: TrainConfig) -> TrainResult:
         "best_val_MSLE": result.best_val_msle,
         "baseline_val_MSLE": baseline_val,
     }
-    result.checkpoint_dir = out_dir / "checkpoint"
     save_checkpoint(
         result.checkpoint_dir,
         params,
+        weights=best_weights,
         extra={
             **summary,
             "users": ggraph.users,

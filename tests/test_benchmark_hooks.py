@@ -21,7 +21,7 @@ from hienet.config import TrainConfig
 from hienet.features import build_batch, featurize_corpus
 from hienet.model import HIENet, msle_loss
 from hienet.nn.optim import Adam
-from hienet.synth import SyntheticSpec, generate_synthetic
+from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 
 
 def test_benchmark_hook_points_install_and_restore():
@@ -136,6 +136,33 @@ def test_default_step_runs_two_sparse_products():
     ops = [node._op for node in loss._graph() if node._backward is not None]
     assert len(ops) == autodiff_nodes(loss) == 52
     assert ops.count("sparse_matmul") == 2
+    # the traced run counts the graph after backward, which frees gradients, not nodes
+    loss.backward()
+    assert autodiff_nodes(loss) == 52
+
+
+def test_train_reaches_save_checkpoint_once_after_its_last_step(tmp_path, monkeypatch):
+    """``Boundaries`` ends the epoch loop at ``hienet.train.save_checkpoint``,
+    so the best epoch's weights, written whenever val improves, must reach
+    the disk under another name, and the one save must follow the last step."""
+    train_module = importlib.import_module("hienet.train")
+    calls = []
+    save, step = train_module.save_checkpoint, Adam.step
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(train_module, "save_checkpoint", recorded("save", save))
+    monkeypatch.setattr(Adam, "step", recorded("step", step))
+    records, manifest = generate_synthetic(SyntheticSpec(num_users=40, num_cascades=20, seed=3))
+    data = write_corpus(tmp_path / "corpus", records, manifest)
+    config = TrainConfig(data=str(data), out=str(tmp_path / "run"), epochs=2, batch_size=8, seed=0)
+    hienet.train(config)
+    assert "step" in calls and calls.count("save") == 1 and calls[-1] == "save"
 
 
 def test_traced_optimizer_counts_read_a_real_step():

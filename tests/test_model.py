@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +19,7 @@ from hienet.snapshots import (
 )
 from hienet.synth import SyntheticSpec, generate_synthetic
 
+from conftest import traced
 from gradcheck import end_to_end_setup, max_relative_error
 from reference_ops import (
     csr,
@@ -422,16 +422,6 @@ def test_predict_logs_is_a_forward_that_records_nothing(corpus, fusion):
     assert HIENet.forward(model, batch)._parents
 
 
-def _traced_peak(call) -> int:
-    """The most memory traced while ``call()`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_predict_logs_frees_what_a_recorded_forward_keeps():
     """On a default evaluation batch of 64 cascades, a recorded forward keeps
     every intermediate for a backward pass that inference never runs."""
@@ -442,9 +432,24 @@ def test_predict_logs_frees_what_a_recorded_forward_keeps():
     batch = build_batch(featurize_corpus(records, graph, config))
     model = HIENet(config, vocab=graph.vocab)
     model.predict_logs(batch)
-    recorded = _traced_peak(lambda: model.forward(batch))
-    frozen = _traced_peak(lambda: model.predict_logs(batch))
+    _, _, recorded = traced(lambda: model.forward(batch))
+    _, _, frozen = traced(lambda: model.predict_logs(batch))
     assert frozen < recorded / 2
+
+
+def test_backward_frees_the_gradients_it_has_spent():
+    """On a default training batch of 32 cascades, backward frees each op
+    output's gradient once its backward has run, so the memory it adds above
+    the recorded forward peaks at under half of what that graph holds."""
+    config = TrainConfig(seed=0)
+    records, _ = generate_synthetic(SyntheticSpec())
+    records = records[: config.batch_size]
+    graph = build_global_graph(records)
+    batch = build_batch(featurize_corpus(records, graph, config))
+    model = HIENet(config, vocab=graph.vocab)
+    loss, graph_bytes, _ = traced(lambda: msle_loss(model.forward(batch), batch.true_logs))
+    _, _, backward_peak = traced(loss.backward)
+    assert backward_peak < graph_bytes / 2
 
 
 def test_log_transform_round_trip():

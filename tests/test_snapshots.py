@@ -328,3 +328,13 @@ def test_star_snapshot_features_stay_sparse():
     assert propagation.data.size == sum(3 * i - 2 for i in sizes)
     stored = propagation.data.nbytes + propagation.rows.nbytes + propagation.cols.nbytes
     assert stored + bins.nbytes + pool.nbytes < 1_000_000
+
+
+def test_star_cascade_features_stay_small():
+    """What ``featurize`` keeps of the same star's snapshots, the folded node
+    features (pe_dim floats per snapshot node) and the pool weights, holds
+    about 1.09 MB, with no block that grows as n^2."""
+    config = TrainConfig()
+    record = star_record(2001)
+    (feats,) = featurize_corpus([record], build_global_graph([record]), config)
+    assert feats.node_feats.nbytes + feats.pool_weights.nbytes < 1_200_000

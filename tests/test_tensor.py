@@ -195,13 +195,57 @@ def test_fanout_accumulates():
 
 def test_sibling_gradients_do_not_alias():
     """``add`` hands both parents the upstream gradient itself, so summing
-    the second into the first must not write into the upstream node's."""
+    the second into the first must not write into the array ``y``'s backward
+    received."""
     x = Parameter("x", np.arange(6, dtype=float).reshape(2, 3))
     y = T.add(x, x)
+    received = []
+    add_backward = y._backward
+
+    def spy(g):
+        received.append((g, g.copy()))
+        add_backward(g)
+
+    y._backward = spy
     T.mean_all(T.square(y)).backward()
-    upstream = 2.0 * y.data / y.data.size
-    assert np.allclose(y.grad, upstream)
-    assert np.allclose(x.grad, 2.0 * upstream)
+    ((upstream, before),) = received
+    assert np.allclose(before, 2.0 * y.data / y.data.size)
+    assert np.array_equal(upstream, before)
+    assert np.allclose(x.grad, 2.0 * before)
+
+
+def test_backward_frees_each_op_outputs_gradient():
+    """Once an op's backward has run, its output's gradient is spent and
+    freed; the loss, the Parameters and the other leaves keep theirs."""
+    w = Parameter("w", [[2.0, -1.0]])
+    x = T.Tensor([[3.0], [0.5]], requires_grad=True)
+    h = T.matmul(w, x)
+    r = T.relu(h)
+    loss = T.mean_all(T.square(r))
+    loss.backward()
+    assert h.grad is None and r.grad is None
+    assert loss.grad.tolist() == 1.0
+    # h = 5.5, so d loss / dh = 2h = 11, times x for w and times w for x
+    assert w.grad.tolist() == [[33.0, 5.5]]
+    assert x.grad.tolist() == [[22.0], [-11.0]]
+    assert all(node._parents and node._backward for node in (h, r, loss))
+
+
+def test_losses_sharing_a_subgraph_backpropagate_in_turn():
+    """The shared nodes hold no gradient after the first pass, so the second
+    loss's pass is not refused and ``w`` ends with the gradient of the sum."""
+
+    def shared_graph(w):
+        h = T.relu(T.matmul(T.constant([[3.0]]), w))
+        return T.mean_all(T.square(h)), T.mean_all(R.mul(h, T.constant([[5.0]])))
+
+    w = Parameter("w", [[2.0]])
+    first, second = shared_graph(w)
+    first.backward()
+    second.backward()
+    total = Parameter("w", [[2.0]])
+    T.add(*shared_graph(total)).backward()
+    assert w.grad.tolist() == total.grad.tolist() == [[51.0]]
 
 
 # the reads of a (6, 3) table each case makes, and the rows of its row block

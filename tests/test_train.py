@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -10,8 +9,11 @@ import pytest
 from hienet.config import TrainConfig, resolve_config
 from hienet.errors import ConfigError, DataError, TrainingError
 from hienet.nn.checkpoint import save_checkpoint
+from hienet.nn.optim import Adam
 from hienet.synth import SyntheticSpec, generate_synthetic, write_corpus
 from hienet.train import _open_checkpoint, evaluate, predict, split_of, split_records, train
+
+from conftest import traced
 
 #: a tiny checkpoint written by an earlier release (30 users, the 48-parameter transformer model)
 OLD_CHECKPOINT = Path(__file__).parent / "fixtures" / "tiny_checkpoint"
@@ -208,6 +210,30 @@ def test_checkpoint_holds_the_best_epochs_weights(corpus, tmp_path):
     assert weights[0].read_bytes() == weights[1].read_bytes()
 
 
+def test_a_run_that_fails_leaves_the_earlier_checkpoint(corpus, tmp_path, monkeypatch):
+    """The best epoch's weights wait in a temporary file until the run
+    finishes, so a run that raises mid-training leaves the checkpoint already
+    in its out dir byte for byte, and no run leaves the temporary file."""
+    first = train(tiny_config(corpus, tmp_path / "run"))
+    saved = {f.name: f.read_bytes() for f in first.checkpoint_dir.iterdir()}
+    assert sorted(saved) == ["manifest.json", "weights.bin"]
+    steps = []
+    step = Adam.step
+
+    def failing_step(opt):
+        steps.append(opt)
+        if len(steps) == 3:  # epoch 1, after epoch 0 wrote its weights; as Ctrl-C would
+            raise KeyboardInterrupt
+        step(opt)
+
+    monkeypatch.setattr(Adam, "step", failing_step)
+    with pytest.raises(KeyboardInterrupt):
+        train(tiny_config(corpus, tmp_path / "run", seed=3, lr=3e-2))
+    assert {f.name: f.read_bytes() for f in first.checkpoint_dir.iterdir()} == saved
+    model, _, _ = _open_checkpoint(first.checkpoint_dir)
+    assert model.config.seed == 2
+
+
 def test_resume_with_zero_epochs_is_identity(corpus, tmp_path):
     first = train(tiny_config(corpus, tmp_path / "a"))
     resumed = train(
@@ -234,12 +260,7 @@ def test_opening_a_checkpoint_holds_one_parameter_beside_the_model(corpus, tmp_p
     never holds a second copy of the model; the margin covers the parsed
     manifest (about 100 kB here, against the model's 550 kB)."""
     result = train(TrainConfig(data=str(corpus), out=str(tmp_path / "run"), epochs=0))
-    tracemalloc.start()
-    try:
-        model, _, _ = _open_checkpoint(result.checkpoint_dir)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    (model, _, _), _, peak = traced(lambda: _open_checkpoint(result.checkpoint_dir))
     sizes = [p.data.nbytes for p in model.params()]
     assert peak < sum(sizes) + max(sizes) + 200_000
 
